@@ -7,13 +7,11 @@ from .evolution import (
     EnergyReport,
     RawState,
     StepUnstable,
-    SymmetricState,
     coercivity_constants,
+    couette_rhs,
     evolve,
+    full_rhs,
     pointwise_energy,
-    rhs_couette,
-    rhs_full,
-    weighted_energy_Es,
 )
 from .multipliers import bl_bound_report, eval_bl, eval_p, eval_p_prime
 from .observables import (
@@ -43,6 +41,6 @@ from .spectral_ops import (
     solve_TB,
     solve_TL,
 )
-from .weights import WeightSet, c_beta_constant, check_exchange, eval_m, eval_m1, eval_w
+from .weights import WeightSet, c_beta_constant, check_exchange, eval_m1, eval_w
 
 __version__ = "0.1.0"

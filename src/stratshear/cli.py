@@ -15,10 +15,11 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
-from .evolution import RawState, StepUnstable, evolve
+from .evolution import RawState, StepUnstable, dt_is_stable, evolve
 from .observables import InsufficientWindow, fit_power_law, series_norms
 from .shear import GridResolutionError, build_profile, sample_spectrum
 from .spectral_ops import FrequencyGrid, NonConvergence, SolveStats, SpectralField
@@ -85,8 +86,8 @@ class RunConfig:
 
     output_dir: str = "out"
 
-    fit_t_lo: float = -1.0  # negative: default to t_max / 10
-    fit_t_hi: float = -1.0  # negative: default to t_max
+    fit_t_lo: Optional[float] = None  # unset: t_max / 10
+    fit_t_hi: Optional[float] = None  # unset: t_max
 
     # acceptance assertions; evaluated only when --assert is passed
     assert_energy_ratio: bool = False
@@ -101,8 +102,8 @@ class RunConfig:
     assert_exponent_growth_max: float = math.nan
 
     def fit_window(self):
-        lo = self.fit_t_lo if self.fit_t_lo > 0 else self.time_t_max / 10.0
-        hi = self.fit_t_hi if self.fit_t_hi > 0 else self.time_t_max
+        lo = self.time_t_max / 10.0 if self.fit_t_lo is None else self.fit_t_lo
+        hi = self.time_t_max if self.fit_t_hi is None else self.fit_t_hi
         return lo, hi
 
     def validate(self):
@@ -110,16 +111,20 @@ class RunConfig:
             raise ConfigError(f"mode must be couette or near_couette, got {self.mode!r}")
         if not self.k_list:
             raise ConfigError("k_list must not be empty")
+        if len(set(self.k_list)) != len(self.k_list):
+            raise ConfigError(f"k_list entries must be distinct, got {self.k_list}")
         for k in self.k_list:
-            if k == 0:
-                raise ConfigError("k_list entries must be nonzero")
+            try:
+                FrequencyGrid(k=k, eta_max=self.grid_eta_max, n=self.grid_n)
+            except ValueError as exc:
+                raise ConfigError(f"grid for k = {k}: {exc}") from None
+        if self.R <= 0:
+            raise ConfigError(f"R must be positive, got {self.R}")
         if self.R <= 0.25 and not self.exploratory:
             raise ConfigError(
                 f"R = {self.R} is at or below the stability threshold 1/4; "
                 "set exploratory = true to run it anyway"
             )
-        if self.grid_n % 2 != 0 or self.grid_n <= 0:
-            raise ConfigError(f"grid.N must be even and positive, got {self.grid_n}")
         if self.grid_n < 128 and not self.exploratory:
             raise ConfigError(
                 f"grid.N = {self.grid_n} below the resolution floor 128; "
@@ -129,14 +134,30 @@ class RunConfig:
             raise ConfigError("mode = couette requires profile.kind = couette")
         if self.beta < 0:
             raise ConfigError("beta must be nonnegative")
+        if self.s < 0:
+            raise ConfigError(f"s must be nonnegative, got {self.s}")
         kmax = max(abs(k) for k in self.k_list)
-        if self.time_dt * kmax * max(self.R, 1.0 + self.beta) > 0.1 + 1e-12:
+        if not dt_is_stable(self.time_dt, kmax, self.R, self.beta):
             raise ConfigError(
                 f"time.dt = {self.time_dt} violates the stability margin "
-                f"dt * |k| * max(R, 1 + beta) <= 0.1 for k = {kmax}"
+                f"0 < dt * |k| * max(R, 1 + beta) <= 0.1 for k = {kmax}"
             )
+        if self.time_t_max < self.time_dt:
+            raise ConfigError(f"time.t_max = {self.time_t_max} is below time.dt = {self.time_dt}")
         if self.time_record_every <= 0:
             raise ConfigError("time.record_every must be positive")
+        if not 0 < self.solver_tol < 1:
+            raise ConfigError(f"solver.tol must lie in (0, 1), got {self.solver_tol}")
+        if self.solver_max_iter < 1:
+            raise ConfigError(f"solver.max_iter must be at least 1, got {self.solver_max_iter}")
+        for init in (self.init_theta, self.init_q):
+            if init.alpha <= 0:
+                raise ConfigError(f"init alpha must be positive, got {init.alpha}")
+        lo, hi = self.fit_window()
+        if self.fit_t_lo is not None and lo < 1:
+            raise ConfigError(f"fit.t_lo = {lo} is below 1")
+        if (self.fit_t_lo is not None or self.fit_t_hi is not None) and not hi > lo:
+            raise ConfigError(f"fit window [{lo}, {hi}] is empty")
         return self
 
 
@@ -153,45 +174,52 @@ def _parse_int_list(raw):
     return [int(tok) for tok in raw.replace(",", " ").split()]
 
 
+def _parse_float(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 # dotted config key -> (RunConfig attribute path, converter)
 _SCHEMA = {
     "mode": ("mode", str),
-    "R": ("R", float),
-    "beta": ("beta", float),
+    "R": ("R", _parse_float),
+    "beta": ("beta", _parse_float),
     "k_list": ("k_list", _parse_int_list),
-    "s": ("s", float),
+    "s": ("s", _parse_float),
     "exploratory": ("exploratory", _parse_bool),
-    "grid.eta_max": ("grid_eta_max", float),
+    "grid.eta_max": ("grid_eta_max", _parse_float),
     "grid.N": ("grid_n", int),
     "profile.kind": ("profile_kind", str),
-    "profile.a": ("profile_a", float),
-    "profile.sigma": ("profile_sigma", float),
-    "profile.y0": ("profile_y0", float),
-    "time.t_max": ("time_t_max", float),
-    "time.dt": ("time_dt", float),
+    "profile.a": ("profile_a", _parse_float),
+    "profile.sigma": ("profile_sigma", _parse_float),
+    "profile.y0": ("profile_y0", _parse_float),
+    "time.t_max": ("time_t_max", _parse_float),
+    "time.dt": ("time_dt", _parse_float),
     "time.record_every": ("time_record_every", int),
-    "weights.C0": ("weights_c0", float),
-    "solver.tol": ("solver_tol", float),
+    "weights.C0": ("weights_c0", _parse_float),
+    "solver.tol": ("solver_tol", _parse_float),
     "solver.max_iter": ("solver_max_iter", int),
-    "init.theta.amplitude": ("init_theta.amplitude", float),
-    "init.theta.center": ("init_theta.center", float),
-    "init.theta.alpha": ("init_theta.alpha", float),
-    "init.q.amplitude": ("init_q.amplitude", float),
-    "init.q.center": ("init_q.center", float),
-    "init.q.alpha": ("init_q.alpha", float),
+    "init.theta.amplitude": ("init_theta.amplitude", _parse_float),
+    "init.theta.center": ("init_theta.center", _parse_float),
+    "init.theta.alpha": ("init_theta.alpha", _parse_float),
+    "init.q.amplitude": ("init_q.amplitude", _parse_float),
+    "init.q.center": ("init_q.center", _parse_float),
+    "init.q.alpha": ("init_q.alpha", _parse_float),
     "output.dir": ("output_dir", str),
-    "fit.t_lo": ("fit_t_lo", float),
-    "fit.t_hi": ("fit_t_hi", float),
+    "fit.t_lo": ("fit_t_lo", _parse_float),
+    "fit.t_hi": ("fit_t_hi", _parse_float),
     "assert.energy_ratio": ("assert_energy_ratio", _parse_bool),
     "assert.es_monotone": ("assert_es_monotone", _parse_bool),
-    "assert.exponent_q.min": ("assert_exponent_q_min", float),
-    "assert.exponent_q.max": ("assert_exponent_q_max", float),
-    "assert.exponent_vx.min": ("assert_exponent_vx_min", float),
-    "assert.exponent_vx.max": ("assert_exponent_vx_max", float),
-    "assert.exponent_vy.min": ("assert_exponent_vy_min", float),
-    "assert.exponent_vy.max": ("assert_exponent_vy_max", float),
-    "assert.exponent_growth.min": ("assert_exponent_growth_min", float),
-    "assert.exponent_growth.max": ("assert_exponent_growth_max", float),
+    "assert.exponent_q.min": ("assert_exponent_q_min", _parse_float),
+    "assert.exponent_q.max": ("assert_exponent_q_max", _parse_float),
+    "assert.exponent_vx.min": ("assert_exponent_vx_min", _parse_float),
+    "assert.exponent_vx.max": ("assert_exponent_vx_max", _parse_float),
+    "assert.exponent_vy.min": ("assert_exponent_vy_min", _parse_float),
+    "assert.exponent_vy.max": ("assert_exponent_vy_max", _parse_float),
+    "assert.exponent_growth.min": ("assert_exponent_growth_min", _parse_float),
+    "assert.exponent_growth.max": ("assert_exponent_growth_max", _parse_float),
 }
 
 
@@ -310,7 +338,9 @@ def _run_single_k(cfg: RunConfig, profile, weights, k, out_dir: Path):
 
 def _check_assertions(cfg: RunConfig, summary):
     failures = []
-    if cfg.assert_energy_ratio:
+    if cfg.assert_energy_ratio and cfg.R <= 0.25:
+        failures.append(f"energy ratio envelope needs R > 1/4, got R = {cfg.R}")
+    elif cfg.assert_energy_ratio:
         log_env = _log_energy_envelope(cfg.R, cfg.beta)
         rmax, rmin = summary["energy_ratio_max"], summary["energy_ratio_min"]
         if not (rmax > 0 and math.log(rmax) <= log_env * (1 + 1e-9)):
@@ -340,11 +370,13 @@ def run(cfg: RunConfig, out_dir=None, enable_asserts=False, jobs=1, seed=None) -
 
     Deterministic: identical configs reproduce byte-identical outputs.
     """
+    try:
+        profile = build_profile(cfg.profile_kind, a=cfg.profile_a, sigma=cfg.profile_sigma,
+                                y0=cfg.profile_y0, s=cfg.s)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    profile = build_profile(cfg.profile_kind, a=cfg.profile_a, sigma=cfg.profile_sigma,
-                            y0=cfg.profile_y0, s=cfg.s)
     weights = None
     if cfg.R > 0.25:
         weights = WeightSet.for_run(cfg.R, cfg.beta, profile.epsilon, cfg.weights_c0)
@@ -406,10 +438,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(Path(args.config).read_text())
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -420,7 +449,7 @@ def main(argv=None) -> int:
     except (NonConvergence, StepUnstable) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except GridResolutionError as exc:
+    except (ConfigError, GridResolutionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -13,9 +13,9 @@ the inverse Laplacian and the vorticity correction are realized through the
 Neumann resolvents, and the Theta coupling splits the profile factor
 (b - beta g) into a convolution part (b - beta (g-1)) and the constant -beta.
 
-Symmetrized variables Z1 = minv p^{-1/4} Theta, Z2 = minv p^{1/4} i sqrt(R) Q
-(minv = 1 for the linear profile) define the energies; the mixed term makes
-them coercive exactly when R > 1/4.
+The energies are one quadratic form in Z1 = minv p^{-1/4} Theta and
+Z2 = minv p^{1/4} i sqrt(R) Q, with minv = 1 unless a weight set is given;
+the mixed term makes it coercive exactly when R > 1/4.
 """
 
 from __future__ import annotations
@@ -41,18 +41,13 @@ __all__ = [
     "EnergyReport",
     "RawState",
     "StepUnstable",
-    "SymmetricState",
     "coercivity_constants",
     "couette_rhs",
-    "desymmetrize",
+    "dt_is_stable",
     "evolve",
     "full_rhs",
     "pointwise_energy",
-    "rhs_couette",
-    "rhs_full",
     "rk4_integrate",
-    "symmetrize",
-    "weighted_energy_Es",
 ]
 
 ENERGY_MASK_SHARE = 1e-8  # minimum share of the initial energy a cell must carry
@@ -80,15 +75,6 @@ class RawState:
         return self.theta.grid
 
 
-@dataclass
-class SymmetricState:
-    """Weighted symmetrized pair (Z1, Z2) at one time."""
-
-    z1: SpectralField
-    z2: SpectralField
-    t: float
-
-
 def coercivity_constants(R):
     """Lower/upper energy sandwich constants (1 -+ 1/(2 sqrt(R)))/2.
 
@@ -101,30 +87,9 @@ def coercivity_constants(R):
     return 0.5 * (1.0 - half), 0.5 * (1.0 + half)
 
 
-def _weights_inv(weights: Optional[WeightSet], t, k, etas):
-    if weights is None:
-        return 1.0
-    return weights.energy_weight_inv(t, k, etas)
-
-
-def symmetrize(state: RawState, R, weights: Optional[WeightSet] = None) -> SymmetricState:
-    """Map (Theta, Q) to (Z1, Z2) = (minv p^{-1/4} Theta, minv p^{1/4} i sqrt(R) Q)."""
-    grid = state.grid
-    p = grid.p(state.t)
-    minv = _weights_inv(weights, state.t, grid.k, grid.etas)
-    z1 = minv * p**-0.25 * state.theta.values
-    z2 = minv * p**0.25 * 1j * math.sqrt(R) * state.q.values
-    return SymmetricState(SpectralField(grid, z1), SpectralField(grid, z2), state.t)
-
-
-def desymmetrize(sym: SymmetricState, R, weights: Optional[WeightSet] = None) -> RawState:
-    """Inverse of ``symmetrize``; round-trips to ~1e-12 for moderate weights."""
-    grid = sym.z1.grid
-    p = grid.p(sym.t)
-    minv = _weights_inv(weights, sym.t, grid.k, grid.etas)
-    theta = p**0.25 * sym.z1.values / minv
-    q = p**-0.25 * sym.z2.values / (1j * math.sqrt(R) * minv)
-    return RawState(SpectralField(grid, theta), SpectralField(grid, q), sym.t)
+def dt_is_stable(dt, k, R, beta):
+    """RK4 stability margin: 0 < dt and dt |k| max(R, 1 + beta) <= 0.1."""
+    return dt > 0 and dt * abs(k) * max(R, 1.0 + beta) <= 0.1 + 1e-12
 
 
 def couette_rhs(t, theta, q, k, etas, beta, R):
@@ -135,12 +100,6 @@ def couette_rhs(t, theta, q, k, etas, beta, R):
     dtheta = -1j * k * R * q + 1j * k * beta * bl * theta / p
     dq = -1j * k * bl * theta / p
     return dtheta, dq
-
-
-def rhs_couette(t, state: RawState, beta, R):
-    """Time derivative of the raw state for the linear profile."""
-    grid = state.grid
-    return couette_rhs(t, state.theta.values, state.q.values, grid.k, grid.etas, beta, R)
 
 
 def full_rhs(t, theta, q, spec, beta, R, tol=1e-10, max_iter=50, stats=None):
@@ -164,12 +123,6 @@ def full_rhs(t, theta, q, spec, beta, R, tol=1e-10, max_iter=50, stats=None):
     dtheta = -1j * k * R * q + 1j * k * (coupling - beta * phi)
     dq = 1j * k * phi
     return dtheta, dq
-
-
-def rhs_full(t, state: RawState, spec, beta, R, tol=1e-10, max_iter=50, stats=None):
-    """Time derivative of the raw state for a perturbed profile."""
-    return full_rhs(t, state.theta.values, state.q.values, spec, beta, R,
-                    tol, max_iter, stats)
 
 
 def rk4_integrate(rhs, theta0, q0, t0, t_end, dt, callback=None):
@@ -196,46 +149,24 @@ def rk4_integrate(rhs, theta0, q0, t0, t_end, dt, callback=None):
     return theta, q
 
 
-def _pointwise_energy_arrays(theta, q, t, k, etas, R):
-    d = etas - k * t
-    p = k * k + d * d
-    pp = -2.0 * k * d
-    z1 = p**-0.25 * theta
-    z2 = p**0.25 * 1j * math.sqrt(R) * q
-    mixed = (pp / np.sqrt(p)) * (z1 * np.conj(z2)).real / (2.0 * k * math.sqrt(R))
-    quad = np.abs(z1) ** 2 + np.abs(z2) ** 2
-    return 0.5 * (quad + mixed), quad
+def pointwise_energy(state: RawState, R, weights: Optional[WeightSet] = None, s=0.0):
+    """Per-eta energy density and the coercive density |Z1|^2 + |Z2|^2.
 
-
-def pointwise_energy(state: RawState, R):
-    """Per-eta energy density and its integral over the grid.
-
-    Density: (|Z1|^2 + |Z2|^2 + Re(p' p^{-1/2} Z1 conj(Z2)) / (2 k sqrt(R))) / 2
-    with the unweighted symmetrized variables.
-    """
-    grid = state.grid
-    e_eta, _ = _pointwise_energy_arrays(state.theta.values, state.q.values,
-                                        state.t, grid.k, grid.etas, R)
-    return e_eta, float(grid.integrate(e_eta))
-
-
-def weighted_energy_Es(state: RawState, weights: WeightSet, s=0.0):
-    """Weighted energy functional at Sobolev order s.
-
-    Same quadratic form as the pointwise energy but built from the
-    weight-scaled Z1, Z2 and integrated against <(k, eta)>^{2s}.
+    Density: <(k, eta)>^{2s} (|Z1|^2 + |Z2|^2 + Re(p' p^{-1/2} Z1 conj(Z2)) / (2 k sqrt(R))) / 2
+    with the symmetrized variables scaled by the inverse energy weight when
+    ``weights`` is given.
     """
     grid = state.grid
     k = grid.k
     p = grid.p(state.t)
     pp = -2.0 * k * grid.shift(state.t)
-    minv = weights.energy_weight_inv(state.t, k, grid.etas)
+    minv = 1.0 if weights is None else weights.energy_weight_inv(state.t, k, grid.etas)
     z1 = minv * p**-0.25 * state.theta.values
-    z2 = minv * p**0.25 * 1j * math.sqrt(weights.R) * state.q.values
-    mixed = (pp / np.sqrt(p)) * (z1 * np.conj(z2)).real / (2.0 * k * math.sqrt(weights.R))
+    z2 = minv * p**0.25 * 1j * math.sqrt(R) * state.q.values
+    mixed = (pp / np.sqrt(p)) * (z1 * np.conj(z2)).real / (2.0 * k * math.sqrt(R))
+    quad = np.abs(z1) ** 2 + np.abs(z2) ** 2
     sob = (1.0 + k * k + grid.etas**2) ** s
-    dens = 0.5 * sob * (np.abs(z1) ** 2 + np.abs(z2) ** 2 + mixed)
-    return float(grid.integrate(dens))
+    return 0.5 * sob * (quad + mixed), quad
 
 
 @dataclass
@@ -274,17 +205,17 @@ def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
     Uses the pointwise right-hand side when ``spec`` is None and the
     resolvent-based one otherwise.  Raises ``StepUnstable`` if a field norm
     exceeds BLOWUP_FACTOR times its initial value, and ``ValueError`` when dt
-    violates the stability margin dt |k| max(R, 1+beta) <= 0.1.
+    fails ``dt_is_stable``.
 
     Returns (EnergyReport, snapshots) with snapshots a list of RawState taken
     every ``record_every`` steps (first and last steps always included).
     """
     grid = initial.grid
     k = grid.k
-    if dt * abs(k) * max(R, 1.0 + beta) > 0.1 + 1e-12:
+    if not dt_is_stable(dt, k, R, beta):
         raise ValueError(
             f"dt = {dt} violates the stability margin "
-            f"dt * |k| * max(R, 1 + beta) <= 0.1 for k = {k}, R = {R}, beta = {beta}"
+            f"0 < dt * |k| * max(R, 1 + beta) <= 0.1 for k = {k}, R = {R}, beta = {beta}"
         )
     if spec is not None:
         rhs = lambda t, th, qq: full_rhs(t, th, qq, spec, beta, R, tol, max_iter, stats)
@@ -292,8 +223,7 @@ def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
         rhs = lambda t, th, qq: couette_rhs(t, th, qq, k, grid.etas, beta, R)
 
     n_steps = int(round(t_max / dt))
-    e0_eta, _ = _pointwise_energy_arrays(initial.theta.values, initial.q.values,
-                                         initial.t, k, grid.etas, R)
+    e0_eta, _ = pointwise_energy(initial, R)
     cell_share = e0_eta * grid.deta
     total0 = float(np.sum(cell_share))
     mask = cell_share >= ENERGY_MASK_SHARE * total0 if total0 > 0 else np.zeros(grid.n, bool)
@@ -319,14 +249,14 @@ def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
                 )
         if step % record_every != 0 and step != n_steps:
             return
-        e_eta, quad = _pointwise_energy_arrays(theta, q, t, k, grid.etas, R)
+        state = RawState(SpectralField(grid, theta.copy()), SpectralField(grid, q.copy()), t)
+        e_eta, quad = pointwise_energy(state, R)
         times.append(t)
         e_series.append(float(grid.integrate(e_eta)))
         lo_series.append(lo_const * float(grid.integrate(quad)))
         hi_series.append(hi_const * float(grid.integrate(quad)))
-        state = RawState(SpectralField(grid, theta.copy()), SpectralField(grid, q.copy()), t)
         if weights is not None:
-            es_series.append(weighted_energy_Es(state, weights, s))
+            es_series.append(float(grid.integrate(pointwise_energy(state, R, weights, s)[0])))
         else:
             es_series.append(math.nan)
         if np.any(mask):

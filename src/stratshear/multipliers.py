@@ -23,7 +23,6 @@ __all__ = [
     "BOUND_SLACK",
     "BlBoundReport",
     "bl_bound_report",
-    "critical_time",
     "eval_bl",
     "eval_p",
     "eval_p_prime",
@@ -37,12 +36,6 @@ BOUND_SLACK = 1.0 + 1e-12
 def _require_nonzero_k(k):
     if k == 0:
         raise ValueError("x-wavenumber k must be nonzero (the k = 0 mode is conserved)")
-
-
-def critical_time(k, eta):
-    """Time eta/k at which p(t; k, eta) attains its minimum k^2."""
-    _require_nonzero_k(k)
-    return np.asarray(eta, dtype=float) / k
 
 
 def eval_p(t, k, eta):

@@ -111,18 +111,6 @@ class ShearProfile:
             y = np.clip(y - f / self.u_prime(y), lo, hi)
         return y
 
-    def g(self, Y):
-        """Moving-frame shear rate U' o U^{-1}."""
-        if self.is_couette:
-            return np.ones_like(np.asarray(Y, dtype=float))
-        return self.u_prime(self.u_inverse(Y))
-
-    def b(self, Y):
-        """Moving-frame curvature U'' o U^{-1}."""
-        if self.is_couette:
-            return np.zeros_like(np.asarray(Y, dtype=float))
-        return self.u_second(self.u_inverse(Y))
-
 
 def fourier_transform_samples(y, values, etas):
     """Trapezoid approximation of integral values(y) * exp(-i eta y) dy.
@@ -194,8 +182,8 @@ def _measurement_etas(profile: ShearProfile, order: float):
 
 def _measure_epsilon(profile: ShearProfile, s: float):
     etas = _measurement_etas(profile, s + 5.0)
-    g1hat, _, bhat = profile_transforms(profile, etas)
-    return sobolev_norm(etas, g1hat, s + 5.0) + sobolev_norm(etas, bhat, s + 4.0)
+    g1, _, bb = profile_transforms(profile, etas)
+    return sobolev_norm(etas, g1, s + 5.0) + sobolev_norm(etas, bb, s + 4.0)
 
 
 def _measure_epsilon_velocity(profile: ShearProfile):
@@ -239,17 +227,13 @@ def build_profile(kind, a=0.0, sigma=1.0, y0=0.0, s=0.0) -> ShearProfile:
 class ProfileSpectrum:
     """Profile transforms sampled for one frequency grid.
 
-    ``g1hat``, ``g2hat`` and ``bhat`` hold the transforms of g-1, g^2-1 and b
-    on the grid points (Hermitian-symmetric since the profiles are real).
-    ``kern_*`` hold the same transforms on the (2N-1)-point difference lattice
-    that the linear convolution needs; convolution matrices built from them
-    are cached on first use.
+    ``kern_g1``, ``kern_g2`` and ``kern_b`` hold the transforms of g-1, g^2-1
+    and b on the (2N-1)-point difference lattice that the linear convolution
+    needs (Hermitian-symmetric since the profiles are real); convolution
+    matrices built from them are cached on first use.
     """
 
     grid: FrequencyGrid
-    g1hat: np.ndarray
-    g2hat: np.ndarray
-    bhat: np.ndarray
     kern_g1: np.ndarray
     kern_g2: np.ndarray
     kern_b: np.ndarray
@@ -263,7 +247,7 @@ class ProfileSpectrum:
 
 
 def sample_spectrum(profile: ShearProfile, grid: FrequencyGrid) -> ProfileSpectrum:
-    """Sample the profile transforms on a grid and its difference lattice.
+    """Sample the profile transforms on the difference lattice of a grid.
 
     For perturbed profiles the grid must resolve the bump:
     sigma * deta <= 1/4 (sampling) and eta_max * sigma >= 20 (truncation);
@@ -272,9 +256,8 @@ def sample_spectrum(profile: ShearProfile, grid: FrequencyGrid) -> ProfileSpectr
     n = grid.n
     lattice = np.arange(-(n - 1), n) * grid.deta
     if profile.is_couette:
-        zg = np.zeros(n, dtype=complex)
         zk = np.zeros(2 * n - 1, dtype=complex)
-        return ProfileSpectrum(grid, zg, zg.copy(), zg.copy(), zk, zk.copy(), zk.copy())
+        return ProfileSpectrum(grid, zk, zk.copy(), zk.copy())
     if profile.width * grid.deta > 0.25:
         raise GridResolutionError(
             f"sigma * deta = {profile.width * grid.deta:.4g} > 1/4: grid spacing "
@@ -285,10 +268,5 @@ def sample_spectrum(profile: ShearProfile, grid: FrequencyGrid) -> ProfileSpectr
             f"eta_max * sigma = {grid.eta_max * profile.width:.4g} < 20: grid too "
             "short to carry the profile spectrum"
         )
-    stacked = np.concatenate([grid.etas, lattice])
-    g1, g2, bb = profile_transforms(profile, stacked)
-    return ProfileSpectrum(
-        grid,
-        g1hat=g1[:n], g2hat=g2[:n], bhat=bb[:n],
-        kern_g1=g1[n:], kern_g2=g2[n:], kern_b=bb[n:],
-    )
+    g1, g2, bb = profile_transforms(profile, lattice)
+    return ProfileSpectrum(grid, kern_g1=g1, kern_g2=g2, kern_b=bb)

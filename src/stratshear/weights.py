@@ -1,4 +1,4 @@
-"""Ghost weights for the energy method: w, m1 and m = m1 * w**delta.
+"""Ghost weights for the energy method: w and m1, combined as w**delta / m1.
 
 The decay-correction weight w solves  d(log w)/dt = |p'| / (4 p),  w(0) = 1.
 The arctan weight m1 is returned in its bounded closed form
@@ -28,7 +28,6 @@ __all__ = [
     "c_beta_constant",
     "check_exchange",
     "energy_weight_inv",
-    "eval_m",
     "eval_m1",
     "eval_w",
 ]
@@ -73,11 +72,6 @@ def eval_m1(t, k, eta, c_beta):
     return np.exp(c_beta * (np.arctan(eta / k - t) - np.arctan(eta / k)))
 
 
-def eval_m(t, k, eta, delta, c_beta):
-    """Composite weight m = m1 * w**delta; log m' = delta w'/w + m1'/m1."""
-    return eval_m1(t, k, eta, c_beta) * eval_w(t, k, eta) ** delta
-
-
 def energy_weight_inv(t, k, eta, delta, c_beta):
     """Reciprocal of the increasing weight (1/m1) * w**delta scaling Z1, Z2.
 
@@ -107,15 +101,6 @@ class WeightSet:
             raise ValueError("epsilon must be nonnegative")
         return cls(beta=beta, R=R, delta=C0 * epsilon, C0=C0,
                    c_beta=c_beta_constant(R, beta))
-
-    def w(self, t, k, eta):
-        return eval_w(t, k, eta)
-
-    def m1(self, t, k, eta):
-        return eval_m1(t, k, eta, self.c_beta)
-
-    def m(self, t, k, eta):
-        return eval_m(t, k, eta, self.delta, self.c_beta)
 
     def energy_weight_inv(self, t, k, eta):
         return energy_weight_inv(t, k, eta, self.delta, self.c_beta)

@@ -20,7 +20,6 @@ from stratshear.evolution import (
     evolve,
     pointwise_energy,
     rk4_integrate,
-    symmetrize,
 )
 from stratshear.multipliers import bl_bound_report, eval_bl
 from stratshear.observables import fit_modulated_power_law, fit_power_law, series_norms
@@ -226,8 +225,8 @@ def test_multiplier_and_weight_properties():
                 SpectralField(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64)),
                 rng.uniform(0, 30))
             e_eta, _ = pointwise_energy(state, R)
-            sym = symmetrize(state, R)
-            quad = np.abs(sym.z1.values) ** 2 + np.abs(sym.z2.values) ** 2
+            p = grid.p(state.t)  # |Z1|^2 + |Z2|^2 with Z1 = p^-1/4 Theta, Z2 = p^1/4 i sqrt(R) Q
+            quad = np.abs(state.theta.values) ** 2 / np.sqrt(p) + R * np.sqrt(p) * np.abs(state.q.values) ** 2
             ok_coercive &= bool(np.all(e_eta >= lo * quad - 1e-12)
                                 and np.all(e_eta <= hi * quad + 1e-12))
     verdict(ok_coercive, "coercivity sandwich", "4 x 10^4 cell samples")

@@ -1,13 +1,18 @@
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratshear.cli import (
     EXIT_ASSERT,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SOLVER,
+    _SCHEMA,
     ConfigError,
     main,
     parse_config,
@@ -174,3 +179,126 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert main(["--config", str(cfg), "--out", str(out2), "--jobs", "2"]) == EXIT_OK
     for name in ("series_k1.csv", "series_k2.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+BUMP = """
+mode = near_couette
+R = 1.0
+beta = 1.0
+k_list = 1
+grid.eta_max = 20.0
+grid.N = 256
+profile.kind = perturbed
+profile.a = 0.0018
+profile.sigma = 1.6
+time.t_max = 0.05
+time.dt = 0.01
+time.record_every = 1
+"""
+
+# configs that once crashed, ran a silent one-row "success", or were
+# misreported; later lines override the same key in BUMP
+CONFIG_ERRORS = {
+    "non_monotone_bump": "profile.a = 2.0\n",
+    "zero_bump_width": "profile.sigma = 0.0\n",
+    "negative_bump_width": "profile.sigma = -1.0\n",
+    "zero_eta_max": "grid.eta_max = 0.0\n",
+    "nan_eta_max": "grid.eta_max = nan\n",
+    "negative_R_exploratory": "R = -1.0\nexploratory = true\n",
+    "zero_max_iter": "solver.max_iter = 0\n",
+    "zero_dt": "time.dt = 0.0\n",
+    "negative_dt": "time.dt = -0.01\n",
+    "zero_t_max": "time.t_max = 0.0\n",
+    "negative_t_max": "time.t_max = -1.0\n",
+    "t_max_below_dt": "time.t_max = 0.004\n",  # zero steps: a one-row CSV
+    "nan_R": "R = nan\n",
+    "nan_beta": "beta = nan\n",
+    "zero_tol": "solver.tol = 0.0\n",
+    "tol_not_below_1": "solver.tol = 1.0\n",
+    "duplicate_k": "k_list = 1, 1\n",
+    "explicit_fit_t_lo_below_1": "fit.t_lo = 0.5\n",
+    "explicit_empty_fit_window": "fit.t_lo = 2.0\nfit.t_hi = 1.5\n",
+    "negative_init_alpha": "init.theta.alpha = -2.0\n",  # data overflows to inf
+    "negative_sobolev_order": "s = -20.0\n",  # epsilon was measured as NaN
+}
+
+
+@pytest.mark.parametrize("override", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys())
+def test_config_errors_exit_2_with_one_line(tmp_path, capsys, override):
+    cfg = write_config(tmp_path, BUMP + override)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
+def test_energy_ratio_assertion_at_threshold_exits_4(tmp_path):
+    # the envelope exp(4 pi (1+beta)^2 / (2 sqrt(R) - 1)) does not exist at R = 1/4
+    text = "mode = couette\nR = 0.25\nexploratory = true\ntime.t_max = 0.05\nassert.energy_ratio = true\n"
+    cfg = write_config(tmp_path, text)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "--assert"]) == EXIT_ASSERT
+
+
+def test_unset_fit_window_keeps_default(tmp_path):
+    # t_max / 10 < 1 when unset: the run succeeds and reports null exponents
+    cfg = write_config(tmp_path, SMOKE.replace("time.t_max = 100.0", "time.t_max = 2.0"))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["exponent_q"] is None
+
+
+# Candidate values per key, valid and invalid alike.  Valid shapes stay small
+# (N <= 256, t_max <= 0.05, bump widths whose transforms are cheap).
+FUZZ_VALUES = {
+    "mode": ["couette", "near_couette", "bogus"],
+    "R": ["1.0", "4.0", "0.25", "0.2", "0", "-1", "nan", "inf", "1e300"],
+    "beta": ["0", "1.0", "-1", "nan", "-inf"],
+    "k_list": ["1", "1, 2", "2, 2", "-1", "0", "", "1.5"],
+    "s": ["0", "1.5", "-1", "nan"],
+    "exploratory": ["true", "false", "maybe"],
+    "grid.eta_max": ["20.0", "16.0", "1e-300", "0", "-5", "nan", "inf"],
+    "grid.N": ["256", "128", "64", "2", "7", "0", "-2", "1.5"],
+    "profile.kind": ["couette", "perturbed", "bogus"],
+    "profile.a": ["0", "0.0018", "-0.05", "1.6", "2.0", "nan"],
+    "profile.sigma": ["1.6", "2.0", "0.5", "0", "-1", "inf"],
+    "profile.y0": ["0", "0.5", "nan"],
+    "time.t_max": ["0.05", "0.02", "0.001", "0", "-1", "nan"],
+    "time.dt": ["0.01", "0.005", "0.05", "0", "-0.01", "1", "nan"],
+    "time.record_every": ["1", "3", "100", "0", "-1"],
+    "weights.C0": ["64", "0", "-1", "1e300", "nan"],
+    "solver.tol": ["1e-10", "1e-300", "0", "-1", "1", "nan"],
+    "solver.max_iter": ["50", "1", "0", "-3"],
+    "init.theta.amplitude": ["1", "0", "-2", "1e300", "nan"],
+    "init.theta.center": ["0", "5", "nan"],
+    "init.theta.alpha": ["1", "0", "-1", "nan"],
+    "init.q.amplitude": ["1", "0", "1e300", "inf"],
+    "init.q.center": ["1", "-30", "inf"],
+    "init.q.alpha": ["0.5", "1e-300", "-0.5", "nan"],
+    "fit.t_lo": ["2", "0.5", "1", "-1", "nan"],
+    "fit.t_hi": ["0.05", "3", "0", "nan"],
+    "output.dir": ["out"],
+    "assert.energy_ratio": ["true", "false"],
+    "assert.es_monotone": ["true", "false"],
+    **{f"assert.exponent_{name}.{end}": ["-1", "5", "nan", "-inf"]
+       for name in ("q", "vx", "vy", "growth") for end in ("min", "max")},
+}
+
+config_lines = st.lists(
+    st.sampled_from(sorted(FUZZ_VALUES)).flatmap(
+        lambda key: st.sampled_from(FUZZ_VALUES[key]).map(lambda v: f"{key} = {v}")),
+    max_size=4,
+)
+# a perturbed run costs about 1 s (the smallness measurement), a Couette run
+# a few ms, so three of four examples start from the Couette base
+FUZZ_BASES = [SMOKE.replace("time.t_max = 100.0", "time.t_max = 0.05")] * 3 + [BUMP]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(base=st.sampled_from(FUZZ_BASES), lines=config_lines, enable_asserts=st.booleans())
+def test_fuzzed_configs_keep_the_exit_contract(base, lines, enable_asserts):
+    assert set(FUZZ_VALUES) == set(_SCHEMA)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(base + "\n".join(lines) + "\n")
+        argv = ["--config", str(cfg), "--out", str(Path(tmp) / "o")]
+        code = main(argv + (["--assert"] if enable_asserts else []))
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_ASSERT)

@@ -9,14 +9,10 @@ from stratshear.evolution import (
     StepUnstable,
     coercivity_constants,
     couette_rhs,
-    desymmetrize,
     evolve,
+    full_rhs,
     pointwise_energy,
-    rhs_couette,
-    rhs_full,
     rk4_integrate,
-    symmetrize,
-    weighted_energy_Es,
 )
 from stratshear.multipliers import eval_bl, eval_p, eval_p_prime
 from stratshear.spectral_ops import FrequencyGrid, SpectralField
@@ -29,16 +25,23 @@ def make_state(grid, t=0.0, qc=1.0):
     return RawState(theta, q, t)
 
 
-def test_rhs_couette_substitutions(grid256):
+def z_map(grid, t, theta, q, R):
+    """Unweighted symmetrized pair Z1 = p^{-1/4} Theta, Z2 = p^{1/4} i sqrt(R) Q."""
+    p = eval_p(t, grid.k, grid.etas)
+    return p**-0.25 * theta, p**0.25 * 1j * math.sqrt(R) * q
+
+
+def test_couette_rhs_substitutions(grid256):
     # with theta = 0 the density feeds theta only: dtheta = -i k R q, dq = 0
-    q = gaussian_field(grid256)
-    zeros = SpectralField(grid256, np.zeros(grid256.n, complex))
-    dtheta, dq = rhs_couette(0.7, RawState(zeros, q, 0.7), 0.0, 2.0)
-    assert np.allclose(dtheta, -1j * grid256.k * 2.0 * q.values)
+    k, etas = grid256.k, grid256.etas
+    q = gaussian_field(grid256).values
+    zeros = np.zeros(grid256.n, complex)
+    dtheta, dq = couette_rhs(0.7, zeros, q, k, etas, 0.0, 2.0)
+    assert np.allclose(dtheta, -1j * k * 2.0 * q)
     assert not np.any(dq)
     # R = 0 and beta = 0 freeze theta entirely
     state = make_state(grid256)
-    dtheta, dq = rhs_couette(0.0, state, 0.0, 0.0)
+    dtheta, dq = couette_rhs(0.0, state.theta.values, state.q.values, k, etas, 0.0, 0.0)
     assert not np.any(dtheta)
 
 
@@ -59,27 +62,28 @@ def test_raw_step_matches_symmetrized_step(grid256, beta):
     # symmetrized system; agreement far below the O(dt^2) envelope
     R, dt, t0 = 1.0, 0.01, 1.3
     state = make_state(grid256, t=t0)
-    sym0 = symmetrize(state, R)
+    z1_0, z2_0 = z_map(grid256, t0, state.theta.values, state.q.values, R)
 
     th, q = rk4_integrate(
         lambda t, a, b: couette_rhs(t, a, b, grid256.k, grid256.etas, beta, R),
         state.theta.values, state.q.values, t0, t0 + dt, dt)
-    sym_from_raw = symmetrize(RawState(SpectralField(grid256, th), SpectralField(grid256, q), t0 + dt), R)
+    z1_raw, z2_raw = z_map(grid256, t0 + dt, th, q, R)
 
     z1, z2 = rk4_integrate(
         lambda t, a, b: symmetric_rhs(t, a, b, grid256.k, grid256.etas, beta, R),
-        sym0.z1.values, sym0.z2.values, t0, t0 + dt, dt)
+        z1_0, z2_0, t0, t0 + dt, dt)
 
     scale = max(np.max(np.abs(z1)), np.max(np.abs(z2)))
-    assert np.max(np.abs(sym_from_raw.z1.values - z1)) <= dt**2 * scale
-    assert np.max(np.abs(sym_from_raw.z2.values - z2)) <= dt**2 * scale
+    assert np.max(np.abs(z1_raw - z1)) <= dt**2 * scale
+    assert np.max(np.abs(z2_raw - z2)) <= dt**2 * scale
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_full_rhs_reduces_to_couette(grid256, couette_spectrum, beta):
     state = make_state(grid256, t=2.3)
-    ref = rhs_couette(2.3, state, beta, 1.0)
-    got = rhs_full(2.3, state, couette_spectrum, beta, 1.0)
+    th, q = state.theta.values, state.q.values
+    ref = couette_rhs(2.3, th, q, grid256.k, grid256.etas, beta, 1.0)
+    got = full_rhs(2.3, th, q, couette_spectrum, beta, 1.0)
     assert np.max(np.abs(ref[0] - got[0])) < 1e-14
     assert np.max(np.abs(ref[1] - got[1])) < 1e-14
 
@@ -89,13 +93,14 @@ def test_full_rhs_perturbation_scaling(grid256):
 
     t, beta, R = 1.5, 1.0, 1.0
     state = make_state(grid256, t=t)
+    th, q = state.theta.values, state.q.values
     snorm = state.theta.l2() + state.q.l2()
     consts = []
     for a in (0.01, 0.02, 0.04):
         prof = build_profile("perturbed", a=a, sigma=2.0, s=0.0)
         spec = sample_spectrum(prof, grid256)
-        dref = rhs_couette(t, state, beta, R)
-        dgot = rhs_full(t, state, spec, beta, R)
+        dref = couette_rhs(t, th, q, grid256.k, grid256.etas, beta, R)
+        dgot = full_rhs(t, th, q, spec, beta, R)
         diff = np.sqrt(grid256.integrate(np.abs(dgot[0] - dref[0]) ** 2)
                        + grid256.integrate(np.abs(dgot[1] - dref[1]) ** 2))
         consts.append(diff / (prof.epsilon * snorm))
@@ -188,8 +193,8 @@ def test_pointwise_energy_coercivity_sandwich():
             q = SpectralField(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64))
             state = RawState(theta, q, t)
             e_eta, _ = pointwise_energy(state, R)
-            sym = symmetrize(state, R)
-            quad = np.abs(sym.z1.values) ** 2 + np.abs(sym.z2.values) ** 2
+            z1, z2 = z_map(grid, t, theta.values, q.values, R)
+            quad = np.abs(z1) ** 2 + np.abs(z2) ** 2
             assert np.all(e_eta >= lo * quad - 1e-12)
             assert np.all(e_eta <= hi * quad + 1e-12)
 
@@ -201,29 +206,35 @@ def test_coercivity_fails_at_and_below_threshold():
     assert lo_below < 0.0
 
 
-def test_symmetrize_roundtrip(grid256):
-    # moderate weight constants keep the inverse weight inside float range
-    ws = WeightSet(beta=1.0, R=1.0, delta=0.5, C0=64.0, c_beta=1.5)
-    state = make_state(grid256, t=3.0)
-    for weights in (None, ws):
-        sym = symmetrize(state, 1.0, weights)
-        back = desymmetrize(sym, 1.0, weights)
-        assert np.max(np.abs(back.theta.values - state.theta.values)) < 1e-12
-        assert np.max(np.abs(back.q.values - state.q.values)) < 1e-12
+def test_pointwise_energy_returns_quadratic_density(grid256):
+    state = make_state(grid256, t=2.7)
+    z1, z2 = z_map(grid256, 2.7, state.theta.values, state.q.values, 2.0)
+    _, quad = pointwise_energy(state, 2.0)
+    assert np.allclose(quad, np.abs(z1) ** 2 + np.abs(z2) ** 2, rtol=1e-13, atol=0)
+
+
+def test_pointwise_energy_sobolev_factor(grid256):
+    state = make_state(grid256, t=2.7)
+    plain, _ = pointwise_energy(state, 1.0)
+    e_s, _ = pointwise_energy(state, 1.0, s=1.5)
+    bracket = (1.0 + grid256.k**2 + grid256.etas**2) ** 1.5
+    assert np.allclose(e_s, bracket * plain, rtol=1e-13, atol=0)
 
 
 def test_weighted_energy_zero_state(grid256):
     zeros = SpectralField(grid256, np.zeros(grid256.n, complex))
     ws = WeightSet.for_run(1.0, 1.0, 0.02)
-    assert weighted_energy_Es(RawState(zeros, zeros.copy(), 1.0), ws) == 0.0
+    e_eta, _ = pointwise_energy(RawState(zeros, zeros.copy(), 1.0), 1.0, ws)
+    assert grid256.integrate(e_eta) == 0.0
 
 
 def test_weighted_energy_matches_pointwise_at_t0(grid256):
     # at t = 0 every weight is 1, so with s = 0 the functionals coincide
     ws = WeightSet.for_run(1.0, 0.0, 0.0)  # epsilon 0 -> delta 0
     state = make_state(grid256, t=0.0)
-    _, integrated = pointwise_energy(state, 1.0)
-    assert weighted_energy_Es(state, ws, s=0.0) == pytest.approx(integrated, rel=1e-12)
+    plain, _ = pointwise_energy(state, 1.0)
+    weighted, _ = pointwise_energy(state, 1.0, ws, s=0.0)
+    assert grid256.integrate(weighted) == pytest.approx(grid256.integrate(plain), rel=1e-12)
 
 
 def test_recorded_energy_inside_coercivity_envelopes(grid256):

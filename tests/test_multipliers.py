@@ -3,7 +3,6 @@ import pytest
 
 from stratshear.multipliers import (
     bl_bound_report,
-    critical_time,
     eval_bl,
     eval_p,
     eval_p_prime,
@@ -17,7 +16,7 @@ def test_p_direct_values():
 
 def test_p_minimum_at_critical_time():
     for k, eta in [(1, 2.0), (3, -7.5), (-2, 4.0)]:
-        tc = critical_time(k, eta)
+        tc = eta / k
         assert eval_p(tc, k, eta) == pytest.approx(k * k)
         # minimum: nearby times are above
         for dt in (-0.3, 0.2, 1.0):

@@ -15,8 +15,8 @@ from stratshear.spectral_ops import FrequencyGrid
 def test_couette_profile_is_trivial():
     p = build_profile("couette")
     y = np.linspace(-5, 5, 11)
-    assert np.all(p.g(y) == 1.0)
-    assert np.all(p.b(y) == 0.0)
+    assert np.all(p.u_prime(p.u_inverse(y)) == 1.0)
+    assert np.all(p.u_second(p.u_inverse(y)) == 0.0)
     assert p.epsilon == 0.0
     assert p.epsilon_velocity == 0.0
 
@@ -24,7 +24,7 @@ def test_couette_profile_is_trivial():
 def test_zero_amplitude_matches_couette():
     p = build_profile("perturbed", a=0.0, sigma=2.0)
     y = np.linspace(-5, 5, 11)
-    assert np.all(p.g(y) == 1.0)
+    assert np.all(p.u_prime(p.u_inverse(y)) == 1.0)
     assert p.epsilon == 0.0
     assert p.is_couette
 
@@ -54,7 +54,7 @@ def test_inverse_composition_roundtrip():
     rng = np.random.default_rng(31)
     y = rng.uniform(-8, 8, 1000)
     # g(U(y)) must reproduce U'(y)
-    assert np.max(np.abs(prof.g(prof.u(y)) - prof.u_prime(y))) <= 1e-9
+    assert np.max(np.abs(prof.u_prime(prof.u_inverse(prof.u(y))) - prof.u_prime(y))) <= 1e-9
     assert np.max(np.abs(prof.u_inverse(prof.u(y)) - y)) <= 1e-10
 
 
@@ -81,7 +81,7 @@ def test_sample_spectrum_couette_is_zero():
     grid = FrequencyGrid(k=1, eta_max=16.0, n=256)
     spec = sample_spectrum(build_profile("couette"), grid)
     assert spec.trivial
-    assert not np.any(spec.g1hat) and not np.any(spec.kern_b)
+    assert not np.any(spec.kern_g1) and not np.any(spec.kern_b)
 
 
 def test_sample_spectrum_resolution_guards():
@@ -95,13 +95,12 @@ def test_sample_spectrum_resolution_guards():
 def test_sample_spectrum_grid_values_and_decay(grid256, bump_spectrum):
     _, spec = bump_spectrum
     n = grid256.n
-    # grid arrays are Hermitian-symmetric on the mirrored points
-    assert np.max(np.abs(spec.g1hat[::-1] - np.conj(spec.g1hat))) < 1e-13
-    # tails have decayed by many orders at |eta| = eta_max
-    mid = np.max(np.abs(spec.g1hat))
-    assert np.max(np.abs(spec.g1hat[:4])) < 1e-12 * mid
-    # lattice center agrees with the grid interpolation scale
     assert spec.kern_g1.shape == (2 * n - 1,)
+    # the difference lattice is symmetric, so the kernel is Hermitian-symmetric
+    assert np.max(np.abs(spec.kern_g1[::-1] - np.conj(spec.kern_g1))) < 1e-13
+    # tails have decayed by many orders at the lattice ends |eta| ~ 2 eta_max
+    mid = np.max(np.abs(spec.kern_g1))
+    assert np.max(np.abs(spec.kern_g1[:4])) < 1e-12 * mid
 
 
 def test_spectrum_tail_decay_power(grid256, bump_spectrum):
@@ -109,10 +108,11 @@ def test_spectrum_tail_decay_power(grid256, bump_spectrum):
     # sampled tail (the transforms decay faster than any polynomial)
     profile, spec = bump_spectrum
     order = profile.sobolev_order + 5.0
-    bracket = (1.0 + grid256.etas**2) ** (order / 2.0)
-    weighted = np.abs(spec.g1hat) * bracket
-    assert np.max(weighted) <= 10.0 * np.max(np.abs(spec.g1hat))
-    tail = np.abs(grid256.etas) >= grid256.eta_max / 2
+    lattice = np.arange(-(grid256.n - 1), grid256.n) * grid256.deta
+    bracket = (1.0 + lattice**2) ** (order / 2.0)
+    weighted = np.abs(spec.kern_g1) * bracket
+    assert np.max(weighted) <= 10.0 * np.max(np.abs(spec.kern_g1))
+    tail = np.abs(lattice) >= grid256.eta_max / 2
     assert np.max(weighted[tail]) <= np.max(weighted)
 
 

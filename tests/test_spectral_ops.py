@@ -114,7 +114,7 @@ def test_profile_convolution_matches_physical_product(grid256, bump_spectrum):
     s_f, c_f = 1.1, -0.2
     Y = np.linspace(-40, 40, 16001)
     u_y = np.exp(-((Y - c_f) / s_f) ** 2)
-    gm1_y = profile.g(Y) - 1.0
+    gm1_y = profile.u_prime(profile.u_inverse(Y)) - 1.0
     product_hat = fourier_transform_samples(Y, gm1_y * u_y, grid256.etas)
 
     u_hat = s_f * np.sqrt(np.pi) * np.exp(-((s_f * grid256.etas) ** 2) / 4) \

@@ -9,7 +9,6 @@ from stratshear.weights import (
     c_beta_constant,
     check_exchange,
     energy_weight_inv,
-    eval_m,
     eval_m1,
     eval_w,
 )
@@ -108,18 +107,9 @@ def test_m1_long_time_limit():
     assert val == pytest.approx(math.exp(-c * math.pi / 2), rel=1e-6)
 
 
-def test_m_factorization_and_limits():
-    etas = np.linspace(-8, 8, 33)
-    assert np.allclose(eval_m(0.0, 1, etas, 0.7, 2.0), 1.0, atol=1e-13)
-    # delta = 0 collapses m to m1
-    assert np.allclose(eval_m(3.0, 1, etas, 0.0, 2.0), eval_m1(3.0, 1, etas, 2.0), rtol=1e-14)
-    # log m = log m1 + delta log w pointwise
-    lm = np.log(eval_m(3.0, 1, etas, 0.7, 2.0))
-    assert np.allclose(lm, np.log(eval_m1(3.0, 1, etas, 2.0)) + 0.7 * np.log(eval_w(3.0, 1, etas)), atol=1e-12)
-
-
 def test_m_log_derivative_additivity():
-    # d/dt log m = delta |p'|/(4p) - c k^2/p, by central differences
+    # the inverse energy weight m1 / w**delta has
+    # d/dt log = -(delta |p'|/(4p) + c k^2/p), by central differences
     rng = np.random.default_rng(25)
     h = 1e-4
     delta, c = 0.8, 1.5
@@ -130,9 +120,10 @@ def test_m_log_derivative_additivity():
         t = rng.uniform(2 * h, 10.0)
         if abs(t - eta / k) < 0.05:
             continue
-        fd = (math.log(eval_m(t + h, k, eta, delta, c)) - math.log(eval_m(t - h, k, eta, delta, c))) / (2 * h)
+        fd = (math.log(energy_weight_inv(t + h, k, eta, delta, c))
+              - math.log(energy_weight_inv(t - h, k, eta, delta, c))) / (2 * h)
         p = eval_p(t, k, eta)
-        rate = delta * abs(eval_p_prime(t, k, eta)) / (4 * p) - c * k * k / p
+        rate = -(delta * abs(eval_p_prime(t, k, eta)) / (4 * p) + c * k * k / p)
         assert abs(fd - rate) <= 1e-5
         checked += 1
 
