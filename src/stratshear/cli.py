@@ -136,6 +136,8 @@ class RunConfig:
             raise ConfigError("beta must be nonnegative")
         if self.s < 0:
             raise ConfigError(f"s must be nonnegative, got {self.s}")
+        if self.weights_c0 < 0:
+            raise ConfigError(f"weights.C0 must be nonnegative, got {self.weights_c0}")
         kmax = max(abs(k) for k in self.k_list)
         if not dt_is_stable(self.time_dt, kmax, self.R, self.beta):
             raise ConfigError(

@@ -36,10 +36,14 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 _INVERSION_TOL = 1e-13
+# quadrature samples per transform window; one 256-frequency chunk of the
+# transform is then a 256 x 2^15 complex matrix (about 130 MB)
+_MAX_WINDOW_SAMPLES = 2**15
 
 
 class GridResolutionError(ValueError):
-    """Frequency grid too coarse or too short to carry the profile spectrum."""
+    """Frequency grid too coarse or too short to carry the profile spectrum,
+    or a profile whose transform would need an unaffordable quadrature."""
 
 
 def _bump(z):
@@ -137,6 +141,11 @@ def fourier_transform_samples(y, values, etas):
 def _profile_window(profile: ShearProfile, eta_hi: float):
     halfwidth = 9.0 * profile.width + abs(profile.amplitude) + 1.0
     h = min(profile.width / 10.0, math.pi / (8.0 * max(eta_hi, 1.0)))
+    if not 2.0 * halfwidth <= (_MAX_WINDOW_SAMPLES - 1) * h:
+        raise GridResolutionError(
+            f"sigma = {profile.width:.4g} needs more than {_MAX_WINDOW_SAMPLES} "
+            f"quadrature samples to transform the profile up to |eta| = {eta_hi:.4g}"
+        )
     n = int(math.ceil(2.0 * halfwidth / h)) + 1
     return np.linspace(profile.center - halfwidth, profile.center + halfwidth, n)
 

@@ -92,15 +92,27 @@ def test_sample_spectrum_resolution_guards():
         sample_spectrum(prof, FrequencyGrid(k=1, eta_max=8.0, n=256))  # grid too short
 
 
+def test_build_profile_rejects_unaffordable_transform_window():
+    # a very wide bump or a very narrow one would need tens of GB per
+    # transform chunk; the quadrature is refused before anything is allocated
+    for a, sigma in ((0.01, 2.0e4), (1e-5, 1e-4)):
+        with pytest.raises(GridResolutionError, match="quadrature samples"):
+            build_profile("perturbed", a=a, sigma=sigma)
+
+
 def test_sample_spectrum_grid_values_and_decay(grid256, bump_spectrum):
     _, spec = bump_spectrum
     n = grid256.n
     assert spec.kern_g1.shape == (2 * n - 1,)
     # the difference lattice is symmetric, so the kernel is Hermitian-symmetric
     assert np.max(np.abs(spec.kern_g1[::-1] - np.conj(spec.kern_g1))) < 1e-13
-    # tails have decayed by many orders at the lattice ends |eta| ~ 2 eta_max
+    # tails have decayed by many orders already at the grid's truncation edge
+    # |eta| ~ eta_max, not only at the lattice ends |eta| ~ 2 eta_max
+    lattice = np.arange(-(n - 1), n) * grid256.deta
+    edge = np.abs(lattice) >= grid256.eta_max - 4 * grid256.deta
     mid = np.max(np.abs(spec.kern_g1))
-    assert np.max(np.abs(spec.kern_g1[:4])) < 1e-12 * mid
+    assert np.count_nonzero(edge & (np.abs(lattice) <= grid256.eta_max)) >= 8
+    assert np.max(np.abs(spec.kern_g1[edge])) < 1e-12 * mid
 
 
 def test_spectrum_tail_decay_power(grid256, bump_spectrum):
