@@ -1,6 +1,7 @@
 """Spectral toolkit for the linear dynamics of stably stratified shear flows
-near the Couette profile: moving-frame multipliers, ghost weights, Neumann
-resolvents, per-wavenumber time evolution, and inviscid-damping observables.
+near the Couette profile: moving-frame multipliers, ghost weights, one fused
+Neumann resolvent, per-wavenumber time evolution with its observables, and
+inviscid-damping fits.
 """
 
 from .evolution import (
@@ -14,13 +15,7 @@ from .evolution import (
     pointwise_energy,
 )
 from .multipliers import bl_bound_report, eval_bl, eval_p, eval_p_prime
-from .observables import (
-    ObservableSeries,
-    fit_power_law,
-    reconstruct_vorticity,
-    series_norms,
-    velocity_components,
-)
+from .observables import fit_power_law
 from .shear import (
     GridResolutionError,
     ProfileSpectrum,
@@ -33,13 +28,8 @@ from .spectral_ops import (
     FrequencyGrid,
     NonConvergence,
     SpectralField,
-    apply_B_eps,
-    apply_Bt,
     apply_T_eps,
-    apply_inv_delta_t,
-    apply_inv_laplace_L,
-    solve_TB,
-    solve_TL,
+    solve_vorticity,
 )
 from .weights import WeightSet, c_beta_constant, check_exchange, eval_m1, eval_w
 

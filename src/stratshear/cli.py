@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .evolution import RawState, StepUnstable, dt_is_stable, evolve
-from .observables import InsufficientWindow, fit_power_law, series_norms
+from .observables import InsufficientWindow, fit_power_law
 from .shear import GridResolutionError, build_profile, sample_spectrum
 from .spectral_ops import FrequencyGrid, NonConvergence, SolveStats, SpectralField
 from .weights import WeightSet
@@ -292,32 +292,30 @@ def _run_single_k(cfg: RunConfig, profile, weights, k, out_dir: Path):
     q0 = SpectralField(grid, cfg.init_q.sample(grid.etas).astype(complex))
     stats = SolveStats()
 
-    report, history = evolve(
+    report, _ = evolve(
         RawState(theta0, q0, 0.0),
         beta=cfg.beta, R=cfg.R, t_max=cfg.time_t_max, dt=cfg.time_dt,
         spec=spec, weights=weights, s=cfg.s,
         record_every=cfg.time_record_every,
         tol=cfg.solver_tol, max_iter=cfg.solver_max_iter, stats=stats,
     )
-    series = series_norms(history, spec, cfg.beta, cfg.solver_tol,
-                          cfg.solver_max_iter, stats)
 
     lines = [CSV_HEADER]
     for i in range(report.times.size):
         lines.append(",".join(_fmt(v) for v in (
             report.times[i], report.energy[i], report.energy_lower[i],
-            report.energy_upper[i], series.q_norm[i], series.vx_norm[i],
-            series.vy_norm[i], series.growth_norm[i], report.energy_weighted[i],
+            report.energy_upper[i], report.q_norm[i], report.vx_norm[i],
+            report.vy_norm[i], report.growth_norm[i], report.energy_weighted[i],
         )))
     csv_path = out_dir / f"series_k{k}.csv"
     csv_path.write_text("\n".join(lines) + "\n")
 
     lo, hi = cfg.fit_window()
     fits = {
-        "exponent_q": _safe_fit(series.times, series.q_norm, lo, hi),
-        "exponent_vx": _safe_fit(series.times, series.vx_norm, lo, hi),
-        "exponent_vy": _safe_fit(series.times, series.vy_norm, lo, hi),
-        "exponent_growth": _safe_fit(series.times, series.growth_norm, lo, hi),
+        "exponent_q": _safe_fit(report.times, report.q_norm, lo, hi),
+        "exponent_vx": _safe_fit(report.times, report.vx_norm, lo, hi),
+        "exponent_vy": _safe_fit(report.times, report.vy_norm, lo, hi),
+        "exponent_growth": _safe_fit(report.times, report.growth_norm, lo, hi),
     }
     block = {
         "k": k,
@@ -367,7 +365,7 @@ def _check_assertions(cfg: RunConfig, summary):
     return failures
 
 
-def run(cfg: RunConfig, out_dir=None, enable_asserts=False, jobs=1, seed=None) -> int:
+def run(cfg: RunConfig, out_dir=None, enable_asserts=False, jobs=1) -> int:
     """Execute a validated config; write per-k CSVs and summary.json.
 
     Deterministic: identical configs reproduce byte-identical outputs.
@@ -410,7 +408,7 @@ def run(cfg: RunConfig, out_dir=None, enable_asserts=False, jobs=1, seed=None) -
         "energy_ratio_min": min(b["energy_ratio_min"] for b in blocks),
         "Es_monotone": (None if any(m is None for m in monotone_flags)
                         else all(monotone_flags)),
-        "seed": seed,
+        "seed": None,  # no seed exists; bench/gate.py matches keys with bench/reference/
         "runs": blocks,
     }
 
@@ -434,8 +432,6 @@ def main(argv=None) -> int:
     ap.add_argument("--assert", dest="enable_asserts", action="store_true",
                     help="evaluate acceptance assertions from the config; exit 4 on failure")
     ap.add_argument("--jobs", type=int, default=1, help="parallel workers across k_list")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="reserved; the pipeline itself is deterministic")
     args = ap.parse_args(argv)
 
     try:
@@ -446,8 +442,7 @@ def main(argv=None) -> int:
 
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir
     try:
-        return run(cfg, out_dir, enable_asserts=args.enable_asserts,
-                   jobs=args.jobs, seed=args.seed)
+        return run(cfg, out_dir, enable_asserts=args.enable_asserts, jobs=args.jobs)
     except (NonConvergence, StepUnstable) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

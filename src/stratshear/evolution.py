@@ -10,8 +10,9 @@ Y-frequency eta.  For the linear profile the right-hand side is a pointwise
 
 so the beta term carries the sign +i k beta BL / p.  For perturbed profiles
 the inverse Laplacian and the vorticity correction are realized through the
-Neumann resolvents, and the Theta coupling splits the profile factor
-(b - beta g) into a convolution part (b - beta (g-1)) and the constant -beta.
+one fixed point ``solve_vorticity``, and the Theta coupling splits the
+profile factor (b - beta g) into a convolution part (b - beta (g-1)) and the
+constant -beta.
 
 The energies are one quadratic form in Z1 = minv p^{-1/4} Theta and
 Z2 = minv p^{1/4} i sqrt(R) Q, with minv = 1 unless a weight set is given;
@@ -32,8 +33,7 @@ from .spectral_ops import (
     SolveStats,
     SpectralField,
     apply_profile_convolution,
-    solve_TB,
-    solve_TL,
+    solve_vorticity,
 )
 from .weights import WeightSet
 
@@ -105,16 +105,13 @@ def couette_rhs(t, theta, q, k, etas, beta, R):
 def full_rhs(t, theta, q, spec, beta, R, tol=1e-10, max_iter=50, stats=None):
     """Raw-array right-hand side for a perturbed profile.
 
-    Realizes phi = invDelta_t(Bt Theta) through the two Neumann resolvents,
-    then couples it back with the split profile factor.
+    Realizes phi = invDelta_t(Bt Theta) = -T_L(Bt Theta)/p through
+    ``solve_vorticity``, then couples it back with the split profile factor.
     """
     grid = spec.grid
     k = grid.k
-    p = grid.p(t)
-    bl = eval_bl(t, k, grid.etas, beta)
-    v = solve_TB(t, spec, beta, SpectralField(grid, bl * theta), tol, max_iter, stats)
-    tl = solve_TL(t, spec, v, tol, max_iter, stats)
-    phi = -tl.values / p
+    _, u = solve_vorticity(t, grid, spec, beta, theta, tol, max_iter, stats)
+    phi = -u / grid.p(t)
     if spec.trivial:
         coupling = np.zeros_like(phi)
     else:
@@ -171,13 +168,17 @@ def pointwise_energy(state: RawState, R, weights: Optional[WeightSet] = None, s=
 
 @dataclass
 class EnergyReport:
-    """Recorded time series of the energies of one evolution.
+    """Recorded time series of the energies and observables of one evolution.
 
     ``energy`` integrates the pointwise functional; ``energy_lower`` and
     ``energy_upper`` are its coercivity envelopes; ``energy_weighted`` is the
-    damped functional (NaN when no weight set was supplied).  The ratio
-    fields track E(t; eta)/E(0; eta) over time for every cell carrying at
-    least ENERGY_MASK_SHARE of the initial energy.
+    damped functional (NaN when no weight set was supplied).  The norms of
+    the density Q, the velocity (vx, vy) and the growing functional
+    ||Omega|| + ||sqrt(p) Q|| are taken on the frequency side,
+    sqrt(trapezoid |field|^2 d eta), a constant factor sqrt(2 pi) above the
+    physical-space L^2 norms.  The ratio fields track E(t; eta)/E(0; eta)
+    over time for every cell carrying at least ENERGY_MASK_SHARE of the
+    initial energy.
     """
 
     times: np.ndarray
@@ -185,6 +186,10 @@ class EnergyReport:
     energy_lower: np.ndarray
     energy_upper: np.ndarray
     energy_weighted: np.ndarray
+    q_norm: np.ndarray
+    vx_norm: np.ndarray
+    vy_norm: np.ndarray
+    growth_norm: np.ndarray
     ratio_max_per_eta: np.ndarray
     ratio_min_per_eta: np.ndarray
 
@@ -200,15 +205,18 @@ class EnergyReport:
 def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
            weights: Optional[WeightSet] = None, s=0.0, record_every=10,
            tol=1e-10, max_iter=50, stats: Optional[SolveStats] = None):
-    """Advance a raw state to t_max, recording energies and snapshots.
+    """Advance a raw state to t_max, recording energies and observables.
 
     Uses the pointwise right-hand side when ``spec`` is None and the
-    resolvent-based one otherwise.  Raises ``StepUnstable`` if a field norm
-    exceeds BLOWUP_FACTOR times its initial value, and ``ValueError`` when dt
-    fails ``dt_is_stable``.
+    resolvent-based one otherwise.  Records every ``record_every`` steps
+    (first and last steps always included); each record solves for the
+    vorticity once and reads the velocity from it: vx = i (eta - k t) u / p,
+    vy = -i k u / p with u = T_L Omega, and vx picks up the shear-rate
+    factor g = 1 + (g-1) for a perturbed profile.  Raises ``StepUnstable``
+    if a field norm exceeds BLOWUP_FACTOR times its initial value, and
+    ``ValueError`` when dt fails ``dt_is_stable``.
 
-    Returns (EnergyReport, snapshots) with snapshots a list of RawState taken
-    every ``record_every`` steps (first and last steps always included).
+    Returns (EnergyReport, final RawState).
     """
     grid = initial.grid
     k = grid.k
@@ -232,7 +240,7 @@ def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
     lo_const, hi_const = coercivity_constants(R) if R > 0 else (0.0, 0.0)
 
     times, e_series, lo_series, hi_series, es_series = [], [], [], [], []
-    snapshots = []
+    qn, vxn, vyn, gn = [], [], [], []
     ratio_max = np.full(grid.n, np.nan)
     ratio_min = np.full(grid.n, np.nan)
     ratio_max[mask] = -np.inf
@@ -249,7 +257,7 @@ def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
                 )
         if step % record_every != 0 and step != n_steps:
             return
-        state = RawState(SpectralField(grid, theta.copy()), SpectralField(grid, q.copy()), t)
+        state = RawState(SpectralField(grid, theta), SpectralField(grid, q), t)
         e_eta, quad = pointwise_energy(state, R)
         times.append(t)
         e_series.append(float(grid.integrate(e_eta)))
@@ -263,10 +271,22 @@ def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
             ratio = e_eta[mask] / e0_eta[mask]
             ratio_max[mask] = np.maximum(ratio_max[mask], ratio)
             ratio_min[mask] = np.minimum(ratio_min[mask], ratio)
-        snapshots.append(state)
 
-    rk4_integrate(rhs, initial.theta.values, initial.q.values, initial.t,
-                  initial.t + n_steps * dt, dt, callback=record)
+        omega, u = solve_vorticity(t, grid, spec, beta, theta, tol, max_iter, stats)
+        d = grid.shift(t)
+        p = grid.p(t)
+        vx = 1j * d * u / p
+        vy = -1j * k * u / p
+        if spec is not None and not spec.trivial:
+            vx = vx + apply_profile_convolution(spec, "g1", vx)
+        qn.append(state.q.l2())
+        vxn.append(SpectralField(grid, vx).l2())
+        vyn.append(SpectralField(grid, vy).l2())
+        gn.append(SpectralField(grid, omega).l2() + SpectralField(grid, np.sqrt(p) * q).l2())
+
+    t_end = initial.t + n_steps * dt
+    theta, q = rk4_integrate(rhs, initial.theta.values, initial.q.values, initial.t,
+                             t_end, dt, callback=record)
 
     report = EnergyReport(
         times=np.asarray(times),
@@ -274,7 +294,11 @@ def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
         energy_lower=np.asarray(lo_series),
         energy_upper=np.asarray(hi_series),
         energy_weighted=np.asarray(es_series),
+        q_norm=np.asarray(qn),
+        vx_norm=np.asarray(vxn),
+        vy_norm=np.asarray(vyn),
+        growth_norm=np.asarray(gn),
         ratio_max_per_eta=ratio_max,
         ratio_min_per_eta=ratio_min,
     )
-    return report, snapshots
+    return report, RawState(SpectralField(grid, theta), SpectralField(grid, q), t_end)

@@ -1,8 +1,8 @@
-"""Physical observables of a run: vorticity, velocity, norms, decay fits.
+"""Decay fits of the observable norms that ``evolution.evolve`` records.
 
-Norms are taken on the frequency side, sqrt(trapezoid |field|^2 d eta); they
-differ from physical-space L^2 norms by a constant factor sqrt(2 pi), which
-is irrelevant for the decay exponents this module extracts.
+The norms are taken on the frequency side, a constant factor sqrt(2 pi)
+above the physical-space L^2 norms, which is irrelevant for the exponents
+this module extracts.
 
 Two power-law fits are provided.  ``fit_power_law`` is the slope of a
 running-maximum envelope and assumes nothing about the oscillation.
@@ -16,29 +16,16 @@ pi/nu in ln t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .multipliers import eval_bl
-from .spectral_ops import (
-    SpectralField,
-    apply_Bt,
-    apply_profile_convolution,
-    solve_TL,
-)
-
 __all__ = [
     "InsufficientWindow",
     "ModulatedPowerLawFit",
-    "ObservableSeries",
     "PowerLawFit",
     "fit_modulated_power_law",
     "fit_power_law",
-    "reconstruct_vorticity",
-    "series_norms",
-    "velocity_components",
 ]
 
 ENVELOPE_WIDTH = 5.0  # time width of the running-maximum windows used by fits
@@ -49,78 +36,6 @@ SCAN_TOL = 1e-10  # width at which the golden-section refinement stops
 
 class InsufficientWindow(ValueError):
     """Too few samples inside the requested fit window."""
-
-
-def _is_trivial(spec) -> bool:
-    return spec is None or spec.trivial
-
-
-def reconstruct_vorticity(theta: SpectralField, t, spec=None, beta=0.0,
-                          tol=1e-10, max_iter=50, stats=None) -> SpectralField:
-    """Vorticity from the corrected unknown: Omega = Bt Theta.
-
-    For the linear profile this is just the stratification multiplier, so
-    |Omega| lies between |Theta|/sqrt(1+beta^2) and |Theta| pointwise.
-    """
-    grid = theta.grid
-    if _is_trivial(spec):
-        bl = eval_bl(t, grid.k, grid.etas, beta)
-        return SpectralField(grid, bl * theta.values)
-    return apply_Bt(t, spec, beta, theta, tol, max_iter, stats)
-
-
-def velocity_components(omega: SpectralField, t, spec=None,
-                        tol=1e-10, max_iter=50, stats=None):
-    """Moving-frame velocity (vx, vy) recovered from the vorticity.
-
-    Linear profile: the multipliers vx = i (eta - k t) Omega / p and
-    vy = -i k Omega / p.  Perturbed profile: the inverse Laplacian goes
-    through the resolvent and vx picks up the shear-rate factor g, realized
-    as identity plus the g-1 convolution.
-    """
-    grid = omega.grid
-    d = grid.shift(t)
-    p = grid.p(t)
-    if _is_trivial(spec):
-        base = omega.values
-    else:
-        base = solve_TL(t, spec, omega, tol, max_iter, stats).values
-    vx = 1j * d * base / p
-    vy = -1j * grid.k * base / p
-    if not _is_trivial(spec):
-        vx = vx + apply_profile_convolution(spec, "g1", vx)
-    return SpectralField(grid, vx), SpectralField(grid, vy)
-
-
-@dataclass
-class ObservableSeries:
-    """Norm time series of one evolution, all entries nonnegative and finite."""
-
-    times: np.ndarray
-    q_norm: np.ndarray
-    vx_norm: np.ndarray
-    vy_norm: np.ndarray
-    growth_norm: np.ndarray  # ||Omega|| + ||sqrt(p) Q||
-
-
-def series_norms(history, spec=None, beta=0.0, tol=1e-10, max_iter=50,
-                 stats=None) -> ObservableSeries:
-    """Per-snapshot norms of density, velocity and the growing functional."""
-    times, qn, vxn, vyn, gn = [], [], [], [], []
-    for state in history:
-        grid = state.grid
-        omega = reconstruct_vorticity(state.theta, state.t, spec, beta, tol, max_iter, stats)
-        vx, vy = velocity_components(omega, state.t, spec, tol, max_iter, stats)
-        p = grid.p(state.t)
-        times.append(state.t)
-        qn.append(state.q.l2())
-        vxn.append(vx.l2())
-        vyn.append(vy.l2())
-        gn.append(omega.l2() + SpectralField(grid, np.sqrt(p) * state.q.values).l2())
-    return ObservableSeries(
-        times=np.asarray(times), q_norm=np.asarray(qn), vx_norm=np.asarray(vxn),
-        vy_norm=np.asarray(vyn), growth_norm=np.asarray(gn),
-    )
 
 
 class PowerLawFit(NamedTuple):

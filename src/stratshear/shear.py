@@ -150,20 +150,23 @@ def _profile_window(profile: ShearProfile, eta_hi: float):
     return np.linspace(profile.center - halfwidth, profile.center + halfwidth, n)
 
 
+def _frame_samples(profile: ShearProfile, etas):
+    """Transform window Y and the samples of g - 1 and b on it."""
+    Y = _profile_window(profile, float(np.max(np.abs(etas))))
+    yin = profile.u_inverse(Y)
+    return Y, profile.u_prime(yin) - 1.0, profile.u_second(yin)
+
+
 def profile_transforms(profile: ShearProfile, etas):
     """Transforms of (g - 1, g^2 - 1, b) sampled at the given frequencies."""
     etas = np.asarray(etas, dtype=float)
     if profile.is_couette:
         z = np.zeros(etas.shape, dtype=complex)
         return z, z.copy(), z.copy()
-    Y = _profile_window(profile, float(np.max(np.abs(etas))))
-    yin = profile.u_inverse(Y)
-    gm1 = profile.u_prime(yin) - 1.0
-    g2m1 = gm1 * (gm1 + 2.0)
-    bb = profile.u_second(yin)
+    Y, gm1, bb = _frame_samples(profile, etas)
     return (
         fourier_transform_samples(Y, gm1, etas),
-        fourier_transform_samples(Y, g2m1, etas),
+        fourier_transform_samples(Y, gm1 * (gm1 + 2.0), etas),
         fourier_transform_samples(Y, bb, etas),
     )
 
@@ -191,8 +194,9 @@ def _measurement_etas(profile: ShearProfile, order: float):
 
 def _measure_epsilon(profile: ShearProfile, s: float):
     etas = _measurement_etas(profile, s + 5.0)
-    g1, _, bb = profile_transforms(profile, etas)
-    return sobolev_norm(etas, g1, s + 5.0) + sobolev_norm(etas, bb, s + 4.0)
+    Y, gm1, bb = _frame_samples(profile, etas)
+    return (sobolev_norm(etas, fourier_transform_samples(Y, gm1, etas), s + 5.0)
+            + sobolev_norm(etas, fourier_transform_samples(Y, bb, etas), s + 4.0))
 
 
 def _measure_epsilon_velocity(profile: ShearProfile):

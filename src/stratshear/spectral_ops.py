@@ -7,13 +7,11 @@ become discrete linear convolutions against the profile transform, weighted
 by deta/(2 pi); fields are extended by zero beyond the grid, so convolutions
 are linear, not circular, and cost O(N^2) as a dense Toeplitz matvec.
 
-The two resolvents are computed by fixed-point (Neumann) iteration
-
-    u <- f + K u,        K in {T_eps, B_eps},
-
-with residual-based stopping; non-contraction raises ``NonConvergence``,
-which signals a profile outside the perturbative regime or an under-resolved
-grid.
+The two resolvents, T_L = (I - T_eps)^{-1} of the sheared Laplacian and
+T_B = (I - B_eps)^{-1} of the vorticity correction (which contains T_L), are
+computed together by one fixed-point (Neumann) iteration with update-based
+stopping; non-contraction raises ``NonConvergence``, which signals a profile
+outside the perturbative regime or an under-resolved grid.
 """
 
 from __future__ import annotations
@@ -31,14 +29,9 @@ __all__ = [
     "NonConvergence",
     "SolveStats",
     "SpectralField",
-    "apply_B_eps",
-    "apply_Bt",
     "apply_T_eps",
-    "apply_inv_delta_t",
-    "apply_inv_laplace_L",
     "apply_profile_convolution",
-    "solve_TB",
-    "solve_TL",
+    "solve_vorticity",
 ]
 
 
@@ -136,11 +129,6 @@ def apply_profile_convolution(spec, name, values):
     return _conv_matrix(spec, name) @ values
 
 
-def apply_inv_laplace_L(t, u: SpectralField) -> SpectralField:
-    """Inverse constant-coefficient Laplacian: pointwise division by -p."""
-    return SpectralField(u.grid, -u.values / u.grid.p(t))
-
-
 def _t_eps_values(t, spec, values):
     grid = spec.grid
     d = grid.shift(t)
@@ -179,28 +167,29 @@ class SolveStats:
         self.ratio_max = max(self.ratio_max, ratio)
 
 
-def _neumann_solve(apply_k, f_values, tol, max_iter, what, stats=None):
-    """Solve u = f + K u by fixed-point iteration with update-based stopping.
+def _neumann_solve(sweep, x0, tol, max_iter, what, stats=None):
+    """Fixed point of an affine sweep x <- sweep(x), started at x0.
 
-    The update delta_n = ||u_{n+1} - u_n|| equals ||K (u_n - u_{n-1})||, so
-    once the iteration contracts, delta_n <= tol ||f|| implies the residual
-    ||u - f - K u|| <= ratio * tol * ||f|| < tol ||f||.
+    The update delta_n = ||x_{n+1} - x_n|| equals ||K (x_n - x_{n-1})|| for
+    the linear part K of the sweep, so once the iteration contracts,
+    delta_n <= tol ||x0|| implies the residual ||x - sweep(x)|| <= ratio *
+    tol * ||x0|| < tol ||x0||.
     """
-    fnorm = float(np.linalg.norm(f_values))
+    fnorm = float(np.linalg.norm(x0))
     if fnorm == 0.0:
-        return np.zeros_like(f_values), 0
-    u = f_values.copy()
+        return x0
+    x = x0
     prev_delta = None
     ratio_max = 0.0
     grew = 0
     for it in range(1, max_iter + 1):
-        u_next = f_values + apply_k(u)
-        delta = float(np.linalg.norm(u_next - u))
-        u = u_next
+        x_next = sweep(x)
+        delta = float(np.linalg.norm(x_next - x))
+        x = x_next
         if delta <= tol * fnorm:
             if stats is not None:
                 stats.update(it, delta / fnorm, ratio_max)
-            return u, it
+            return x
         if prev_delta is not None and prev_delta > 0.0:
             ratio = delta / prev_delta
             ratio_max = max(ratio_max, ratio)
@@ -219,69 +208,40 @@ def _neumann_solve(apply_k, f_values, tol, max_iter, what, stats=None):
     )
 
 
-def solve_TL(t, spec, f: SpectralField, tol=1e-10, max_iter=50, stats=None) -> SpectralField:
-    """Resolvent of the Laplacian perturbation: u with u = f + T_eps u."""
-    _same_grid(spec, f)
-    if spec.trivial:
-        return f.copy()
-    u, _ = _neumann_solve(lambda v: _t_eps_values(t, spec, v), f.values,
-                          tol, max_iter, "solve_TL", stats)
-    return SpectralField(f.grid, u)
+def solve_vorticity(t, grid, spec, beta, theta, tol=1e-10, max_iter=50, stats=None):
+    """Vorticity Omega = Bt Theta and u = T_L Omega from raw Theta values.
 
+    Omega = BL Theta + B_eps Omega and u = T_L Omega are one fixed point in
+    (Omega, c) with c = u - Omega = T_eps u.  Each Gauss-Seidel sweep costs
+    three matvecs:
 
-def _b_eps_values(t, spec, beta, values, tol, max_iter, stats=None):
-    grid = spec.grid
-    d = grid.shift(t)
-    p = grid.p(t)
-    tl, _ = _neumann_solve(lambda v: _t_eps_values(t, spec, v), values,
-                           tol, max_iter, "solve_TL", stats)
-    corr = tl - values  # T_eps T_L applied to the input
-    dmul = -1j * d / p  # symbol of (d_Y - t d_X) Delta_L^{-1}
-    conv_direct = apply_profile_convolution(spec, "g1", dmul * values)
-    conv_corr = apply_profile_convolution(spec, "g1", dmul * corr)
-    bl = eval_bl(t, grid.k, grid.etas, beta)
-    return beta * bl * (conv_direct + conv_corr + dmul * corr)
+        c     <- T_eps (Omega + c),
+        Omega <- BL Theta + beta BL (G1 (D (Omega + c)) + D c),   D = -i (eta - k t)/p,
 
-
-def apply_B_eps(t, spec, beta, u: SpectralField, tol=1e-10, max_iter=50,
-                stats=None) -> SpectralField:
-    """Perturbative part of the vorticity-correction resolvent.
-
-    Sum of three terms, all premultiplied by beta and the stratification
-    multiplier: the g-1 convolution of the sheared gradient of the inverse
-    Laplacian, the same convolution of its T_eps T_L correction, and the bare
-    correction.  Vanishes for beta = 0 and for the linear profile.
+    with G1 the g-1 convolution and D the symbol of (d_Y - t d_X) Delta_L^{-1}.
+    The iteration stores (Omega - BL Theta, Omega + c), so at beta = 0, where
+    Omega = BL Theta and the second line is skipped, its iterates and update
+    norms are exactly those of the plain T_L iteration u <- BL Theta + T_eps u.
+    For a trivial spectrum (``spec`` None or the linear profile) both results
+    are BL Theta.  ``NonConvergence`` names k and t.  Returns (Omega, u).
     """
-    _same_grid(spec, u)
-    if beta == 0.0 or spec.trivial:
-        return SpectralField(u.grid, np.zeros_like(u.values))
-    return SpectralField(u.grid, _b_eps_values(t, spec, beta, u.values, tol, max_iter, stats))
+    k = grid.k
+    bl = eval_bl(t, k, grid.etas, beta)
+    src = bl * theta
+    if spec is None or spec.trivial:
+        return src, src
+    n = grid.n
+    dmul = -1j * grid.shift(t) / grid.p(t)
+    coef = beta * bl
 
+    def sweep(x):
+        corr, u = x[:n], x[n:]
+        c = _t_eps_values(t, spec, u)
+        if beta != 0.0:
+            corr = coef * (apply_profile_convolution(spec, "g1", dmul * ((src + corr) + c))
+                           + dmul * c)
+        return np.concatenate([corr, (src + corr) + c])
 
-def solve_TB(t, spec, beta, f: SpectralField, tol=1e-10, max_iter=50,
-             stats=None) -> SpectralField:
-    """Resolvent of the vorticity-correction perturbation: u = f + B_eps u."""
-    _same_grid(spec, f)
-    if beta == 0.0 or spec.trivial:
-        return f.copy()
-    u, _ = _neumann_solve(
-        lambda v: _b_eps_values(t, spec, beta, v, tol, max_iter, stats),
-        f.values, tol, max_iter, "solve_TB", stats,
-    )
-    return SpectralField(f.grid, u)
-
-
-def apply_Bt(t, spec, beta, u: SpectralField, tol=1e-10, max_iter=50,
-             stats=None) -> SpectralField:
-    """Vorticity correction: resolvent applied after the multiplier."""
-    _same_grid(spec, u)
-    bl = eval_bl(t, u.grid.k, u.grid.etas, beta)
-    return solve_TB(t, spec, beta, SpectralField(u.grid, bl * u.values),
-                    tol, max_iter, stats)
-
-
-def apply_inv_delta_t(t, spec, u: SpectralField, tol=1e-10, max_iter=50,
-                      stats=None) -> SpectralField:
-    """Inverse of the full sheared Laplacian: resolvent then -1/p."""
-    tl = solve_TL(t, spec, u, tol, max_iter, stats)
-    return apply_inv_laplace_L(t, tl)
+    x = _neumann_solve(sweep, np.concatenate([np.zeros_like(src), src]), tol, max_iter,
+                       f"solve_vorticity at k = {k}, t = {t:.6g}", stats)
+    return src + x[:n], x[n:]

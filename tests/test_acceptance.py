@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import dense_vorticity
 from stratshear.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from stratshear.evolution import (
     RawState,
@@ -22,18 +23,14 @@ from stratshear.evolution import (
     rk4_integrate,
 )
 from stratshear.multipliers import bl_bound_report, eval_bl
-from stratshear.observables import fit_modulated_power_law, fit_power_law, series_norms
+from stratshear.observables import fit_modulated_power_law, fit_power_law
 from stratshear.shear import build_profile, sample_spectrum
 from stratshear.spectral_ops import (
     FrequencyGrid,
     SolveStats,
     SpectralField,
-    apply_B_eps,
-    apply_Bt,
     apply_T_eps,
-    apply_inv_delta_t,
-    solve_TB,
-    solve_TL,
+    solve_vorticity,
 )
 from stratshear.weights import WeightSet, check_exchange
 
@@ -56,10 +53,9 @@ def standard_state(grid):
 def couette_reference_run():
     # k=1, R=1, beta=1, N=512, eta_max=20, t_max=200, dt=0.01
     grid = FrequencyGrid(k=1, eta_max=20.0, n=512)
-    report, hist = evolve(standard_state(grid), beta=1.0, R=1.0, t_max=200.0,
-                          dt=0.01, record_every=10)
-    series = series_norms(hist, None, 1.0)
-    return report, series
+    report, _ = evolve(standard_state(grid), beta=1.0, R=1.0, t_max=200.0,
+                       dt=0.01, record_every=10)
+    return report
 
 
 def test_couette_energy_conservation():
@@ -90,7 +86,7 @@ def test_couette_energy_conservation():
 
 def test_couette_decay_exponents(couette_reference_run):
     """Decay exponents over t in [20, 200], fitted with the R = 1 modulation."""
-    _, series = couette_reference_run
+    series = couette_reference_run
     checks = [
         ("q_norm", series.q_norm, -0.5, 0.10),
         ("vx_norm", series.vx_norm, -0.5, 0.10),
@@ -107,7 +103,7 @@ def test_couette_decay_exponents(couette_reference_run):
 
 def test_vorticity_growth_exponent(couette_reference_run):
     """Growing functional exponent over the same run and modulated fit."""
-    _, series = couette_reference_run
+    series = couette_reference_run
     fit = fit_modulated_power_law(series.times, series.growth_norm, 20.0, 200.0,
                                   REFERENCE_NU)
     ok = abs(fit.exponent - 0.5) <= 0.10
@@ -124,15 +120,14 @@ def test_near_couette_monotonicity_and_decay():
     spec = sample_spectrum(profile, grid)
     weights = WeightSet.for_run(R=1.0, beta=1.0, epsilon=profile.epsilon, C0=64.0)
     stats = SolveStats()
-    report, hist = evolve(standard_state(grid), beta=1.0, R=1.0, t_max=100.0,
-                          dt=0.01, spec=spec, weights=weights, s=0.0,
-                          record_every=50, stats=stats)
-    series = series_norms(hist, spec, 1.0, stats=stats)
+    report, _ = evolve(standard_state(grid), beta=1.0, R=1.0, t_max=100.0,
+                       dt=0.01, spec=spec, weights=weights, s=0.0,
+                       record_every=50, stats=stats)
     elapsed = time.time() - started
 
     es = report.energy_weighted
     monotone = bool(np.all(es[1:] <= es[:-1] * (1.0 + ES_MONOTONE_RTOL) + 1e-300))
-    fit = fit_power_law(series.times, series.q_norm, 10.0, 100.0)
+    fit = fit_power_law(report.times, report.q_norm, 10.0, 100.0)
     lo, hi = -0.5, -0.5 + 64.0 * profile.epsilon * 1.5
     in_window = lo <= fit.exponent <= hi
     contracting = stats.ratio_max < 0.5
@@ -165,9 +160,10 @@ def test_operator_correctness():
 
     eye = np.eye(grid.n, dtype=complex)
     dense_tl = np.linalg.solve(eye - matrix_of(lambda u: apply_T_eps(t, spec, u)), f.values)
-    err_tl = np.linalg.norm(dense_tl - solve_TL(t, spec, f, tol=tol).values)
-    dense_tb = np.linalg.solve(eye - matrix_of(lambda u: apply_B_eps(t, spec, beta, u)), f.values)
-    err_tb = np.linalg.norm(dense_tb - solve_TB(t, spec, beta, f, tol=tol).values)
+    err_tl = np.linalg.norm(dense_tl - solve_vorticity(t, grid, spec, 0.0, f.values, tol=tol)[1])
+    dense_omega, dense_u = dense_vorticity(t, spec, beta, f.values)
+    omega, u = solve_vorticity(t, grid, spec, beta, f.values, tol=tol)
+    err_tb = max(np.linalg.norm(dense_omega - omega), np.linalg.norm(dense_u - u))
     scale = np.linalg.norm(f.values)
     ok_dense = err_tl <= 10 * tol * scale and err_tb <= 10 * tol * scale
     verdict(ok_dense, "dense-solve agreement",
@@ -175,8 +171,9 @@ def test_operator_correctness():
 
     czero = sample_spectrum(build_profile("couette"), grid)
     bl = eval_bl(t, grid.k, grid.etas, beta)
-    red1 = np.max(np.abs(apply_Bt(t, czero, beta, f).values - bl * f.values))
-    red2 = np.max(np.abs(apply_inv_delta_t(t, czero, f).values + f.values / grid.p(t)))
+    omega, u = solve_vorticity(t, grid, czero, beta, f.values)
+    red1 = np.max(np.abs(omega - bl * f.values))
+    red2 = np.max(np.abs(-u / grid.p(t) + bl * f.values / grid.p(t)))
     red3 = np.max(np.abs(apply_T_eps(t, czero, f).values))
     ok_reduction = red1 < 1e-14 and red2 < 1e-14 and red3 == 0.0
     verdict(ok_reduction, "couette reduction to multipliers",
@@ -187,11 +184,11 @@ def test_operator_correctness():
     interior = slice(grid.n // 10, -grid.n // 10)
     worst = 0.0
     for tt in (0.0, 2.0, 9.0):
-        inv = apply_inv_delta_t(tt, spec, f, tol=1e-12)
+        inv = -solve_vorticity(tt, grid, spec, 0.0, f.values, tol=1e-12)[1] / grid.p(tt)
         d = grid.shift(tt)
-        forward = -grid.p(tt) * inv.values
-        forward = forward + apply_profile_convolution(spec, "g2", -(d * d) * inv.values)
-        forward = forward + apply_profile_convolution(spec, "b", 1j * d * inv.values)
+        forward = -grid.p(tt) * inv
+        forward = forward + apply_profile_convolution(spec, "g2", -(d * d) * inv)
+        forward = forward + apply_profile_convolution(spec, "b", 1j * d * inv)
         err = np.linalg.norm((forward - f.values)[interior]) / np.linalg.norm(f.values[interior])
         worst = max(worst, err)
     ok_forward = worst <= 1e-6

@@ -128,7 +128,7 @@ def test_malformed_config_exits_2(tmp_path):
     assert main(["--config", str(missing), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
-def test_non_contractive_profile_exits_3(tmp_path):
+def test_non_contractive_profile_exits_3(tmp_path, capsys):
     text = """
 mode = near_couette
 R = 1.0
@@ -145,6 +145,8 @@ solver.max_iter = 40
 """
     cfg = write_config(tmp_path, text)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ") and "k = 1" in err
 
 
 def test_assertion_failure_exits_4(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gaussian_field
+from conftest import dense_vorticity, gaussian_field
 from stratshear.evolution import (
     RawState,
     StepUnstable,
@@ -15,7 +15,8 @@ from stratshear.evolution import (
     rk4_integrate,
 )
 from stratshear.multipliers import eval_bl, eval_p, eval_p_prime
-from stratshear.spectral_ops import FrequencyGrid, SpectralField
+from stratshear.shear import build_profile, sample_spectrum
+from stratshear.spectral_ops import FrequencyGrid, SpectralField, apply_profile_convolution
 from stratshear.weights import WeightSet
 
 
@@ -89,8 +90,6 @@ def test_full_rhs_reduces_to_couette(grid256, couette_spectrum, beta):
 
 
 def test_full_rhs_perturbation_scaling(grid256):
-    from stratshear.shear import build_profile, sample_spectrum
-
     t, beta, R = 1.5, 1.0, 1.0
     state = make_state(grid256, t=t)
     th, q = state.theta.values, state.q.values
@@ -109,12 +108,34 @@ def test_full_rhs_perturbation_scaling(grid256):
         assert abs(c - base) / base < 0.25
 
 
+@pytest.mark.parametrize("amplitude", [0.0045, 0.045])  # epsilon about 0.047 and 0.46
+def test_full_rhs_matches_dense_solve(grid256, amplitude):
+    # phi = -T_L(Bt Theta)/p from dense matrices, coupled back as full_rhs does
+    tol, beta, R = 1e-10, 1.0, 1.0
+    spec = sample_spectrum(build_profile("perturbed", a=amplitude, sigma=2.0), grid256)
+    k = grid256.k
+    for t in (0.0, 2.5, 9.0):
+        state = make_state(grid256, t=t)
+        th, q = state.theta.values, state.q.values
+        _, u = dense_vorticity(t, spec, beta, th)
+        phi = -u / grid256.p(t)
+        coupling = (apply_profile_convolution(spec, "b", phi)
+                    - beta * apply_profile_convolution(spec, "g1", phi))
+        dense = (-1j * k * R * q + 1j * k * (coupling - beta * phi), 1j * k * phi)
+        got = full_rhs(t, th, q, spec, beta, R, tol=tol)
+        for ref, val in zip(dense, got):
+            assert np.linalg.norm(val - ref) <= 10 * tol * np.linalg.norm(ref)
+
+
 def test_evolve_zero_data_stays_zero(grid256):
     zeros = SpectralField(grid256, np.zeros(grid256.n, complex))
-    report, hist = evolve(RawState(zeros, zeros.copy(), 0.0), beta=0.0, R=1.0,
-                          t_max=1.0, dt=0.01, record_every=10)
-    assert all(not np.any(s.theta.values) and not np.any(s.q.values) for s in hist)
+    report, final = evolve(RawState(zeros, zeros.copy(), 0.0), beta=0.0, R=1.0,
+                           t_max=1.0, dt=0.01, record_every=10)
+    assert not np.any(final.theta.values) and not np.any(final.q.values)
+    assert final.t == pytest.approx(1.0)
     assert np.all(report.energy == 0.0)
+    for norms in (report.q_norm, report.vx_norm, report.vy_norm, report.growth_norm):
+        assert np.all(norms == 0.0)
 
 
 def test_evolve_rejects_unstable_dt(grid256):
@@ -127,9 +148,9 @@ def test_evolve_linearity(grid256):
     state = make_state(grid256)
     scaled = RawState(SpectralField(grid256, 2.5 * state.theta.values),
                       SpectralField(grid256, 2.5 * state.q.values), 0.0)
-    _, h1 = evolve(state, beta=1.0, R=1.0, t_max=2.0, dt=0.01, record_every=100)
-    _, h2 = evolve(scaled, beta=1.0, R=1.0, t_max=2.0, dt=0.01, record_every=100)
-    assert np.max(np.abs(h2[-1].theta.values - 2.5 * h1[-1].theta.values)) < 1e-12
+    _, f1 = evolve(state, beta=1.0, R=1.0, t_max=2.0, dt=0.01, record_every=100)
+    _, f2 = evolve(scaled, beta=1.0, R=1.0, t_max=2.0, dt=0.01, record_every=100)
+    assert np.max(np.abs(f2.theta.values - 2.5 * f1.theta.values)) < 1e-12
 
 
 def test_single_mode_richardson_reference():
@@ -247,7 +268,7 @@ def test_recorded_energy_inside_coercivity_envelopes(grid256):
 def test_negative_wavenumber_evolution():
     grid = FrequencyGrid(k=-1, eta_max=16.0, n=256)
     state = make_state(grid)
-    report, hist = evolve(state, beta=1.0, R=1.0, t_max=10.0, dt=0.01, record_every=20)
+    report, _ = evolve(state, beta=1.0, R=1.0, t_max=10.0, dt=0.01, record_every=20)
     assert np.all(np.isfinite(report.energy))
     assert report.ratio_max < 50.0 and report.ratio_min > 1.0 / 50.0
     assert np.all(report.energy >= report.energy_lower - 1e-12)

@@ -3,106 +3,120 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gaussian_field
+from conftest import dense_resolvent, gaussian_field
 from stratshear.evolution import RawState, evolve
 from stratshear.multipliers import eval_bl
 from stratshear.observables import (
     InsufficientWindow,
     fit_modulated_power_law,
     fit_power_law,
-    reconstruct_vorticity,
-    series_norms,
-    velocity_components,
 )
 from stratshear.shear import fourier_transform_samples
-from stratshear.spectral_ops import FrequencyGrid, SpectralField, apply_B_eps
+from stratshear.spectral_ops import FrequencyGrid, SpectralField, solve_vorticity
+
+
+def first_record(theta, q, t):
+    """Recorded norms of a beta = 0 Couette state at its own time t (row 0)."""
+    report, _ = evolve(RawState(theta, q, t), beta=0.0, R=1.0, t_max=0.01, dt=0.01,
+                       record_every=1)
+    return report
+
+
+def l2(grid, values):
+    return SpectralField(grid, values).l2()
 
 
 def test_vorticity_identity_for_zero_beta(grid256):
     theta = gaussian_field(grid256, phase=0.3)
-    omega = reconstruct_vorticity(theta, 2.0, None, 0.0)
-    assert np.array_equal(omega.values, theta.values)
+    omega, _ = solve_vorticity(2.0, grid256, None, 0.0, theta.values)
+    assert np.array_equal(omega, theta.values)
 
 
 def test_vorticity_couette_pointwise_bounds(grid256):
     beta = 2.0
     theta = gaussian_field(grid256, center=0.5)
     for t in (0.0, 3.0, 11.0):
-        omega = reconstruct_vorticity(theta, t, None, beta)
+        omega, _ = solve_vorticity(t, grid256, None, beta, theta.values)
         lo = np.abs(theta.values) / np.sqrt(1 + beta * beta)
-        assert np.all(np.abs(omega.values) <= np.abs(theta.values) * (1 + 1e-12))
-        assert np.all(np.abs(omega.values) >= lo * (1 - 1e-12))
+        assert np.all(np.abs(omega) <= np.abs(theta.values) * (1 + 1e-12))
+        assert np.all(np.abs(omega) >= lo * (1 - 1e-12))
 
 
 def test_vorticity_roundtrip_near_couette(grid256, bump_spectrum):
     _, spec = bump_spectrum
     beta, t = 1.0, 2.0
     theta = gaussian_field(grid256, center=0.2, alpha=0.8)
-    omega = reconstruct_vorticity(theta, t, spec, beta, tol=1e-12)
+    omega, _ = solve_vorticity(t, grid256, spec, beta, theta.values, tol=1e-12)
     # invert: theta = BL^{-1} (omega - B_eps omega)
     bl = eval_bl(t, grid256.k, grid256.etas, beta)
-    beps = apply_B_eps(t, spec, beta, omega, tol=1e-12)
-    back = (omega.values - beps.values) / bl
+    beps = dense_resolvent(t, spec, beta)[1] @ omega
+    back = (omega - beps) / bl
     assert np.max(np.abs(back - theta.values)) <= 1e-8 * np.max(np.abs(theta.values))
 
 
 def test_velocity_multiplier_identity(grid256):
+    # beta = 0 and the linear profile: vx = i (eta - k t) Omega / p, vy = -i k Omega / p
     omega = gaussian_field(grid256, center=-0.3, phase=0.2)
+    q = gaussian_field(grid256, center=1.0)
     for t in (0.0, 4.0):
-        vx, vy = velocity_components(omega, t, None)
+        report = first_record(omega, q, t)
         d = grid256.shift(t)
         p = grid256.p(t)
-        assert np.max(np.abs(vx.values - 1j * d * omega.values / p)) < 1e-15
-        assert np.max(np.abs(vy.values + 1j * grid256.k * omega.values / p)) < 1e-15
+        assert report.times[0] == t
+        assert report.vx_norm[0] == pytest.approx(l2(grid256, 1j * d * omega.values / p),
+                                                  rel=1e-15)
+        assert report.vy_norm[0] == pytest.approx(
+            l2(grid256, -1j * grid256.k * omega.values / p), rel=1e-15)
 
 
 def test_velocity_point_value():
-    # t=0, k=1, eta ~ 0, omega = 1: vy = -i / p with p ~ 1, vx ~ 0
+    # t=0, k=1, omega = 1: vy = -i / p and vx = i eta / p with p = 1 + eta^2,
+    # whose norms over the grid span [-L, L] have closed forms
     grid = FrequencyGrid(k=1, eta_max=8.0, n=512)
-    omega = SpectralField(grid, np.ones(grid.n, complex))
-    vx, vy = velocity_components(omega, 0.0, None)
-    j = np.argmin(np.abs(grid.etas))
-    eta0 = grid.etas[j]
-    p0 = 1 + eta0**2
-    assert vy.values[j] == pytest.approx(-1j / p0)
-    assert abs(vx.values[j]) <= abs(eta0) / p0 + 1e-15
+    ones = SpectralField(grid, np.ones(grid.n, complex))
+    report = first_record(ones, ones.copy(), 0.0)
+    big_l = grid.etas[-1]
+    inv_p2 = big_l / (1 + big_l**2) + math.atan(big_l)  # int 1/p^2
+    inv_p = 2 * math.atan(big_l)  # int 1/p
+    assert report.vy_norm[0] == pytest.approx(math.sqrt(inv_p2), rel=1e-4)
+    assert report.vx_norm[0] == pytest.approx(math.sqrt(inv_p - inv_p2), rel=1e-4)
 
 
 def test_velocity_vy_bounded_by_omega_over_sqrt_p(grid256):
     omega = gaussian_field(grid256)
     for t in (0.0, 7.0):
-        _, vy = velocity_components(omega, t, None)
-        bound = np.abs(omega.values) / np.sqrt(grid256.p(t))
-        assert np.all(np.abs(vy.values) <= bound * (1 + 1e-12))
+        report = first_record(omega, omega.copy(), t)
+        bound = l2(grid256, np.abs(omega.values) / np.sqrt(grid256.p(t)))
+        assert report.vy_norm[0] <= bound * (1 + 1e-12)
 
 
-def test_series_norms_zero_history(grid256):
+def test_recorded_norms_zero_history(grid256):
     zeros = SpectralField(grid256, np.zeros(grid256.n, complex))
-    hist = [RawState(zeros, zeros.copy(), float(t)) for t in range(4)]
-    ser = series_norms(hist, None, 1.0)
-    assert np.all(ser.q_norm == 0) and np.all(ser.growth_norm == 0)
+    report, _ = evolve(RawState(zeros, zeros.copy(), 0.0), beta=1.0, R=1.0,
+                       t_max=0.04, dt=0.01, record_every=1)
+    assert report.times.size == 5
+    assert np.all(report.q_norm == 0) and np.all(report.growth_norm == 0)
 
 
-def test_series_norms_plancherel_crosscheck(grid256):
+def test_recorded_norms_plancherel_crosscheck(grid256):
     # at t=0 the physical-space L2 norm of the density matches the
     # frequency-side norm up to the sqrt(2 pi) transform constant
     alpha = 0.5
     qhat = np.exp(-alpha * grid256.etas**2)
-    state = RawState(SpectralField(grid256, np.zeros(grid256.n, complex)),
-                     SpectralField(grid256, qhat.astype(complex)), 0.0)
-    ser = series_norms([state], None, 0.0)
+    report = first_record(SpectralField(grid256, np.zeros(grid256.n, complex)),
+                          SpectralField(grid256, qhat.astype(complex)), 0.0)
     # q(Y) = (1/2pi) int qhat e^{i eta Y} d eta is a Gaussian with closed form
     y = np.linspace(-30, 30, 6001)
     qy = fourier_transform_samples(grid256.etas, qhat, -y).conj() / (2 * np.pi)
     l2_physical = np.sqrt(np.trapezoid(np.abs(qy) ** 2, y))
-    assert ser.q_norm[0] / np.sqrt(2 * np.pi) == pytest.approx(l2_physical, rel=1e-6)
+    assert report.q_norm[0] / np.sqrt(2 * np.pi) == pytest.approx(l2_physical, rel=1e-6)
 
 
-def test_series_norms_nonnegative_finite(grid256):
+def test_recorded_norms_nonnegative_finite(grid256):
     state = RawState(gaussian_field(grid256), gaussian_field(grid256, center=1.0, alpha=0.5), 0.0)
-    report, hist = evolve(state, beta=1.0, R=1.0, t_max=5.0, dt=0.01, record_every=50)
-    ser = series_norms(hist, None, 1.0)
-    for arr in (ser.q_norm, ser.vx_norm, ser.vy_norm, ser.growth_norm):
+    report, _ = evolve(state, beta=1.0, R=1.0, t_max=5.0, dt=0.01, record_every=50)
+    for arr in (report.q_norm, report.vx_norm, report.vy_norm, report.growth_norm):
+        assert arr.shape == report.times.shape
         assert np.all(np.isfinite(arr)) and np.all(arr >= 0)
 
 
@@ -112,8 +126,7 @@ def test_vy_decade_decay_ratio():
     state = RawState(SpectralField(grid, np.exp(-grid.etas**2).astype(complex)),
                      SpectralField(grid, np.exp(-((grid.etas - 1) ** 2) / 2).astype(complex)),
                      0.0)
-    _, hist = evolve(state, beta=1.0, R=1.0, t_max=100.0, dt=0.01, record_every=100)
-    ser = series_norms(hist, None, 1.0)
+    ser, _ = evolve(state, beta=1.0, R=1.0, t_max=100.0, dt=0.01, record_every=100)
     i10 = int(np.argmin(np.abs(ser.times - 10.0)))
     i100 = int(np.argmin(np.abs(ser.times - 100.0)))
     ratio = ser.vy_norm[i100] / ser.vy_norm[i10]

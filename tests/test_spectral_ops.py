@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import gaussian_field, operator_matrix
+from conftest import dense_resolvent, dense_vorticity, gaussian_field, operator_matrix
+from stratshear.evolution import full_rhs
 from stratshear.multipliers import eval_bl
 from stratshear.shear import build_profile, sample_spectrum
 from stratshear.spectral_ops import (
@@ -9,13 +10,8 @@ from stratshear.spectral_ops import (
     NonConvergence,
     SolveStats,
     SpectralField,
-    apply_B_eps,
-    apply_Bt,
     apply_T_eps,
-    apply_inv_delta_t,
-    apply_inv_laplace_L,
-    solve_TB,
-    solve_TL,
+    solve_vorticity,
 )
 from stratshear.weights import energy_weight_inv
 
@@ -57,22 +53,29 @@ def test_field_rejects_non_finite():
         SpectralField(g, vals)
 
 
-def test_inv_laplace_values(grid256):
+def inv_laplace_via_rhs(t, spec, theta):
+    """phi = -T_L(Bt Theta)/p read back from dq = i k phi at beta = 0."""
+    zeros = np.zeros_like(theta)
+    _, dq = full_rhs(t, theta, zeros, spec, 0.0, 1.0)
+    return dq / (1j * spec.grid.k)
+
+
+def test_inv_laplace_values(grid256, couette_spectrum):
     t = 0.0
-    u = SpectralField(grid256, np.ones(grid256.n, complex))
-    out = apply_inv_laplace_L(t, u)
-    assert np.allclose(out.values, -1.0 / (1.0 + grid256.etas**2))
+    u = np.ones(grid256.n, complex)
+    out = inv_laplace_via_rhs(t, couette_spectrum, u)
+    assert np.allclose(out, -1.0 / (1.0 + grid256.etas**2))
     # composing with multiplication by -p recovers the input exactly
-    back = -grid256.p(t) * out.values
-    assert np.max(np.abs(back - u.values)) < 1e-14
+    back = -grid256.p(t) * out
+    assert np.max(np.abs(back - u)) < 1e-14
 
 
-def test_inv_laplace_at_critical_time(grid256):
+def test_inv_laplace_at_critical_time(grid256, couette_spectrum):
     eta0 = grid256.etas[130]
     t = eta0 / grid256.k
     u = gaussian_field(grid256)
-    out = apply_inv_laplace_L(t, u)
-    assert out.values[130] == pytest.approx(-u.values[130] / grid256.k**2)
+    out = inv_laplace_via_rhs(t, couette_spectrum, u.values)
+    assert out[130] == pytest.approx(-u.values[130] / grid256.k**2)
 
 
 def test_t_eps_couette_is_zero(grid256, couette_spectrum):
@@ -123,10 +126,16 @@ def test_profile_convolution_matches_physical_product(grid256, bump_spectrum):
     assert np.max(np.abs(got - product_hat)) <= 1e-8 * np.max(np.abs(product_hat))
 
 
+# At beta = 0 the vorticity is BL Theta = Theta and solve_vorticity reduces
+# to the resolvent T_L of the Laplacian perturbation: u = Theta + T_eps u.
+
+
 def test_solve_tl_couette_identity(grid256, couette_spectrum):
     f = gaussian_field(grid256, center=1.0)
-    u = solve_TL(0.8, couette_spectrum, f)
-    assert np.array_equal(u.values, f.values)
+    for spec in (couette_spectrum, None):
+        omega, u = solve_vorticity(0.8, grid256, spec, 0.0, f.values)
+        assert np.array_equal(u, f.values)
+        assert np.array_equal(omega, f.values)
 
 
 def test_solve_tl_residual_contract(grid256, bump_spectrum):
@@ -134,8 +143,8 @@ def test_solve_tl_residual_contract(grid256, bump_spectrum):
     tol = 1e-10
     for t in (0.0, 1.7, 12.0):
         f = gaussian_field(grid256, center=-0.5, alpha=0.8)
-        u = solve_TL(t, spec, f, tol=tol)
-        resid = u.values - f.values - apply_T_eps(t, spec, u).values
+        _, u = solve_vorticity(t, grid256, spec, 0.0, f.values, tol=tol)
+        resid = u - f.values - apply_T_eps(t, spec, SpectralField(grid256, u)).values
         assert np.linalg.norm(resid) <= tol * np.linalg.norm(f.values)
 
 
@@ -147,7 +156,7 @@ def test_solve_tl_agrees_with_dense_solve(grid256, bump_spectrum):
     a_mat = eye - operator_matrix(lambda v: apply_T_eps(t, spec, v), grid256)
     f = gaussian_field(grid256, center=0.5)
     direct = np.linalg.solve(a_mat, f.values)
-    vianeumann = solve_TL(t, spec, f, tol=tol).values
+    _, vianeumann = solve_vorticity(t, grid256, spec, 0.0, f.values, tol=tol)
     denom = np.linalg.norm(f.values)
     assert np.linalg.norm(direct - vianeumann) <= 10 * tol * denom
 
@@ -157,16 +166,21 @@ def test_solve_tl_nonconvergence_for_large_profile(grid256):
     prof = build_profile("perturbed", a=1.9, sigma=2.0)
     spec = sample_spectrum(prof, grid256)
     f = gaussian_field(grid256)
-    with pytest.raises(NonConvergence) as err:
-        solve_TL(1.0, spec, f, tol=1e-10, max_iter=50)
+    with pytest.raises(NonConvergence, match=r"k = 1, t = 1\b") as err:
+        solve_vorticity(1.0, grid256, spec, 0.0, f.values, tol=1e-10, max_iter=50)
     assert err.value.iterations > 0
 
 
 def test_b_eps_zero_cases(grid256, bump_spectrum, couette_spectrum):
+    # the vorticity correction vanishes: Omega = BL Theta exactly
     _, spec = bump_spectrum
     u = gaussian_field(grid256)
-    assert not np.any(apply_B_eps(1.0, spec, 0.0, u).values)
-    assert not np.any(apply_B_eps(1.0, couette_spectrum, 2.0, u).values)
+    omega, _ = solve_vorticity(1.0, grid256, spec, 0.0, u.values)
+    assert np.array_equal(omega, u.values)
+    omega, _ = solve_vorticity(1.0, grid256, couette_spectrum, 2.0, u.values)
+    assert np.array_equal(omega, eval_bl(1.0, grid256.k, grid256.etas, 2.0) * u.values)
+    assert not np.any(dense_resolvent(1.0, spec, 0.0)[1])
+    assert not np.any(dense_resolvent(1.0, couette_spectrum, 2.0)[1])
 
 
 def test_b_eps_norm_scales_with_epsilon(grid256):
@@ -177,7 +191,7 @@ def test_b_eps_norm_scales_with_epsilon(grid256):
     for a in (0.01, 0.02, 0.04):
         prof = build_profile("perturbed", a=a, sigma=2.0, s=0.0)
         spec = sample_spectrum(prof, grid256)
-        out = apply_B_eps(t, spec, beta, u)
+        out = SpectralField(grid256, dense_resolvent(t, spec, beta)[1] @ u.values)
         consts.append(out.l2() / (beta * prof.epsilon * u.l2()))
     assert all(np.isfinite(consts))
     base = consts[0]
@@ -186,46 +200,52 @@ def test_b_eps_norm_scales_with_epsilon(grid256):
 
 
 def test_solve_tb_couette_and_beta_zero(grid256, bump_spectrum, couette_spectrum):
+    # with no vorticity correction the resolvent is the identity on BL Theta
     _, spec = bump_spectrum
     f = gaussian_field(grid256)
-    assert np.array_equal(solve_TB(1.0, couette_spectrum, 2.0, f).values, f.values)
-    assert np.array_equal(solve_TB(1.0, spec, 0.0, f).values, f.values)
+    bl = eval_bl(1.0, grid256.k, grid256.etas, 2.0)
+    omega, u = solve_vorticity(1.0, grid256, couette_spectrum, 2.0, f.values)
+    assert np.array_equal(omega, bl * f.values) and np.array_equal(u, omega)
+    assert np.array_equal(solve_vorticity(1.0, grid256, spec, 0.0, f.values)[0], f.values)
 
 
 def test_solve_tb_residual_and_norm_bound(grid256, bump_spectrum):
     _, spec = bump_spectrum
     t, beta, tol = 3.0, 1.0, 1e-10
     f = gaussian_field(grid256, center=-1.0)
-    u = solve_TB(t, spec, beta, f, tol=tol)
-    resid = u.values - f.values - apply_B_eps(t, spec, beta, u).values
-    assert np.linalg.norm(resid) <= 2 * tol * np.linalg.norm(f.values)
-    assert u.l2() <= 2.0 * f.l2()
+    t_l, b, bl = dense_resolvent(t, spec, beta)
+    omega, u = solve_vorticity(t, grid256, spec, beta, f.values, tol=tol)
+    src = bl * f.values
+    resid = omega - src - b @ omega
+    assert np.linalg.norm(resid) <= 2 * tol * np.linalg.norm(src)
+    assert np.linalg.norm(u - t_l @ omega) <= 2 * tol * np.linalg.norm(src)
+    assert SpectralField(grid256, omega).l2() <= 2.0 * SpectralField(grid256, src).l2()
 
 
 def test_solve_tb_agrees_with_dense_solve(grid256, bump_spectrum):
     _, spec = bump_spectrum
     t, beta, tol = 2.5, 1.0, 1e-10
-    eye = np.eye(grid256.n, dtype=complex)
-    a_mat = eye - operator_matrix(lambda v: apply_B_eps(t, spec, beta, v), grid256)
     f = gaussian_field(grid256, center=0.5)
-    direct = np.linalg.solve(a_mat, f.values)
-    vianeumann = solve_TB(t, spec, beta, f, tol=tol).values
-    assert np.linalg.norm(direct - vianeumann) <= 10 * tol * np.linalg.norm(f.values)
+    dense_omega, dense_u = dense_vorticity(t, spec, beta, f.values)
+    omega, u = solve_vorticity(t, grid256, spec, beta, f.values, tol=tol)
+    assert np.linalg.norm(dense_omega - omega) <= 10 * tol * np.linalg.norm(f.values)
+    assert np.linalg.norm(dense_u - u) <= 10 * tol * np.linalg.norm(f.values)
 
 
 def test_bt_couette_reduces_to_multiplier(grid256, couette_spectrum):
     t, beta = 1.8, 1.5
     u = gaussian_field(grid256, center=0.2)
-    out = apply_Bt(t, couette_spectrum, beta, u)
     bl = eval_bl(t, grid256.k, grid256.etas, beta)
-    assert np.max(np.abs(out.values - bl * u.values)) < 1e-15
+    for spec in (couette_spectrum, None):
+        omega, _ = solve_vorticity(t, grid256, spec, beta, u.values)
+        assert np.max(np.abs(omega - bl * u.values)) < 1e-15
 
 
 def test_inv_delta_t_couette_reduces(grid256, couette_spectrum):
     t = 4.0
     u = gaussian_field(grid256)
-    out = apply_inv_delta_t(t, couette_spectrum, u)
-    assert np.max(np.abs(out.values + u.values / grid256.p(t))) < 1e-15
+    out = inv_laplace_via_rhs(t, couette_spectrum, u.values)
+    assert np.max(np.abs(out + u.values / grid256.p(t))) < 1e-15
 
 
 def test_forward_inverse_consistency(grid256, bump_spectrum):
@@ -234,36 +254,40 @@ def test_forward_inverse_consistency(grid256, bump_spectrum):
     interior = slice(grid256.n // 10, -grid256.n // 10)
     for t in (0.0, 2.0, 9.0):
         u = gaussian_field(grid256, center=0.4, alpha=0.6)
-        inv = apply_inv_delta_t(t, spec, u, tol=1e-12)
-        back = forward_delta_t(t, spec, inv)
+        _, tl = solve_vorticity(t, grid256, spec, 0.0, u.values, tol=1e-12)
+        back = forward_delta_t(t, spec, SpectralField(grid256, -tl / grid256.p(t)))
         err = np.linalg.norm((back.values - u.values)[interior])
         assert err <= 1e-6 * np.linalg.norm(u.values[interior])
 
 
 def test_operators_are_linear(grid256, bump_spectrum):
+    # T_eps and the dense B are linear to rounding; the iterative resolvent
+    # is linear to its tolerance
     _, spec = bump_spectrum
-    t, beta = 1.1, 0.7
+    t, beta, tol = 1.1, 0.7, 1e-10
     u = gaussian_field(grid256, center=0.5, phase=0.4)
     v = gaussian_field(grid256, center=-1.0, alpha=0.5)
     alpha = 0.37 - 1.2j
-    for op in (
-        lambda f: apply_T_eps(t, spec, f),
-        lambda f: apply_B_eps(t, spec, beta, f),
-        lambda f: apply_inv_laplace_L(t, f),
+    b = dense_resolvent(t, spec, beta)[1]
+    for op, bound in (
+        (lambda f: apply_T_eps(t, spec, SpectralField(grid256, f)).values, 1e-12),
+        (lambda f: b @ f, 1e-12),
+        (lambda f: solve_vorticity(t, grid256, spec, beta, f, tol=tol)[0], 10 * tol),
+        (lambda f: solve_vorticity(t, grid256, spec, beta, f, tol=tol)[1], 10 * tol),
     ):
-        lhs = op(SpectralField(grid256, alpha * u.values + v.values)).values
-        rhs = alpha * op(u).values + op(v).values
+        lhs = op(alpha * u.values + v.values)
+        rhs = alpha * op(u.values) + op(v.values)
         scale = max(np.max(np.abs(lhs)), 1e-30)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(scale, 1.0)
+        assert np.max(np.abs(lhs - rhs)) <= bound * max(scale, 1.0)
 
 
 def test_neumann_contraction_ratio_logged(grid256, bump_spectrum):
     _, spec = bump_spectrum
     stats = SolveStats()
     f = gaussian_field(grid256)
-    solve_TL(1.0, spec, f, stats=stats)
-    solve_TB(1.0, spec, 1.0, f, stats=stats)
-    assert stats.solves >= 2
+    solve_vorticity(1.0, grid256, spec, 0.0, f.values, stats=stats)
+    solve_vorticity(1.0, grid256, spec, 1.0, f.values, stats=stats)
+    assert stats.solves == 2
     assert stats.ratio_max < 0.5
 
 
@@ -285,12 +309,14 @@ def test_weighted_commutation_bounds(grid256):
         prof = build_profile("perturbed", a=a, sigma=2.0, s=0.0)
         spec = sample_spectrum(prof, grid256)
         worst_tl = worst_tb = worst_teps = worst_beps = 0.0
+        eye = np.eye(grid256.n)
         for t in t_samples:
             wn = weighted_norm(u.values, t)
-            worst_tl = max(worst_tl, weighted_norm(solve_TL(t, spec, u).values, t) / wn)
-            worst_tb = max(worst_tb, weighted_norm(solve_TB(t, spec, 1.0, u).values, t) / wn)
+            t_l, b, _ = dense_resolvent(t, spec, 1.0)
+            worst_tl = max(worst_tl, weighted_norm(t_l @ u.values, t) / wn)
+            worst_tb = max(worst_tb, weighted_norm(np.linalg.solve(eye - b, u.values), t) / wn)
             worst_teps = max(worst_teps, weighted_norm(apply_T_eps(t, spec, u).values, t) / wn)
-            worst_beps = max(worst_beps, weighted_norm(apply_B_eps(t, spec, 1.0, u).values, t) / wn)
+            worst_beps = max(worst_beps, weighted_norm(b @ u.values, t) / wn)
         assert worst_tl <= 2.0
         assert worst_tb <= 2.0
         eps_consts.append((worst_teps / prof.epsilon, worst_beps / prof.epsilon))
