@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -283,11 +283,13 @@ def _log_energy_envelope(R, beta):
     return 4.0 * math.pi * (1.0 + beta) ** 2 / (2.0 * math.sqrt(R) - 1.0)
 
 
-def _run_single_k(cfg: RunConfig, profile, weights, k, out_dir: Path):
-    """Evolve one wavenumber, write its CSV, return its summary block."""
+def _run_single_k(cfg: RunConfig, spectrum, weights, k, out_dir: Path):
+    """Evolve one wavenumber, write its CSV, return its summary block.
+
+    ``spectrum`` is the run's profile spectrum, sampled once for all k.
+    """
     grid = FrequencyGrid(k=k, eta_max=cfg.grid_eta_max, n=cfg.grid_n)
-    spectrum = sample_spectrum(profile, grid)
-    spec = None if spectrum.trivial else spectrum
+    spec = None if spectrum.trivial else replace(spectrum, grid=grid)
     theta0 = SpectralField(grid, cfg.init_theta.sample(grid.etas).astype(complex))
     q0 = SpectralField(grid, cfg.init_q.sample(grid.etas).astype(complex))
     stats = SolveStats()
@@ -380,13 +382,16 @@ def run(cfg: RunConfig, out_dir=None, enable_asserts=False, jobs=1) -> int:
     weights = None
     if cfg.R > 0.25:
         weights = WeightSet.for_run(cfg.R, cfg.beta, profile.epsilon, cfg.weights_c0)
+    # the difference-lattice kernels depend on N and eta_max, not on k
+    spectrum = sample_spectrum(
+        profile, FrequencyGrid(k=cfg.k_list[0], eta_max=cfg.grid_eta_max, n=cfg.grid_n))
 
     if jobs > 1 and len(cfg.k_list) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             blocks = list(pool.map(_run_single_k,
-                                   *zip(*[(cfg, profile, weights, k, out) for k in cfg.k_list])))
+                                   *zip(*[(cfg, spectrum, weights, k, out) for k in cfg.k_list])))
     else:
-        blocks = [_run_single_k(cfg, profile, weights, k, out) for k in cfg.k_list]
+        blocks = [_run_single_k(cfg, spectrum, weights, k, out) for k in cfg.k_list]
 
     first = blocks[0]
     monotone_flags = [b["Es_monotone"] for b in blocks]

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .spectral_ops import FrequencyGrid
 
@@ -37,7 +36,8 @@ __all__ = [
 _SQRT_PI = math.sqrt(math.pi)
 _INVERSION_TOL = 1e-13
 # quadrature samples per transform window; one 256-frequency chunk of the
-# transform is then a 256 x 2^15 complex matrix (about 130 MB)
+# transform then holds a 256 x 2^15 real and a 256 x 2^15 complex buffer
+# (about 200 MB together)
 _MAX_WINDOW_SAMPLES = 2**15
 
 
@@ -51,7 +51,10 @@ def _bump(z):
 
 
 def _bump_primitive(z):
-    # odd, with sup of the derivative equal to 1 and range (-sqrt(pi)/2, sqrt(pi)/2)
+    # odd, with sup of the derivative equal to 1 and range (-sqrt(pi)/2, sqrt(pi)/2);
+    # scipy.special is imported here so that only a perturbed profile pays for it
+    from scipy.special import erf
+
     return 0.5 * _SQRT_PI * erf(np.asarray(z, dtype=float))
 
 
@@ -119,9 +122,14 @@ class ShearProfile:
 def fourier_transform_samples(y, values, etas):
     """Trapezoid approximation of integral values(y) * exp(-i eta y) dy.
 
-    ``y`` must be uniformly spaced and wide enough that the sampled function
-    is negligible at the window ends.  Evaluation is chunked over ``etas`` to
-    bound memory.
+    ``values`` is one sampled function, shape (M,), or a stack of them,
+    shape (M, c); the result has shape (len(etas),) or (len(etas), c).
+    ``y`` must be uniformly spaced and wide enough that every sampled
+    function is negligible at the window ends.  Evaluation is chunked over
+    ``etas`` to bound memory: each chunk of 256 frequencies fills one phase
+    matrix exp(-i eta y), in buffers reused across chunks, and every column
+    of the stack shares it through its own matrix-vector product, so a
+    stacked column equals the transform of that column alone.
     """
     y = np.asarray(y, dtype=float)
     values = np.asarray(values)
@@ -129,13 +137,22 @@ def fourier_transform_samples(y, values, etas):
     h = y[1] - y[0]
     wts = np.full(y.shape, h)
     wts[0] = wts[-1] = 0.5 * h
-    weighted = values * wts
-    out = np.empty(etas.shape, dtype=complex)
+    weighted = np.ascontiguousarray(np.atleast_2d(values.T) * wts)  # one row per column
+    out = np.empty((weighted.shape[0], etas.size), dtype=complex)
     chunk = 256
+    rows = min(chunk, etas.size)
+    arg = np.empty((rows, y.size))
+    phase = np.empty((rows, y.size), dtype=complex)
     for i in range(0, etas.size, chunk):
         block = etas[i : i + chunk]
-        out[i : i + chunk] = np.exp(-1j * np.outer(block, y)) @ weighted
-    return out
+        nb = block.size
+        # exp(-i eta y) = cos(-eta y) + i sin(-eta y), and -eta * y == -(eta * y) exactly
+        np.multiply.outer(-block, y, out=arg[:nb])
+        np.cos(arg[:nb], out=phase[:nb].real)
+        np.sin(arg[:nb], out=phase[:nb].imag)
+        for row, w in zip(out, weighted):
+            row[i : i + nb] = phase[:nb] @ w
+    return out[0] if values.ndim == 1 else out.T
 
 
 def _profile_window(profile: ShearProfile, eta_hi: float):
@@ -164,11 +181,9 @@ def profile_transforms(profile: ShearProfile, etas):
         z = np.zeros(etas.shape, dtype=complex)
         return z, z.copy(), z.copy()
     Y, gm1, bb = _frame_samples(profile, etas)
-    return (
-        fourier_transform_samples(Y, gm1, etas),
-        fourier_transform_samples(Y, gm1 * (gm1 + 2.0), etas),
-        fourier_transform_samples(Y, bb, etas),
-    )
+    g1, g2, b = fourier_transform_samples(
+        Y, np.stack([gm1, gm1 * (gm1 + 2.0), bb], axis=1), etas).T
+    return g1, g2, b
 
 
 def sobolev_norm(etas, fhat, order, k=None):
@@ -195,18 +210,16 @@ def _measurement_etas(profile: ShearProfile, order: float):
 def _measure_epsilon(profile: ShearProfile, s: float):
     etas = _measurement_etas(profile, s + 5.0)
     Y, gm1, bb = _frame_samples(profile, etas)
-    return (sobolev_norm(etas, fourier_transform_samples(Y, gm1, etas), s + 5.0)
-            + sobolev_norm(etas, fourier_transform_samples(Y, bb, etas), s + 4.0))
+    g_hat, b_hat = fourier_transform_samples(Y, np.stack([gm1, bb], axis=1), etas).T
+    return sobolev_norm(etas, g_hat, s + 5.0) + sobolev_norm(etas, b_hat, s + 4.0)
 
 
 def _measure_epsilon_velocity(profile: ShearProfile):
     etas = _measurement_etas(profile, 6.0)
     Y = _profile_window(profile, float(np.max(np.abs(etas))))
-    up_m1 = profile.u_prime(Y) - 1.0
-    usec = profile.u_second(Y)
-    n_up = sobolev_norm(etas, fourier_transform_samples(Y, up_m1, etas), 6.0)
-    n_us = sobolev_norm(etas, fourier_transform_samples(Y, usec, etas), 5.0)
-    return n_up + n_us
+    up_hat, us_hat = fourier_transform_samples(
+        Y, np.stack([profile.u_prime(Y) - 1.0, profile.u_second(Y)], axis=1), etas).T
+    return sobolev_norm(etas, up_hat, 6.0) + sobolev_norm(etas, us_hat, 5.0)
 
 
 def build_profile(kind, a=0.0, sigma=1.0, y0=0.0, s=0.0) -> ShearProfile:
@@ -243,7 +256,10 @@ class ProfileSpectrum:
     ``kern_g1``, ``kern_g2`` and ``kern_b`` hold the transforms of g-1, g^2-1
     and b on the (2N-1)-point difference lattice that the linear convolution
     needs (Hermitian-symmetric since the profiles are real); convolution
-    matrices built from them are cached on first use.
+    matrices built from them are cached on first use.  The lattice depends
+    on N and eta_max only, not on k, so one sampled spectrum serves every
+    wavenumber of a run: ``dataclasses.replace(spec, grid=grid_k)`` shares
+    the kernels and the convolution cache with the grid of another k.
     """
 
     grid: FrequencyGrid

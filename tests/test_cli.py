@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import stratshear.cli
 from stratshear.cli import (
     EXIT_ASSERT,
     EXIT_CONFIG,
@@ -168,16 +173,6 @@ def test_env_var_output_override(tmp_path, monkeypatch):
     assert (target / "summary.json").exists()
 
 
-def test_parallel_jobs_match_serial(tmp_path):
-    text = SMOKE.replace("k_list = 1", "k_list = 1, 2").replace("time.t_max = 100.0", "time.t_max = 5.0")
-    cfg = write_config(tmp_path, text)
-    out1, out2 = tmp_path / "serial", tmp_path / "par"
-    assert main(["--config", str(cfg), "--out", str(out1)]) == EXIT_OK
-    assert main(["--config", str(cfg), "--out", str(out2), "--jobs", "2"]) == EXIT_OK
-    for name in ("series_k1.csv", "series_k2.csv", "summary.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
 BUMP = """
 mode = near_couette
 R = 1.0
@@ -192,6 +187,55 @@ time.t_max = 0.05
 time.dt = 0.01
 time.record_every = 1
 """
+
+PARALLEL_INPUTS = {
+    "couette": SMOKE.replace("k_list = 1", "k_list = 1, 2").replace("time.t_max = 100.0",
+                                                                   "time.t_max = 5.0"),
+    # the shared profile spectrum is pickled to the workers
+    "perturbed": BUMP.replace("k_list = 1", "k_list = 1, 2").replace("time.t_max = 0.05",
+                                                                    "time.t_max = 0.2"),
+}
+
+
+@pytest.mark.parametrize("text", PARALLEL_INPUTS.values(), ids=PARALLEL_INPUTS.keys())
+def test_parallel_jobs_match_serial(tmp_path, text):
+    cfg = write_config(tmp_path, text)
+    out1, out2 = tmp_path / "serial", tmp_path / "par"
+    assert main(["--config", str(cfg), "--out", str(out1)]) == EXIT_OK
+    assert main(["--config", str(cfg), "--out", str(out2), "--jobs", "2"]) == EXIT_OK
+    for name in ("series_k1.csv", "series_k2.csv", "summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_spectrum_is_sampled_once_per_run(tmp_path, monkeypatch):
+    calls = []
+    real = stratshear.cli.sample_spectrum
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stratshear.cli, "sample_spectrum", counting)
+    cfg = write_config(tmp_path, BUMP.replace("k_list = 1", "k_list = 1, 2, 3")
+                       .replace("time.t_max = 0.05", "time.t_max = 0.02"))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert len(calls) == 1
+    for k in (1, 2, 3):
+        assert (out / f"series_k{k}.csv").exists()
+
+
+def test_cli_import_leaves_scipy_special_out():
+    # scipy.special serves only the perturbed profile, so importing the CLI
+    # must not pay for it
+    code = "import sys, stratshear.cli; print('scipy.special' in sys.modules)"
+    src = str(Path(stratshear.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "False"
+
 
 # configs that once crashed, ran a silent one-row "success", or were
 # misreported; later lines override the same key in BUMP

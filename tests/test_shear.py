@@ -77,6 +77,26 @@ def test_profile_transforms_hermitian_symmetry():
         assert np.max(np.abs(arr[::-1] - np.conj(arr))) < 1e-14
 
 
+@pytest.mark.parametrize("n_etas", [2001, 1023])
+def test_stacked_transform_equals_single_columns(n_etas):
+    # every column shares the phase matrix of its chunk, but keeps its own
+    # matrix-vector product, so it is bit-identical to a 1-D call
+    y = np.linspace(-9.0, 9.0, 1201)
+    bump = np.exp(-y**2)
+    stack = np.stack([bump, y * np.exp(-(y - 0.3) ** 2), bump**2 - 0.5 * bump], axis=1)
+    etas = np.linspace(-15.0, 15.0, n_etas)  # not a multiple of the 256-row chunk
+    got = fourier_transform_samples(y, stack, etas)
+    assert got.shape == (n_etas, 3)
+    for j in range(stack.shape[1]):
+        assert np.array_equal(got[:, j], fourier_transform_samples(y, stack[:, j], etas))
+
+
+def test_single_transform_is_one_dimensional():
+    y = np.linspace(-6.0, 6.0, 301)
+    got = fourier_transform_samples(y, np.exp(-y**2), np.linspace(-4.0, 4.0, 7))
+    assert got.shape == (7,)
+
+
 def test_sample_spectrum_couette_is_zero():
     grid = FrequencyGrid(k=1, eta_max=16.0, n=256)
     spec = sample_spectrum(build_profile("couette"), grid)
