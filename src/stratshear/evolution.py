@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .multipliers import eval_bl
+from .multipliers import FrameSymbols
 from .spectral_ops import (
     FrequencyGrid,
     SolveStats,
@@ -55,7 +55,8 @@ BLOWUP_FACTOR = 1e6
 
 
 class StepUnstable(RuntimeError):
-    """A field norm exceeded a large multiple of its initial value."""
+    """A field turned non-finite or grew past a large multiple of its
+    initial amplitude."""
 
 
 @dataclass
@@ -92,28 +93,36 @@ def dt_is_stable(dt, k, R, beta):
     return dt > 0 and dt * abs(k) * max(R, 1.0 + beta) <= 0.1 + 1e-12
 
 
-def couette_rhs(t, theta, q, k, etas, beta, R):
-    """Raw-array right-hand side for the linear profile; pointwise in eta."""
-    d = etas - k * t
-    p = k * k + d * d
-    bl = eval_bl(t, k, etas, beta)
-    dtheta = -1j * k * R * q + 1j * k * beta * bl * theta / p
-    dq = -1j * k * bl * theta / p
+def couette_rhs(t, theta, q, k, etas, beta, R, *, symbols=None):
+    """Raw-array right-hand side for the linear profile; pointwise in eta.
+
+    Reads the Theta coefficients from ``symbols``, the ``FrameSymbols`` of
+    (t, k, etas, beta), or from one built here when it is None.
+    """
+    sym = FrameSymbols(t, k, etas, beta) if symbols is None else symbols
+    dtheta = -1j * k * R * q + sym.couette_theta * theta
+    dq = sym.couette_q * theta
     return dtheta, dq
 
 
-def full_rhs(t, theta, q, spec, beta, R, tol=1e-10, max_iter=50, stats=None):
+def full_rhs(t, theta, q, spec, beta, R, tol=1e-10, max_iter=50, stats=None, *,
+             symbols=None):
     """Raw-array right-hand side for a perturbed profile.
 
     Realizes phi = invDelta_t(Bt Theta) = -T_L(Bt Theta)/p through
-    ``solve_vorticity``, then couples it back with the split profile factor.
+    ``solve_vorticity``, then couples it back with the split profile factor;
+    at beta = 0 the g-1 part of the coupling drops out and is not computed.
+    ``symbols`` is passed on to ``solve_vorticity``.
     """
     grid = spec.grid
     k = grid.k
-    _, u = solve_vorticity(t, grid, spec, beta, theta, tol, max_iter, stats)
-    phi = -u / grid.p(t)
+    sym = FrameSymbols(t, k, grid.etas, beta) if symbols is None else symbols
+    _, u = solve_vorticity(t, grid, spec, beta, theta, tol, max_iter, stats, symbols=sym)
+    phi = -u / sym.p
     if spec.trivial:
         coupling = np.zeros_like(phi)
+    elif beta == 0.0:
+        coupling = apply_profile_convolution(spec, "b", phi)
     else:
         coupling = (apply_profile_convolution(spec, "b", phi)
                     - beta * apply_profile_convolution(spec, "g1", phi))
@@ -127,6 +136,9 @@ def rk4_integrate(rhs, theta0, q0, t0, t_end, dt, callback=None):
 
     ``rhs(t, theta, q) -> (dtheta, dq)``.  The callback, if given, is invoked
     as callback(step_index, t, theta, q) after every step including step 0.
+    Step i evaluates the rhs at only three times: t_i = t0 + i dt, t_i + dt/2
+    (stages 2 and 3) and t_{i+1}, the same float as the next step's stage 1
+    and the callback's time, so a per-t cache of the rhs serves all three.
     """
     theta = np.array(theta0, dtype=complex)
     q = np.array(q0, dtype=complex)
@@ -135,15 +147,23 @@ def rk4_integrate(rhs, theta0, q0, t0, t_end, dt, callback=None):
         callback(0, t0, theta, q)
     for i in range(n_steps):
         t = t0 + i * dt
+        t_half = t + 0.5 * dt
+        t_next = t0 + (i + 1) * dt
         k1t, k1q = rhs(t, theta, q)
-        k2t, k2q = rhs(t + 0.5 * dt, theta + 0.5 * dt * k1t, q + 0.5 * dt * k1q)
-        k3t, k3q = rhs(t + 0.5 * dt, theta + 0.5 * dt * k2t, q + 0.5 * dt * k2q)
-        k4t, k4q = rhs(t + dt, theta + dt * k3t, q + dt * k3q)
+        k2t, k2q = rhs(t_half, theta + 0.5 * dt * k1t, q + 0.5 * dt * k1q)
+        k3t, k3q = rhs(t_half, theta + 0.5 * dt * k2t, q + 0.5 * dt * k2q)
+        k4t, k4q = rhs(t_next, theta + dt * k3t, q + dt * k3q)
         theta = theta + (dt / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
         q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
         if callback is not None:
-            callback(i + 1, t0 + (i + 1) * dt, theta, q)
+            callback(i + 1, t_next, theta, q)
     return theta, q
+
+
+def _amplitude(theta, q):
+    """max(|theta|, |q|) over the grid; NaN or inf when either field is
+    non-finite (np.maximum propagates NaN, unlike Python's max)."""
+    return np.maximum(np.abs(theta).max(), np.abs(q).max())
 
 
 def pointwise_energy(state: RawState, R, weights: Optional[WeightSet] = None, s=0.0):
@@ -212,9 +232,12 @@ def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
     (first and last steps always included); each record solves for the
     vorticity once and reads the velocity from it: vx = i (eta - k t) u / p,
     vy = -i k u / p with u = T_L Omega, and vx picks up the shear-rate
-    factor g = 1 + (g-1) for a perturbed profile.  Raises ``StepUnstable``
-    if a field norm exceeds BLOWUP_FACTOR times its initial value, and
-    ``ValueError`` when dt fails ``dt_is_stable``.
+    factor g = 1 + (g-1) for a perturbed profile.  The right-hand sides, the
+    resolvent sweeps and the records read the time-dependent symbols from
+    one ``FrameSymbols`` per distinct t, kept for the three times an RK4
+    step uses.  Raises ``StepUnstable`` (naming k and t) if a field turns
+    non-finite or its amplitude exceeds BLOWUP_FACTOR times its initial
+    value, and ``ValueError`` when dt fails ``dt_is_stable``.
 
     Returns (EnergyReport, final RawState).
     """
@@ -225,10 +248,22 @@ def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
             f"dt = {dt} violates the stability margin "
             f"0 < dt * |k| * max(R, 1 + beta) <= 0.1 for k = {k}, R = {R}, beta = {beta}"
         )
+    symbols = {}  # t -> FrameSymbols, oldest first
+
+    def symbols_at(t):
+        sym = symbols.get(t)
+        if sym is None:
+            if len(symbols) == 3:  # an RK4 step uses three times
+                del symbols[next(iter(symbols))]
+            sym = symbols[t] = FrameSymbols(t, k, grid.etas, beta)
+        return sym
+
     if spec is not None:
-        rhs = lambda t, th, qq: full_rhs(t, th, qq, spec, beta, R, tol, max_iter, stats)
+        rhs = lambda t, th, qq: full_rhs(t, th, qq, spec, beta, R, tol, max_iter, stats,
+                                         symbols=symbols_at(t))
     else:
-        rhs = lambda t, th, qq: couette_rhs(t, th, qq, k, grid.etas, beta, R)
+        rhs = lambda t, th, qq: couette_rhs(t, th, qq, k, grid.etas, beta, R,
+                                            symbols=symbols_at(t))
 
     n_steps = int(round(t_max / dt))
     e0_eta, _ = pointwise_energy(initial, R)
@@ -236,7 +271,7 @@ def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
     total0 = float(np.sum(cell_share))
     mask = cell_share >= ENERGY_MASK_SHARE * total0 if total0 > 0 else np.zeros(grid.n, bool)
 
-    amp0 = max(np.max(np.abs(initial.theta.values)), np.max(np.abs(initial.q.values)))
+    amp0 = _amplitude(initial.theta.values, initial.q.values)
     lo_const, hi_const = coercivity_constants(R) if R > 0 else (0.0, 0.0)
 
     times, e_series, lo_series, hi_series, es_series = [], [], [], [], []
@@ -247,14 +282,15 @@ def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
     ratio_min[mask] = np.inf
 
     def record(step, t, theta, q):
-        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(q))):
-            raise StepUnstable(f"non-finite field at t = {t:.6g}")
-        if amp0 > 0:
-            amp = max(np.max(np.abs(theta)), np.max(np.abs(q)))
-            if amp > BLOWUP_FACTOR * amp0:
-                raise StepUnstable(
-                    f"field amplitude grew by more than {BLOWUP_FACTOR:.0e} at t = {t:.6g}"
-                )
+        # the guard runs after the step, so it cannot name the RK stage
+        amp = _amplitude(theta, q)
+        if not np.isfinite(amp):
+            raise StepUnstable(f"non-finite field at k = {k}, t = {t:.6g}")
+        if amp0 > 0 and amp > BLOWUP_FACTOR * amp0:
+            raise StepUnstable(
+                f"field amplitude grew by more than {BLOWUP_FACTOR:.0e} "
+                f"at k = {k}, t = {t:.6g}"
+            )
         if step % record_every != 0 and step != n_steps:
             return
         state = RawState(SpectralField(grid, theta), SpectralField(grid, q), t)
@@ -272,9 +308,11 @@ def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
             ratio_max[mask] = np.maximum(ratio_max[mask], ratio)
             ratio_min[mask] = np.minimum(ratio_min[mask], ratio)
 
-        omega, u = solve_vorticity(t, grid, spec, beta, theta, tol, max_iter, stats)
-        d = grid.shift(t)
-        p = grid.p(t)
+        sym = symbols_at(t)
+        omega, u = solve_vorticity(t, grid, spec, beta, theta, tol, max_iter, stats,
+                                   symbols=sym)
+        d = sym.d
+        p = sym.p
         vx = 1j * d * u / p
         vy = -1j * k * u / p
         if spec is not None and not spec.trivial:

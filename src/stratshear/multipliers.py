@@ -7,7 +7,9 @@ x-wavenumber k:
                        Laplacian,
 * ``eval_p_prime``  -- its time derivative -2 k (eta - k t),
 * ``eval_bl``       -- the stratification multiplier, reciprocal of
-                       1 + i beta (eta - k t) / p.
+                       1 + i beta (eta - k t) / p,
+* ``FrameSymbols``  -- the symbols at one time t that the right-hand sides,
+                       the resolvent sweeps and the records share.
 
 Functions broadcast over numpy arrays in ``eta`` (and ``t``); they are pure
 and safe for concurrent use.
@@ -22,6 +24,7 @@ import numpy as np
 __all__ = [
     "BOUND_SLACK",
     "BlBoundReport",
+    "FrameSymbols",
     "bl_bound_report",
     "eval_bl",
     "eval_p",
@@ -66,15 +69,98 @@ def eval_bl(t, k, eta, beta):
         p^2 / (p^2 + beta^2 (eta-kt)^2)  -  i beta p (eta-kt) / (p^2 + beta^2 (eta-kt)^2),
 
     so the modulus obeys 1/sqrt(1 + beta^2) <= |value| <= 1.  For beta = 0 or
-    t = eta/k the value is exactly 1.
+    t = eta/k the value is exactly 1.  Both parts are computed in real
+    arithmetic and written into one complex result.
     """
     _require_nonzero_k(k)
     if beta < 0:
         raise ValueError("stratification rate beta must be nonnegative")
     d = np.asarray(eta, dtype=float) - k * t
     p = k * k + d * d
-    den = p * p + (beta * d) ** 2
-    return p * p / den - 1j * beta * p * d / den
+    pp = p * p
+    den = pp + (beta * d) ** 2
+    bl = np.empty(np.shape(den), dtype=complex)
+    np.divide(pp, den, out=bl.real)
+    np.divide(-beta * p * d, den, out=bl.imag)
+    return bl[()]
+
+
+class _symbol:
+    """Build a FrameSymbols array on first access and keep it, read-only, in
+    the instance.  functools.cached_property would do the same but takes a
+    lock on every first access under Python 3.11, which costs more than an
+    N = 1 symbol itself."""
+
+    def __init__(self, build):
+        self.build = build
+        self.name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __get__(self, sym, owner=None):
+        if sym is None:
+            return self
+        value = self.build(sym)
+        if isinstance(value, np.ndarray):  # a scalar eta gives numpy scalars
+            value.flags.writeable = False
+        sym.__dict__[self.name] = value
+        return value
+
+
+class FrameSymbols:
+    """The moving-frame symbols at one time t over the frequencies ``eta``
+    at x-wavenumber k and stratification rate beta.
+
+    Each symbol is built on first use and then kept, read-only, so one
+    instance serves every right-hand side stage, resolvent sweep and record
+    made at that t, and a caller pays only for the symbols its path reads.
+    """
+
+    def __init__(self, t, k, eta, beta):
+        self.t = t
+        self.k = k
+        self.eta = eta
+        self.beta = beta
+
+    @_symbol
+    def d(self):
+        """eta - k t."""
+        return np.asarray(self.eta, dtype=float) - self.k * self.t
+
+    @_symbol
+    def p(self):
+        """k^2 + (eta - k t)^2."""
+        return self.k * self.k + self.d * self.d
+
+    @_symbol
+    def bl(self):
+        """The stratification multiplier, from ``eval_bl``."""
+        return eval_bl(self.t, self.k, self.eta, self.beta)
+
+    @_symbol
+    def couette_q(self):
+        """-i k BL/p, the Theta coefficient of dQ/dt for Couette."""
+        return -1j * self.k * self.bl / self.p
+
+    @_symbol
+    def couette_theta(self):
+        """i k beta BL/p = -beta couette_q, the Theta coefficient of dTheta/dt
+        for Couette."""
+        return -self.beta * self.couette_q
+
+    @_symbol
+    def resolvent_d(self):
+        """-i (eta - k t)/p, the symbol of (d_Y - t d_X) Delta_L^{-1}."""
+        return -1j * self.d / self.p
+
+    @_symbol
+    def t_eps_g2(self):
+        """-(eta - k t)^2/p, the inner multiplier of the g^2-1 part of T_eps."""
+        return -(self.d * self.d) / self.p
+
+    @_symbol
+    def t_eps_b(self):
+        """i (eta - k t)/p, the inner multiplier of the b part of T_eps."""
+        return 1j * self.d / self.p
 
 
 @dataclass(frozen=True)

@@ -297,5 +297,9 @@ def sample_spectrum(profile: ShearProfile, grid: FrequencyGrid) -> ProfileSpectr
             f"eta_max * sigma = {grid.eta_max * profile.width:.4g} < 20: grid too "
             "short to carry the profile spectrum"
         )
-    g1, g2, bb = profile_transforms(profile, lattice)
+    # The lattice is exactly symmetric and the profiles are real, so the
+    # transform at -eta is the conjugate of the one at eta: transform the
+    # n points eta >= 0 and mirror them.
+    g1, g2, bb = (np.concatenate([np.conj(half[:0:-1]), half])
+                  for half in profile_transforms(profile, lattice[n - 1:]))
     return ProfileSpectrum(grid, kern_g1=g1, kern_g2=g2, kern_b=bb)

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .multipliers import eval_bl
+from .multipliers import FrameSymbols
 
 __all__ = [
     "FrequencyGrid",
@@ -129,12 +129,9 @@ def apply_profile_convolution(spec, name, values):
     return _conv_matrix(spec, name) @ values
 
 
-def _t_eps_values(t, spec, values):
-    grid = spec.grid
-    d = grid.shift(t)
-    p = grid.p(t)
-    part_g = apply_profile_convolution(spec, "g2", (-(d * d) / p) * values)
-    part_b = apply_profile_convolution(spec, "b", (1j * d / p) * values)
+def _t_eps_values(sym, spec, values):
+    part_g = apply_profile_convolution(spec, "g2", sym.t_eps_g2 * values)
+    part_b = apply_profile_convolution(spec, "b", sym.t_eps_b * values)
     return part_g + part_b
 
 
@@ -148,7 +145,9 @@ def apply_T_eps(t, spec, u: SpectralField) -> SpectralField:
     _same_grid(spec, u)
     if spec.trivial:
         return SpectralField(u.grid, np.zeros_like(u.values))
-    return SpectralField(u.grid, _t_eps_values(t, spec, u.values))
+    # T_eps reads only d and p, so beta does not enter
+    sym = FrameSymbols(t, u.grid.k, u.grid.etas, 0.0)
+    return SpectralField(u.grid, _t_eps_values(sym, spec, u.values))
 
 
 @dataclass
@@ -208,7 +207,8 @@ def _neumann_solve(sweep, x0, tol, max_iter, what, stats=None):
     )
 
 
-def solve_vorticity(t, grid, spec, beta, theta, tol=1e-10, max_iter=50, stats=None):
+def solve_vorticity(t, grid, spec, beta, theta, tol=1e-10, max_iter=50, stats=None, *,
+                    symbols=None):
     """Vorticity Omega = Bt Theta and u = T_L Omega from raw Theta values.
 
     Omega = BL Theta + B_eps Omega and u = T_L Omega are one fixed point in
@@ -223,20 +223,22 @@ def solve_vorticity(t, grid, spec, beta, theta, tol=1e-10, max_iter=50, stats=No
     Omega = BL Theta and the second line is skipped, its iterates and update
     norms are exactly those of the plain T_L iteration u <- BL Theta + T_eps u.
     For a trivial spectrum (``spec`` None or the linear profile) both results
-    are BL Theta.  ``NonConvergence`` names k and t.  Returns (Omega, u).
+    are BL Theta.  Every sweep reads the symbols of one ``FrameSymbols`` at
+    t: ``symbols`` when given (it must belong to t, the grid and beta), else
+    one built here.  ``NonConvergence`` names k and t.  Returns (Omega, u).
     """
     k = grid.k
-    bl = eval_bl(t, k, grid.etas, beta)
-    src = bl * theta
+    sym = FrameSymbols(t, k, grid.etas, beta) if symbols is None else symbols
+    src = sym.bl * theta
     if spec is None or spec.trivial:
         return src, src
     n = grid.n
-    dmul = -1j * grid.shift(t) / grid.p(t)
-    coef = beta * bl
+    dmul = sym.resolvent_d
+    coef = beta * sym.bl
 
     def sweep(x):
         corr, u = x[:n], x[n:]
-        c = _t_eps_values(t, spec, u)
+        c = _t_eps_values(sym, spec, u)
         if beta != 0.0:
             corr = coef * (apply_profile_convolution(spec, "g1", dmul * ((src + corr) + c))
                            + dmul * c)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from stratshear.evolution import (
 )
 from stratshear.multipliers import eval_bl, eval_p, eval_p_prime
 from stratshear.shear import build_profile, sample_spectrum
-from stratshear.spectral_ops import FrequencyGrid, SpectralField, apply_profile_convolution
+from stratshear.spectral_ops import (
+    FrequencyGrid,
+    SolveStats,
+    SpectralField,
+    apply_profile_convolution,
+    solve_vorticity,
+)
 from stratshear.weights import WeightSet
 
 
@@ -288,10 +295,138 @@ def test_evolve_blowup_guard(grid256, monkeypatch):
     # an artificial exponential runaway must trip the amplitude guard
     from stratshear import evolution as ev
 
-    def runaway(t, theta, q, k, etas, beta, R):
+    def runaway(t, theta, q, k, etas, beta, R, **kwargs):
         return 10.0 * theta, 10.0 * q
 
     monkeypatch.setattr(ev, "couette_rhs", runaway)
     state = make_state(grid256)
-    with pytest.raises(StepUnstable, match="amplitude"):
+    with pytest.raises(StepUnstable, match=r"amplitude grew by more than 1e\+06 at k = 1, t = "):
         ev.evolve(state, beta=0.0, R=1.0, t_max=2.0, dt=0.01, record_every=1)
+
+
+def count_calls(monkeypatch, counts, label, owners, name):
+    """Count calls of the function ``name`` wherever an owner holds it."""
+    for owner in owners:
+        real = getattr(owner, name, None)
+        if real is None:
+            continue
+
+        def counted(*args, _real=real, **kwargs):
+            counts[label] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
+def count_bl_calls(monkeypatch, counts):
+    from stratshear import evolution, multipliers, spectral_ops
+
+    count_calls(monkeypatch, counts, "eval_bl", (multipliers, spectral_ops, evolution),
+                "eval_bl")
+
+
+def test_rk4_stage_four_time_is_next_stage_one_time():
+    # with t0 = 1.3, dt = 0.01 the sum (t0 + i dt) + dt misses t0 + (i+1) dt
+    # by an ulp for 34 of the first 100 steps
+    times, recorded = [], []
+
+    def rhs(t, a, b):
+        times.append(t)
+        return np.zeros_like(a), np.zeros_like(b)
+
+    t0, dt, n_steps = 1.3, 0.01, 100
+    zero = np.zeros(1, complex)
+    rk4_integrate(rhs, zero, zero, t0, t0 + n_steps * dt, dt,
+                  callback=lambda i, t, a, b: recorded.append(t))
+    stages = np.array(times).reshape(n_steps, 4)
+    assert np.array_equal(stages[:, 1], stages[:, 2])
+    assert np.array_equal(stages[:-1, 3], stages[1:, 0])
+    assert np.array_equal(stages[:, 3], recorded[1:])
+    assert len(np.unique(times)) == 2 * n_steps + 1
+
+
+def test_evolve_evaluates_bl_once_per_distinct_time(grid256, monkeypatch):
+    # an RK4 step needs BL at t + dt/2 and t + dt alone: stage 1 and the record
+    # reuse the previous step's t + dt, so n steps cost at most
+    # 2 n + (records + 1) evaluations instead of 4 n + records
+    counts = Counter()
+    count_bl_calls(monkeypatch, counts)
+    n_steps = 200
+    report, _ = evolve(make_state(grid256), beta=1.0, R=1.0, t_max=n_steps * 0.01,
+                       dt=0.01, record_every=10)
+    assert 2 * n_steps <= counts["eval_bl"] <= 2 * n_steps + report.times.size + 1
+
+
+def test_perturbed_evolve_evaluates_bl_once_per_distinct_time(grid256, bump_spectrum,
+                                                              monkeypatch):
+    _, spec = bump_spectrum
+    counts = Counter()
+    count_bl_calls(monkeypatch, counts)
+    n_steps = 20
+    report, _ = evolve(make_state(grid256), beta=1.0, R=1.0, t_max=n_steps * 0.01,
+                       dt=0.01, record_every=5, spec=spec)
+    assert 2 * n_steps <= counts["eval_bl"] <= 2 * n_steps + report.times.size + 1
+
+
+def test_solve_vorticity_builds_symbols_once_per_solve(grid256, bump_spectrum, monkeypatch):
+    from stratshear import evolution, multipliers, spectral_ops
+
+    _, spec = bump_spectrum
+    counts = Counter()
+    count_bl_calls(monkeypatch, counts)
+    count_calls(monkeypatch, counts, "shift", (FrequencyGrid,), "shift")
+    count_calls(monkeypatch, counts, "p", (FrequencyGrid,), "p")
+    count_calls(monkeypatch, counts, "eval_p", (multipliers, spectral_ops, evolution),
+                "eval_p")
+    stats = SolveStats()
+    theta = make_state(grid256).theta.values
+    solve_vorticity(1.3, grid256, spec, 1.0, theta, stats=stats)
+    assert stats.iterations_max >= 3
+    assert counts["eval_bl"] == 1
+    assert counts["shift"] + counts["p"] + counts["eval_p"] <= 1
+
+
+def test_full_rhs_skips_g1_coupling_at_beta_zero(grid256, bump_spectrum, monkeypatch):
+    from stratshear import evolution, spectral_ops
+
+    _, spec = bump_spectrum
+    state = make_state(grid256, t=1.1)
+    th, q = state.theta.values, state.q.values
+    kernels = Counter()
+    for owner in (evolution, spectral_ops):
+        real = owner.apply_profile_convolution
+
+        def counted(spec_, name, values, _real=real):
+            kernels[name] += 1
+            return _real(spec_, name, values)
+
+        monkeypatch.setattr(owner, "apply_profile_convolution", counted)
+    dtheta, _ = full_rhs(1.1, th, q, spec, 0.0, 1.0)
+    assert kernels["g1"] == 0 and kernels["b"] > 0
+    # the coupling b - 0 * g1 it drops is b bit for bit
+    _, u = solve_vorticity(1.1, grid256, spec, 0.0, th)
+    phi = -u / grid256.p(1.1)
+    coupling = (apply_profile_convolution(spec, "b", phi)
+                - 0.0 * apply_profile_convolution(spec, "g1", phi))
+    k = grid256.k
+    assert np.array_equal(dtheta, -1j * k * 1.0 * q + 1j * k * (coupling - 0.0 * phi))
+
+
+@pytest.mark.parametrize("field", ["theta", "q"])
+def test_step_guard_catches_nan_in_either_field(monkeypatch, field):
+    # the guard reduces max(|theta|, |q|) once per step; a NaN in either field
+    # alone must still trip it (Python's max(a, nan) would return a)
+    from stratshear import evolution as ev
+
+    grid = FrequencyGrid(k=2, eta_max=16.0, n=256)
+    real = ev.couette_rhs
+
+    def poisoned(t, theta, q, *args, **kwargs):
+        dtheta, dq = real(t, theta, q, *args, **kwargs)
+        if t > 0.05:
+            (dtheta if field == "theta" else dq)[grid.n // 2] = np.nan
+        return dtheta, dq
+
+    monkeypatch.setattr(ev, "couette_rhs", poisoned)
+    with pytest.raises(StepUnstable, match=r"non-finite field at k = 2, t = 0\.06$"):
+        ev.evolve(make_state(grid), beta=1.0, R=1.0, t_max=2.0, dt=0.01, record_every=10)

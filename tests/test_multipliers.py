@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stratshear.multipliers import (
+    FrameSymbols,
     bl_bound_report,
     eval_bl,
     eval_p,
@@ -145,3 +146,29 @@ def test_bl_continuous_in_time():
     vals = eval_bl(ts, 1, 3.0, 2.0)
     # small steps in t produce small steps in the multiplier
     assert np.max(np.abs(np.diff(vals))) < 0.02
+
+
+@pytest.mark.parametrize("k, beta", [(1, 1.0), (-2, 0.0), (3, 2.5)])
+def test_frame_symbols_match_closed_forms(k, beta):
+    eta = np.linspace(-12.0, 12.0, 97)
+    t = 1.7
+    sym = FrameSymbols(t, k, eta, beta)
+    d = eta - k * t
+    p = eval_p(t, k, eta)
+    bl = eval_bl(t, k, eta, beta)
+    assert np.array_equal(sym.d, d) and np.array_equal(sym.p, p)
+    assert np.array_equal(sym.bl, bl)
+    expected = {
+        "couette_theta": 1j * k * beta * bl / p,
+        "couette_q": -1j * k * bl / p,
+        "resolvent_d": -1j * d / p,
+        "t_eps_g2": -(d * d) / p,
+        "t_eps_b": 1j * d / p,
+    }
+    for name, ref in expected.items():
+        got = getattr(sym, name)
+        assert np.allclose(got, ref, rtol=1e-15, atol=0), name
+        assert getattr(sym, name) is got  # built once, then kept
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0.0

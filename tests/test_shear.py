@@ -120,6 +120,18 @@ def test_build_profile_rejects_unaffordable_transform_window():
             build_profile("perturbed", a=a, sigma=sigma)
 
 
+def test_sample_spectrum_mirrors_the_nonnegative_half(grid256, bump_spectrum):
+    # the kernels are transformed at eta >= 0 only and mirrored, so they are
+    # Hermitian bit for bit and agree with a transform over the whole lattice
+    profile, spec = bump_spectrum
+    n = grid256.n
+    lattice = np.arange(-(n - 1), n) * grid256.deta
+    for kern, full in zip((spec.kern_g1, spec.kern_g2, spec.kern_b),
+                          profile_transforms(profile, lattice)):
+        assert np.array_equal(kern[::-1], np.conj(kern))
+        assert np.max(np.abs(kern - full)) <= 1e-15 * np.max(np.abs(full))
+
+
 def test_sample_spectrum_grid_values_and_decay(grid256, bump_spectrum):
     _, spec = bump_spectrum
     n = grid256.n
