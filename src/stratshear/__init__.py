@@ -14,7 +14,7 @@ from .evolution import (
     full_rhs,
     pointwise_energy,
 )
-from .multipliers import bl_bound_report, eval_bl, eval_p, eval_p_prime
+from .multipliers import FrameSymbols, bl_bound_report, eval_bl, eval_p, eval_p_prime
 from .observables import fit_power_law
 from .shear import (
     GridResolutionError,

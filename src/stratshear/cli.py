@@ -286,10 +286,11 @@ def _log_energy_envelope(R, beta):
 def _run_single_k(cfg: RunConfig, spectrum, weights, k, out_dir: Path):
     """Evolve one wavenumber, write its CSV, return its summary block.
 
-    ``spectrum`` is the run's profile spectrum, sampled once for all k.
+    ``spectrum`` is the run's profile spectrum, sampled once for all k, or
+    None for Couette.
     """
     grid = FrequencyGrid(k=k, eta_max=cfg.grid_eta_max, n=cfg.grid_n)
-    spec = None if spectrum.trivial else replace(spectrum, grid=grid)
+    spec = None if spectrum is None else replace(spectrum, grid=grid)
     theta0 = SpectralField(grid, cfg.init_theta.sample(grid.etas).astype(complex))
     q0 = SpectralField(grid, cfg.init_q.sample(grid.etas).astype(complex))
     stats = SolveStats()
@@ -383,7 +384,7 @@ def run(cfg: RunConfig, out_dir=None, enable_asserts=False, jobs=1) -> int:
     if cfg.R > 0.25:
         weights = WeightSet.for_run(cfg.R, cfg.beta, profile.epsilon, cfg.weights_c0)
     # the difference-lattice kernels depend on N and eta_max, not on k
-    spectrum = sample_spectrum(
+    spectrum = None if profile.is_couette else sample_spectrum(
         profile, FrequencyGrid(k=cfg.k_list[0], eta_max=cfg.grid_eta_max, n=cfg.grid_n))
 
     if jobs > 1 and len(cfg.k_list) > 1:

@@ -21,6 +21,7 @@ the mixed term makes it coercive exactly when R > 1/4.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -93,39 +94,30 @@ def dt_is_stable(dt, k, R, beta):
     return dt > 0 and dt * abs(k) * max(R, 1.0 + beta) <= 0.1 + 1e-12
 
 
-def couette_rhs(t, theta, q, k, etas, beta, R, *, symbols=None):
+def couette_rhs(sym, theta, q, R):
     """Raw-array right-hand side for the linear profile; pointwise in eta.
 
-    Reads the Theta coefficients from ``symbols``, the ``FrameSymbols`` of
-    (t, k, etas, beta), or from one built here when it is None.
+    ``sym`` is the ``FrameSymbols`` of (t, k, eta, beta) on the fields' grid.
     """
-    sym = FrameSymbols(t, k, etas, beta) if symbols is None else symbols
-    dtheta = -1j * k * R * q + sym.couette_theta * theta
+    dtheta = -1j * sym.k * R * q + sym.couette_theta * theta
     dq = sym.couette_q * theta
     return dtheta, dq
 
 
-def full_rhs(t, theta, q, spec, beta, R, tol=1e-10, max_iter=50, stats=None, *,
-             symbols=None):
+def full_rhs(sym, theta, q, spec, R, tol=1e-10, max_iter=50, stats=None):
     """Raw-array right-hand side for a perturbed profile.
 
     Realizes phi = invDelta_t(Bt Theta) = -T_L(Bt Theta)/p through
-    ``solve_vorticity``, then couples it back with the split profile factor;
-    at beta = 0 the g-1 part of the coupling drops out and is not computed.
-    ``symbols`` is passed on to ``solve_vorticity``.
+    ``solve_vorticity`` on the frame ``sym``, then couples it back with the
+    split profile factor; at beta = 0 the g-1 part of the coupling drops out
+    and is not computed.
     """
-    grid = spec.grid
-    k = grid.k
-    sym = FrameSymbols(t, k, grid.etas, beta) if symbols is None else symbols
-    _, u = solve_vorticity(t, grid, spec, beta, theta, tol, max_iter, stats, symbols=sym)
+    k, beta = sym.k, sym.beta
+    _, u = solve_vorticity(sym, spec, theta, tol, max_iter, stats)
     phi = -u / sym.p
-    if spec.trivial:
-        coupling = np.zeros_like(phi)
-    elif beta == 0.0:
-        coupling = apply_profile_convolution(spec, "b", phi)
-    else:
-        coupling = (apply_profile_convolution(spec, "b", phi)
-                    - beta * apply_profile_convolution(spec, "g1", phi))
+    coupling = apply_profile_convolution(spec, "b", phi)
+    if beta != 0.0:
+        coupling = coupling - beta * apply_profile_convolution(spec, "g1", phi)
     dtheta = -1j * k * R * q + 1j * k * (coupling - beta * phi)
     dq = 1j * k * phi
     return dtheta, dq
@@ -166,23 +158,22 @@ def _amplitude(theta, q):
     return np.maximum(np.abs(theta).max(), np.abs(q).max())
 
 
-def pointwise_energy(state: RawState, R, weights: Optional[WeightSet] = None, s=0.0):
+def pointwise_energy(sym, theta, q, R, weights: Optional[WeightSet] = None, s=0.0):
     """Per-eta energy density and the coercive density |Z1|^2 + |Z2|^2.
 
     Density: <(k, eta)>^{2s} (|Z1|^2 + |Z2|^2 + Re(p' p^{-1/2} Z1 conj(Z2)) / (2 k sqrt(R))) / 2
-    with the symmetrized variables scaled by the inverse energy weight when
-    ``weights`` is given.
+    of the raw values (theta, q) at the frame ``sym``, with the symmetrized
+    variables scaled by the inverse energy weight when ``weights`` is given.
     """
-    grid = state.grid
-    k = grid.k
-    p = grid.p(state.t)
-    pp = -2.0 * k * grid.shift(state.t)
-    minv = 1.0 if weights is None else weights.energy_weight_inv(state.t, k, grid.etas)
-    z1 = minv * p**-0.25 * state.theta.values
-    z2 = minv * p**0.25 * 1j * math.sqrt(R) * state.q.values
+    k = sym.k
+    p = sym.p
+    pp = -2.0 * k * sym.d
+    minv = 1.0 if weights is None else weights.energy_weight_inv(sym.t, k, sym.eta)
+    z1 = minv * p**-0.25 * theta
+    z2 = minv * p**0.25 * 1j * math.sqrt(R) * q
     mixed = (pp / np.sqrt(p)) * (z1 * np.conj(z2)).real / (2.0 * k * math.sqrt(R))
     quad = np.abs(z1) ** 2 + np.abs(z2) ** 2
-    sob = (1.0 + k * k + grid.etas**2) ** s
+    sob = (1.0 + k * k + sym.eta**2) ** s
     return 0.5 * sob * (quad + mixed), quad
 
 
@@ -237,42 +228,37 @@ def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
     one ``FrameSymbols`` per distinct t, kept for the three times an RK4
     step uses.  Raises ``StepUnstable`` (naming k and t) if a field turns
     non-finite or its amplitude exceeds BLOWUP_FACTOR times its initial
-    value, and ``ValueError`` when dt fails ``dt_is_stable``.
+    value, and ``ValueError`` when R is not positive, record_every is below
+    1 or dt fails ``dt_is_stable``.
 
     Returns (EnergyReport, final RawState).
     """
     grid = initial.grid
     k = grid.k
+    lo_const, hi_const = coercivity_constants(R)
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
     if not dt_is_stable(dt, k, R, beta):
         raise ValueError(
             f"dt = {dt} violates the stability margin "
             f"0 < dt * |k| * max(R, 1 + beta) <= 0.1 for k = {k}, R = {R}, beta = {beta}"
         )
-    symbols = {}  # t -> FrameSymbols, oldest first
-
-    def symbols_at(t):
-        sym = symbols.get(t)
-        if sym is None:
-            if len(symbols) == 3:  # an RK4 step uses three times
-                del symbols[next(iter(symbols))]
-            sym = symbols[t] = FrameSymbols(t, k, grid.etas, beta)
-        return sym
+    # an RK4 step and its record use three times: t, t + dt/2 and t + dt
+    symbols_at = functools.lru_cache(maxsize=3)(lambda t: FrameSymbols(t, k, grid.etas, beta))
 
     if spec is not None:
-        rhs = lambda t, th, qq: full_rhs(t, th, qq, spec, beta, R, tol, max_iter, stats,
-                                         symbols=symbols_at(t))
+        rhs = lambda t, th, qq: full_rhs(symbols_at(t), th, qq, spec, R, tol, max_iter, stats)
     else:
-        rhs = lambda t, th, qq: couette_rhs(t, th, qq, k, grid.etas, beta, R,
-                                            symbols=symbols_at(t))
+        rhs = lambda t, th, qq: couette_rhs(symbols_at(t), th, qq, R)
 
     n_steps = int(round(t_max / dt))
-    e0_eta, _ = pointwise_energy(initial, R)
+    e0_eta, _ = pointwise_energy(symbols_at(initial.t), initial.theta.values,
+                                 initial.q.values, R)
     cell_share = e0_eta * grid.deta
     total0 = float(np.sum(cell_share))
     mask = cell_share >= ENERGY_MASK_SHARE * total0 if total0 > 0 else np.zeros(grid.n, bool)
 
     amp0 = _amplitude(initial.theta.values, initial.q.values)
-    lo_const, hi_const = coercivity_constants(R) if R > 0 else (0.0, 0.0)
 
     times, e_series, lo_series, hi_series, es_series = [], [], [], [], []
     qn, vxn, vyn, gn = [], [], [], []
@@ -293,14 +279,16 @@ def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
             )
         if step % record_every != 0 and step != n_steps:
             return
-        state = RawState(SpectralField(grid, theta), SpectralField(grid, q), t)
-        e_eta, quad = pointwise_energy(state, R)
+        sym = symbols_at(t)
+        e_eta, quad = pointwise_energy(sym, theta, q, R)
+        quad_total = float(grid.integrate(quad))
         times.append(t)
         e_series.append(float(grid.integrate(e_eta)))
-        lo_series.append(lo_const * float(grid.integrate(quad)))
-        hi_series.append(hi_const * float(grid.integrate(quad)))
+        lo_series.append(lo_const * quad_total)
+        hi_series.append(hi_const * quad_total)
         if weights is not None:
-            es_series.append(float(grid.integrate(pointwise_energy(state, R, weights, s)[0])))
+            es_series.append(float(grid.integrate(
+                pointwise_energy(sym, theta, q, R, weights, s)[0])))
         else:
             es_series.append(math.nan)
         if np.any(mask):
@@ -308,16 +296,14 @@ def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
             ratio_max[mask] = np.maximum(ratio_max[mask], ratio)
             ratio_min[mask] = np.minimum(ratio_min[mask], ratio)
 
-        sym = symbols_at(t)
-        omega, u = solve_vorticity(t, grid, spec, beta, theta, tol, max_iter, stats,
-                                   symbols=sym)
+        omega, u = solve_vorticity(sym, spec, theta, tol, max_iter, stats)
         d = sym.d
         p = sym.p
         vx = 1j * d * u / p
         vy = -1j * k * u / p
-        if spec is not None and not spec.trivial:
+        if spec is not None:
             vx = vx + apply_profile_convolution(spec, "g1", vx)
-        qn.append(state.q.l2())
+        qn.append(SpectralField(grid, q).l2())
         vxn.append(SpectralField(grid, vx).l2())
         vyn.append(SpectralField(grid, vy).l2())
         gn.append(SpectralField(grid, omega).l2() + SpectralField(grid, np.sqrt(p) * q).l2())

@@ -266,13 +266,7 @@ class ProfileSpectrum:
     kern_g1: np.ndarray
     kern_g2: np.ndarray
     kern_b: np.ndarray
-    trivial: bool = False
     _conv_cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.trivial = bool(
-            not np.any(self.kern_g1) and not np.any(self.kern_g2) and not np.any(self.kern_b)
-        )
 
 
 def sample_spectrum(profile: ShearProfile, grid: FrequencyGrid) -> ProfileSpectrum:
@@ -281,6 +275,8 @@ def sample_spectrum(profile: ShearProfile, grid: FrequencyGrid) -> ProfileSpectr
     For perturbed profiles the grid must resolve the bump:
     sigma * deta <= 1/4 (sampling) and eta_max * sigma >= 20 (truncation);
     otherwise aliasing or tail loss would corrupt the convolution operators.
+    A Couette profile gives zero kernels; the operators take ``spec=None``
+    for Couette instead.
     """
     n = grid.n
     lattice = np.arange(-(n - 1), n) * grid.deta

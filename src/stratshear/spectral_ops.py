@@ -22,8 +22,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .multipliers import FrameSymbols
-
 __all__ = [
     "FrequencyGrid",
     "NonConvergence",
@@ -69,15 +67,6 @@ class FrequencyGrid:
         e = (np.arange(self.n) - (self.n - 1) / 2.0) * self.deta
         e.flags.writeable = False
         return e
-
-    def shift(self, t):
-        """eta - k t over the grid."""
-        return self.etas - self.k * t
-
-    def p(self, t):
-        """Laplacian symbol k^2 + (eta - k t)^2 over the grid."""
-        d = self.shift(t)
-        return self.k * self.k + d * d
 
     def integrate(self, density):
         """Trapezoid quadrature of a sampled density over the grid."""
@@ -135,18 +124,16 @@ def _t_eps_values(sym, spec, values):
     return part_g + part_b
 
 
-def apply_T_eps(t, spec, u: SpectralField) -> SpectralField:
+def apply_T_eps(sym, spec, u: SpectralField) -> SpectralField:
     """Perturbative part of the sheared Laplacian, (I - T_eps) Delta_L form.
 
     In frequency space this is convolution of the g^2-1 transform against
     -(eta-kt)^2/p times the field, plus convolution of the b transform against
-    i (eta-kt)/p times the field; both inner multipliers are bounded by 1.
+    i (eta-kt)/p times the field; both inner multipliers are bounded by 1 and
+    are read from ``sym``, the ``FrameSymbols`` of t on the field's grid
+    (T_eps does not depend on its beta).
     """
     _same_grid(spec, u)
-    if spec.trivial:
-        return SpectralField(u.grid, np.zeros_like(u.values))
-    # T_eps reads only d and p, so beta does not enter
-    sym = FrameSymbols(t, u.grid.k, u.grid.etas, 0.0)
     return SpectralField(u.grid, _t_eps_values(sym, spec, u.values))
 
 
@@ -207,13 +194,13 @@ def _neumann_solve(sweep, x0, tol, max_iter, what, stats=None):
     )
 
 
-def solve_vorticity(t, grid, spec, beta, theta, tol=1e-10, max_iter=50, stats=None, *,
-                    symbols=None):
+def solve_vorticity(sym, spec, theta, tol=1e-10, max_iter=50, stats=None):
     """Vorticity Omega = Bt Theta and u = T_L Omega from raw Theta values.
 
-    Omega = BL Theta + B_eps Omega and u = T_L Omega are one fixed point in
-    (Omega, c) with c = u - Omega = T_eps u.  Each Gauss-Seidel sweep costs
-    three matvecs:
+    ``sym`` is the ``FrameSymbols`` of (t, k, eta, beta) on Theta's grid and
+    ``spec`` the profile spectrum, None for Couette.  Omega = BL Theta +
+    B_eps Omega and u = T_L Omega are one fixed point in (Omega, c) with
+    c = u - Omega = T_eps u.  Each Gauss-Seidel sweep costs three matvecs:
 
         c     <- T_eps (Omega + c),
         Omega <- BL Theta + beta BL (G1 (D (Omega + c)) + D c),   D = -i (eta - k t)/p,
@@ -222,17 +209,15 @@ def solve_vorticity(t, grid, spec, beta, theta, tol=1e-10, max_iter=50, stats=No
     The iteration stores (Omega - BL Theta, Omega + c), so at beta = 0, where
     Omega = BL Theta and the second line is skipped, its iterates and update
     norms are exactly those of the plain T_L iteration u <- BL Theta + T_eps u.
-    For a trivial spectrum (``spec`` None or the linear profile) both results
-    are BL Theta.  Every sweep reads the symbols of one ``FrameSymbols`` at
-    t: ``symbols`` when given (it must belong to t, the grid and beta), else
-    one built here.  ``NonConvergence`` names k and t.  Returns (Omega, u).
+    For Couette both results are BL Theta; zero kernels give the same after
+    one sweep whose update is zero.  ``NonConvergence`` names k and t.
+    Returns (Omega, u).
     """
-    k = grid.k
-    sym = FrameSymbols(t, k, grid.etas, beta) if symbols is None else symbols
     src = sym.bl * theta
-    if spec is None or spec.trivial:
+    if spec is None:
         return src, src
-    n = grid.n
+    n = src.size
+    beta = sym.beta
     dmul = sym.resolvent_d
     coef = beta * sym.bl
 
@@ -245,5 +230,5 @@ def solve_vorticity(t, grid, spec, beta, theta, tol=1e-10, max_iter=50, stats=No
         return np.concatenate([corr, (src + corr) + c])
 
     x = _neumann_solve(sweep, np.concatenate([np.zeros_like(src), src]), tol, max_iter,
-                       f"solve_vorticity at k = {k}, t = {t:.6g}", stats)
+                       f"solve_vorticity at k = {sym.k}, t = {sym.t:.6g}", stats)
     return src + x[:n], x[n:]

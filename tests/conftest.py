@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stratshear.multipliers import eval_bl
+from stratshear.multipliers import FrameSymbols, eval_bl, eval_p
 from stratshear.shear import build_profile, sample_spectrum
 from stratshear.spectral_ops import (
     FrequencyGrid,
@@ -26,6 +26,11 @@ def bump_spectrum(grid256):
 @pytest.fixture(scope="session")
 def couette_spectrum(grid256):
     return sample_spectrum(build_profile("couette"), grid256)
+
+
+def frame(grid, t, beta=0.0):
+    """The ``FrameSymbols`` of time t on a grid."""
+    return FrameSymbols(t, grid.k, grid.etas, beta)
 
 
 def gaussian_field(grid, center=0.0, alpha=1.0, phase=0.0):
@@ -53,9 +58,10 @@ def dense_resolvent(t, spec, beta):
     """
     grid = spec.grid
     eye = np.eye(grid.n, dtype=complex)
-    t_l = np.linalg.inv(eye - operator_matrix(lambda f: apply_T_eps(t, spec, f), grid))
+    t_l = np.linalg.inv(eye - operator_matrix(lambda f: apply_T_eps(frame(grid, t), spec, f),
+                                              grid))
     g1 = apply_profile_convolution(spec, "g1", eye)
-    dmul = (-1j * grid.shift(t) / grid.p(t))[:, None]
+    dmul = (-1j * (grid.etas - grid.k * t) / eval_p(t, grid.k, grid.etas))[:, None]
     bl = eval_bl(t, grid.k, grid.etas, beta)
     b = beta * bl[:, None] * (g1 @ (dmul * t_l) + dmul * (t_l - eye))
     return t_l, b, bl

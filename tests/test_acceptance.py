@@ -5,6 +5,7 @@ measured values (run with -s to see them live).  Tolerances are fixed here,
 not tuned at runtime.
 """
 
+import functools
 import json
 import math
 import time
@@ -12,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import dense_vorticity
+from conftest import dense_vorticity, frame
 from stratshear.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from stratshear.evolution import (
     RawState,
@@ -22,7 +23,7 @@ from stratshear.evolution import (
     pointwise_energy,
     rk4_integrate,
 )
-from stratshear.multipliers import bl_bound_report, eval_bl
+from stratshear.multipliers import FrameSymbols, bl_bound_report, eval_bl, eval_p
 from stratshear.observables import fit_modulated_power_law, fit_power_law
 from stratshear.shear import build_profile, sample_spectrum
 from stratshear.spectral_ops import (
@@ -159,10 +160,11 @@ def test_operator_correctness():
         return cols
 
     eye = np.eye(grid.n, dtype=complex)
-    dense_tl = np.linalg.solve(eye - matrix_of(lambda u: apply_T_eps(t, spec, u)), f.values)
-    err_tl = np.linalg.norm(dense_tl - solve_vorticity(t, grid, spec, 0.0, f.values, tol=tol)[1])
+    dense_tl = np.linalg.solve(eye - matrix_of(lambda u: apply_T_eps(frame(grid, t), spec, u)),
+                               f.values)
+    err_tl = np.linalg.norm(dense_tl - solve_vorticity(frame(grid, t), spec, f.values, tol=tol)[1])
     dense_omega, dense_u = dense_vorticity(t, spec, beta, f.values)
-    omega, u = solve_vorticity(t, grid, spec, beta, f.values, tol=tol)
+    omega, u = solve_vorticity(frame(grid, t, beta), spec, f.values, tol=tol)
     err_tb = max(np.linalg.norm(dense_omega - omega), np.linalg.norm(dense_u - u))
     scale = np.linalg.norm(f.values)
     ok_dense = err_tl <= 10 * tol * scale and err_tb <= 10 * tol * scale
@@ -171,10 +173,11 @@ def test_operator_correctness():
 
     czero = sample_spectrum(build_profile("couette"), grid)
     bl = eval_bl(t, grid.k, grid.etas, beta)
-    omega, u = solve_vorticity(t, grid, czero, beta, f.values)
+    p = eval_p(t, grid.k, grid.etas)
+    omega, u = solve_vorticity(frame(grid, t, beta), czero, f.values)
     red1 = np.max(np.abs(omega - bl * f.values))
-    red2 = np.max(np.abs(-u / grid.p(t) + bl * f.values / grid.p(t)))
-    red3 = np.max(np.abs(apply_T_eps(t, czero, f).values))
+    red2 = np.max(np.abs(-u / p + bl * f.values / p))
+    red3 = np.max(np.abs(apply_T_eps(frame(grid, t), czero, f).values))
     ok_reduction = red1 < 1e-14 and red2 < 1e-14 and red3 == 0.0
     verdict(ok_reduction, "couette reduction to multipliers",
             f"max deviations {red1:.1e}, {red2:.1e}, {red3:.1e}")
@@ -184,9 +187,10 @@ def test_operator_correctness():
     interior = slice(grid.n // 10, -grid.n // 10)
     worst = 0.0
     for tt in (0.0, 2.0, 9.0):
-        inv = -solve_vorticity(tt, grid, spec, 0.0, f.values, tol=1e-12)[1] / grid.p(tt)
-        d = grid.shift(tt)
-        forward = -grid.p(tt) * inv
+        sym = frame(grid, tt)
+        inv = -solve_vorticity(sym, spec, f.values, tol=1e-12)[1] / sym.p
+        d = sym.d
+        forward = -sym.p * inv
         forward = forward + apply_profile_convolution(spec, "g2", -(d * d) * inv)
         forward = forward + apply_profile_convolution(spec, "b", 1j * d * inv)
         err = np.linalg.norm((forward - f.values)[interior]) / np.linalg.norm(f.values[interior])
@@ -221,8 +225,9 @@ def test_multiplier_and_weight_properties():
                 SpectralField(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64)),
                 SpectralField(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64)),
                 rng.uniform(0, 30))
-            e_eta, _ = pointwise_energy(state, R)
-            p = grid.p(state.t)  # |Z1|^2 + |Z2|^2 with Z1 = p^-1/4 Theta, Z2 = p^1/4 i sqrt(R) Q
+            sym = frame(grid, state.t)
+            e_eta, _ = pointwise_energy(sym, state.theta.values, state.q.values, R)
+            p = sym.p  # |Z1|^2 + |Z2|^2 with Z1 = p^-1/4 Theta, Z2 = p^1/4 i sqrt(R) Q
             quad = np.abs(state.theta.values) ** 2 / np.sqrt(p) + R * np.sqrt(p) * np.abs(state.q.values) ** 2
             ok_coercive &= bool(np.all(e_eta >= lo * quad - 1e-12)
                                 and np.all(e_eta <= hi * quad + 1e-12))
@@ -259,7 +264,8 @@ def test_multiplier_and_weight_properties():
 def test_integrator_self_convergence():
     """4th-order slope and refined-step reference agreement."""
     etas = np.array([0.0])
-    rhs = lambda t, a, b: couette_rhs(t, a, b, 1, etas, 0.0, 1.0)
+    frame = functools.lru_cache(maxsize=3)(lambda t: FrameSymbols(t, 1, etas, 0.0))
+    rhs = lambda t, a, b: couette_rhs(frame(t), a, b, 1.0)
     th0 = np.array([1.0 + 0j])
     q0 = np.array([0.0 + 0j])
 

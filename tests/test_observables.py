@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_resolvent, gaussian_field
+from conftest import dense_resolvent, frame, gaussian_field
 from stratshear.evolution import RawState, evolve
-from stratshear.multipliers import eval_bl
+from stratshear.multipliers import eval_bl, eval_p
 from stratshear.observables import (
     InsufficientWindow,
     fit_modulated_power_law,
@@ -28,7 +28,7 @@ def l2(grid, values):
 
 def test_vorticity_identity_for_zero_beta(grid256):
     theta = gaussian_field(grid256, phase=0.3)
-    omega, _ = solve_vorticity(2.0, grid256, None, 0.0, theta.values)
+    omega, _ = solve_vorticity(frame(grid256, 2.0), None, theta.values)
     assert np.array_equal(omega, theta.values)
 
 
@@ -36,7 +36,7 @@ def test_vorticity_couette_pointwise_bounds(grid256):
     beta = 2.0
     theta = gaussian_field(grid256, center=0.5)
     for t in (0.0, 3.0, 11.0):
-        omega, _ = solve_vorticity(t, grid256, None, beta, theta.values)
+        omega, _ = solve_vorticity(frame(grid256, t, beta), None, theta.values)
         lo = np.abs(theta.values) / np.sqrt(1 + beta * beta)
         assert np.all(np.abs(omega) <= np.abs(theta.values) * (1 + 1e-12))
         assert np.all(np.abs(omega) >= lo * (1 - 1e-12))
@@ -46,7 +46,7 @@ def test_vorticity_roundtrip_near_couette(grid256, bump_spectrum):
     _, spec = bump_spectrum
     beta, t = 1.0, 2.0
     theta = gaussian_field(grid256, center=0.2, alpha=0.8)
-    omega, _ = solve_vorticity(t, grid256, spec, beta, theta.values, tol=1e-12)
+    omega, _ = solve_vorticity(frame(grid256, t, beta), spec, theta.values, tol=1e-12)
     # invert: theta = BL^{-1} (omega - B_eps omega)
     bl = eval_bl(t, grid256.k, grid256.etas, beta)
     beps = dense_resolvent(t, spec, beta)[1] @ omega
@@ -60,8 +60,8 @@ def test_velocity_multiplier_identity(grid256):
     q = gaussian_field(grid256, center=1.0)
     for t in (0.0, 4.0):
         report = first_record(omega, q, t)
-        d = grid256.shift(t)
-        p = grid256.p(t)
+        sym = frame(grid256, t)
+        d, p = sym.d, sym.p
         assert report.times[0] == t
         assert report.vx_norm[0] == pytest.approx(l2(grid256, 1j * d * omega.values / p),
                                                   rel=1e-15)
@@ -86,7 +86,7 @@ def test_velocity_vy_bounded_by_omega_over_sqrt_p(grid256):
     omega = gaussian_field(grid256)
     for t in (0.0, 7.0):
         report = first_record(omega, omega.copy(), t)
-        bound = l2(grid256, np.abs(omega.values) / np.sqrt(grid256.p(t)))
+        bound = l2(grid256, np.abs(omega.values) / np.sqrt(eval_p(t, grid256.k, grid256.etas)))
         assert report.vy_norm[0] <= bound * (1 + 1e-12)
 
 

@@ -100,8 +100,8 @@ def test_single_transform_is_one_dimensional():
 def test_sample_spectrum_couette_is_zero():
     grid = FrequencyGrid(k=1, eta_max=16.0, n=256)
     spec = sample_spectrum(build_profile("couette"), grid)
-    assert spec.trivial
     assert not np.any(spec.kern_g1) and not np.any(spec.kern_b)
+    assert not np.any(spec.kern_g2)
 
 
 def test_sample_spectrum_resolution_guards():

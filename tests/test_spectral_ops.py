@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import dense_resolvent, dense_vorticity, gaussian_field, operator_matrix
+from conftest import dense_resolvent, dense_vorticity, frame, gaussian_field, operator_matrix
 from stratshear.evolution import full_rhs
-from stratshear.multipliers import eval_bl
+from stratshear.multipliers import eval_bl, eval_p
 from stratshear.shear import build_profile, sample_spectrum
 from stratshear.spectral_ops import (
     FrequencyGrid,
@@ -25,12 +25,11 @@ def forward_delta_t(t, spec, u):
     from stratshear.spectral_ops import apply_profile_convolution
 
     grid = spec.grid
-    d = grid.shift(t)
-    p = grid.p(t)
+    d = grid.etas - grid.k * t
+    p = eval_p(t, grid.k, grid.etas)
     out = -p * u.values
-    if not spec.trivial:
-        out = out + apply_profile_convolution(spec, "g2", -(d * d) * u.values)
-        out = out + apply_profile_convolution(spec, "b", 1j * d * u.values)
+    out = out + apply_profile_convolution(spec, "g2", -(d * d) * u.values)
+    out = out + apply_profile_convolution(spec, "b", 1j * d * u.values)
     return SpectralField(grid, out)
 
 
@@ -56,7 +55,7 @@ def test_field_rejects_non_finite():
 def inv_laplace_via_rhs(t, spec, theta):
     """phi = -T_L(Bt Theta)/p read back from dq = i k phi at beta = 0."""
     zeros = np.zeros_like(theta)
-    _, dq = full_rhs(t, theta, zeros, spec, 0.0, 1.0)
+    _, dq = full_rhs(frame(spec.grid, t), theta, zeros, spec, 1.0)
     return dq / (1j * spec.grid.k)
 
 
@@ -66,7 +65,7 @@ def test_inv_laplace_values(grid256, couette_spectrum):
     out = inv_laplace_via_rhs(t, couette_spectrum, u)
     assert np.allclose(out, -1.0 / (1.0 + grid256.etas**2))
     # composing with multiplication by -p recovers the input exactly
-    back = -grid256.p(t) * out
+    back = -eval_p(t, grid256.k, grid256.etas) * out
     assert np.max(np.abs(back - u)) < 1e-14
 
 
@@ -80,13 +79,13 @@ def test_inv_laplace_at_critical_time(grid256, couette_spectrum):
 
 def test_t_eps_couette_is_zero(grid256, couette_spectrum):
     u = gaussian_field(grid256, phase=0.7)
-    out = apply_T_eps(1.5, couette_spectrum, u)
+    out = apply_T_eps(frame(grid256, 1.5), couette_spectrum, u)
     assert not np.any(out.values)
 
 
 def test_t_eps_inner_multiplier_bounded(grid256):
-    d = grid256.shift(3.7)
-    p = grid256.p(3.7)
+    sym = frame(grid256, 3.7)
+    d, p = sym.d, sym.p
     assert np.all((d * d) / p <= 1.0)
 
 
@@ -96,7 +95,7 @@ def test_t_eps_norm_scales_with_amplitude(grid256):
     norms = {}
     for a in (0.025, 0.05):
         spec = sample_spectrum(build_profile("perturbed", a=a, sigma=2.0, y0=0.4), grid256)
-        mat = operator_matrix(lambda f: apply_T_eps(t, spec, f), grid256)
+        mat = operator_matrix(lambda f: apply_T_eps(frame(grid256, t), spec, f), grid256)
         rng = np.random.default_rng(40)
         v = rng.standard_normal(grid256.n) + 1j * rng.standard_normal(grid256.n)
         for _ in range(60):
@@ -133,7 +132,7 @@ def test_profile_convolution_matches_physical_product(grid256, bump_spectrum):
 def test_solve_tl_couette_identity(grid256, couette_spectrum):
     f = gaussian_field(grid256, center=1.0)
     for spec in (couette_spectrum, None):
-        omega, u = solve_vorticity(0.8, grid256, spec, 0.0, f.values)
+        omega, u = solve_vorticity(frame(grid256, 0.8), spec, f.values)
         assert np.array_equal(u, f.values)
         assert np.array_equal(omega, f.values)
 
@@ -143,8 +142,9 @@ def test_solve_tl_residual_contract(grid256, bump_spectrum):
     tol = 1e-10
     for t in (0.0, 1.7, 12.0):
         f = gaussian_field(grid256, center=-0.5, alpha=0.8)
-        _, u = solve_vorticity(t, grid256, spec, 0.0, f.values, tol=tol)
-        resid = u - f.values - apply_T_eps(t, spec, SpectralField(grid256, u)).values
+        sym = frame(grid256, t)
+        _, u = solve_vorticity(sym, spec, f.values, tol=tol)
+        resid = u - f.values - apply_T_eps(sym, spec, SpectralField(grid256, u)).values
         assert np.linalg.norm(resid) <= tol * np.linalg.norm(f.values)
 
 
@@ -153,10 +153,11 @@ def test_solve_tl_agrees_with_dense_solve(grid256, bump_spectrum):
     t = 2.5
     tol = 1e-10
     eye = np.eye(grid256.n, dtype=complex)
-    a_mat = eye - operator_matrix(lambda v: apply_T_eps(t, spec, v), grid256)
+    sym = frame(grid256, t)
+    a_mat = eye - operator_matrix(lambda v: apply_T_eps(sym, spec, v), grid256)
     f = gaussian_field(grid256, center=0.5)
     direct = np.linalg.solve(a_mat, f.values)
-    _, vianeumann = solve_vorticity(t, grid256, spec, 0.0, f.values, tol=tol)
+    _, vianeumann = solve_vorticity(sym, spec, f.values, tol=tol)
     denom = np.linalg.norm(f.values)
     assert np.linalg.norm(direct - vianeumann) <= 10 * tol * denom
 
@@ -167,7 +168,7 @@ def test_solve_tl_nonconvergence_for_large_profile(grid256):
     spec = sample_spectrum(prof, grid256)
     f = gaussian_field(grid256)
     with pytest.raises(NonConvergence, match=r"k = 1, t = 1\b") as err:
-        solve_vorticity(1.0, grid256, spec, 0.0, f.values, tol=1e-10, max_iter=50)
+        solve_vorticity(frame(grid256, 1.0), spec, f.values, tol=1e-10, max_iter=50)
     assert err.value.iterations > 0
 
 
@@ -175,9 +176,9 @@ def test_b_eps_zero_cases(grid256, bump_spectrum, couette_spectrum):
     # the vorticity correction vanishes: Omega = BL Theta exactly
     _, spec = bump_spectrum
     u = gaussian_field(grid256)
-    omega, _ = solve_vorticity(1.0, grid256, spec, 0.0, u.values)
+    omega, _ = solve_vorticity(frame(grid256, 1.0), spec, u.values)
     assert np.array_equal(omega, u.values)
-    omega, _ = solve_vorticity(1.0, grid256, couette_spectrum, 2.0, u.values)
+    omega, _ = solve_vorticity(frame(grid256, 1.0, 2.0), couette_spectrum, u.values)
     assert np.array_equal(omega, eval_bl(1.0, grid256.k, grid256.etas, 2.0) * u.values)
     assert not np.any(dense_resolvent(1.0, spec, 0.0)[1])
     assert not np.any(dense_resolvent(1.0, couette_spectrum, 2.0)[1])
@@ -204,9 +205,9 @@ def test_solve_tb_couette_and_beta_zero(grid256, bump_spectrum, couette_spectrum
     _, spec = bump_spectrum
     f = gaussian_field(grid256)
     bl = eval_bl(1.0, grid256.k, grid256.etas, 2.0)
-    omega, u = solve_vorticity(1.0, grid256, couette_spectrum, 2.0, f.values)
+    omega, u = solve_vorticity(frame(grid256, 1.0, 2.0), couette_spectrum, f.values)
     assert np.array_equal(omega, bl * f.values) and np.array_equal(u, omega)
-    assert np.array_equal(solve_vorticity(1.0, grid256, spec, 0.0, f.values)[0], f.values)
+    assert np.array_equal(solve_vorticity(frame(grid256, 1.0), spec, f.values)[0], f.values)
 
 
 def test_solve_tb_residual_and_norm_bound(grid256, bump_spectrum):
@@ -214,7 +215,7 @@ def test_solve_tb_residual_and_norm_bound(grid256, bump_spectrum):
     t, beta, tol = 3.0, 1.0, 1e-10
     f = gaussian_field(grid256, center=-1.0)
     t_l, b, bl = dense_resolvent(t, spec, beta)
-    omega, u = solve_vorticity(t, grid256, spec, beta, f.values, tol=tol)
+    omega, u = solve_vorticity(frame(grid256, t, beta), spec, f.values, tol=tol)
     src = bl * f.values
     resid = omega - src - b @ omega
     assert np.linalg.norm(resid) <= 2 * tol * np.linalg.norm(src)
@@ -227,7 +228,7 @@ def test_solve_tb_agrees_with_dense_solve(grid256, bump_spectrum):
     t, beta, tol = 2.5, 1.0, 1e-10
     f = gaussian_field(grid256, center=0.5)
     dense_omega, dense_u = dense_vorticity(t, spec, beta, f.values)
-    omega, u = solve_vorticity(t, grid256, spec, beta, f.values, tol=tol)
+    omega, u = solve_vorticity(frame(grid256, t, beta), spec, f.values, tol=tol)
     assert np.linalg.norm(dense_omega - omega) <= 10 * tol * np.linalg.norm(f.values)
     assert np.linalg.norm(dense_u - u) <= 10 * tol * np.linalg.norm(f.values)
 
@@ -237,7 +238,7 @@ def test_bt_couette_reduces_to_multiplier(grid256, couette_spectrum):
     u = gaussian_field(grid256, center=0.2)
     bl = eval_bl(t, grid256.k, grid256.etas, beta)
     for spec in (couette_spectrum, None):
-        omega, _ = solve_vorticity(t, grid256, spec, beta, u.values)
+        omega, _ = solve_vorticity(frame(grid256, t, beta), spec, u.values)
         assert np.max(np.abs(omega - bl * u.values)) < 1e-15
 
 
@@ -245,7 +246,7 @@ def test_inv_delta_t_couette_reduces(grid256, couette_spectrum):
     t = 4.0
     u = gaussian_field(grid256)
     out = inv_laplace_via_rhs(t, couette_spectrum, u.values)
-    assert np.max(np.abs(out + u.values / grid256.p(t))) < 1e-15
+    assert np.max(np.abs(out + u.values / eval_p(t, grid256.k, grid256.etas))) < 1e-15
 
 
 def test_forward_inverse_consistency(grid256, bump_spectrum):
@@ -254,8 +255,9 @@ def test_forward_inverse_consistency(grid256, bump_spectrum):
     interior = slice(grid256.n // 10, -grid256.n // 10)
     for t in (0.0, 2.0, 9.0):
         u = gaussian_field(grid256, center=0.4, alpha=0.6)
-        _, tl = solve_vorticity(t, grid256, spec, 0.0, u.values, tol=1e-12)
-        back = forward_delta_t(t, spec, SpectralField(grid256, -tl / grid256.p(t)))
+        sym = frame(grid256, t)
+        _, tl = solve_vorticity(sym, spec, u.values, tol=1e-12)
+        back = forward_delta_t(t, spec, SpectralField(grid256, -tl / sym.p))
         err = np.linalg.norm((back.values - u.values)[interior])
         assert err <= 1e-6 * np.linalg.norm(u.values[interior])
 
@@ -269,11 +271,12 @@ def test_operators_are_linear(grid256, bump_spectrum):
     v = gaussian_field(grid256, center=-1.0, alpha=0.5)
     alpha = 0.37 - 1.2j
     b = dense_resolvent(t, spec, beta)[1]
+    sym = frame(grid256, t, beta)
     for op, bound in (
-        (lambda f: apply_T_eps(t, spec, SpectralField(grid256, f)).values, 1e-12),
+        (lambda f: apply_T_eps(sym, spec, SpectralField(grid256, f)).values, 1e-12),
         (lambda f: b @ f, 1e-12),
-        (lambda f: solve_vorticity(t, grid256, spec, beta, f, tol=tol)[0], 10 * tol),
-        (lambda f: solve_vorticity(t, grid256, spec, beta, f, tol=tol)[1], 10 * tol),
+        (lambda f: solve_vorticity(sym, spec, f, tol=tol)[0], 10 * tol),
+        (lambda f: solve_vorticity(sym, spec, f, tol=tol)[1], 10 * tol),
     ):
         lhs = op(alpha * u.values + v.values)
         rhs = alpha * op(u.values) + op(v.values)
@@ -285,8 +288,8 @@ def test_neumann_contraction_ratio_logged(grid256, bump_spectrum):
     _, spec = bump_spectrum
     stats = SolveStats()
     f = gaussian_field(grid256)
-    solve_vorticity(1.0, grid256, spec, 0.0, f.values, stats=stats)
-    solve_vorticity(1.0, grid256, spec, 1.0, f.values, stats=stats)
+    solve_vorticity(frame(grid256, 1.0), spec, f.values, stats=stats)
+    solve_vorticity(frame(grid256, 1.0, 1.0), spec, f.values, stats=stats)
     assert stats.solves == 2
     assert stats.ratio_max < 0.5
 
@@ -300,7 +303,8 @@ def test_weighted_commutation_bounds(grid256):
 
     def weighted_norm(vals, t):
         g = grid256
-        wgt = (np.sqrt(c_beta) * abs(g.k) / np.sqrt(g.p(t))) * g.p(t) ** -0.25
+        p = eval_p(t, g.k, g.etas)
+        wgt = (np.sqrt(c_beta) * abs(g.k) / np.sqrt(p)) * p ** -0.25
         wgt = wgt * energy_weight_inv(t, g.k, g.etas, delta, c_beta)
         return np.sqrt(g.integrate(np.abs(wgt * vals) ** 2))
 
@@ -315,7 +319,8 @@ def test_weighted_commutation_bounds(grid256):
             t_l, b, _ = dense_resolvent(t, spec, 1.0)
             worst_tl = max(worst_tl, weighted_norm(t_l @ u.values, t) / wn)
             worst_tb = max(worst_tb, weighted_norm(np.linalg.solve(eye - b, u.values), t) / wn)
-            worst_teps = max(worst_teps, weighted_norm(apply_T_eps(t, spec, u).values, t) / wn)
+            worst_teps = max(worst_teps,
+                             weighted_norm(apply_T_eps(frame(grid256, t), spec, u).values, t) / wn)
             worst_beps = max(worst_beps, weighted_norm(b @ u.values, t) / wn)
         assert worst_tl <= 2.0
         assert worst_tb <= 2.0
