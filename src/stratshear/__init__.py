@@ -6,7 +6,6 @@ inviscid-damping fits.
 
 from .evolution import (
     EnergyReport,
-    RawState,
     StepUnstable,
     coercivity_constants,
     couette_rhs,
@@ -24,13 +23,7 @@ from .shear import (
     sample_spectrum,
     sobolev_norm,
 )
-from .spectral_ops import (
-    FrequencyGrid,
-    NonConvergence,
-    SpectralField,
-    apply_T_eps,
-    solve_vorticity,
-)
+from .spectral_ops import FrequencyGrid, NonConvergence, solve_vorticity
 from .weights import WeightSet, c_beta_constant, check_exchange, eval_m1, eval_w
 
 __version__ = "0.1.0"

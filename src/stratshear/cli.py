@@ -13,16 +13,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .evolution import RawState, StepUnstable, dt_is_stable, evolve
+from .evolution import StepUnstable, dt_is_stable, evolve
 from .observables import InsufficientWindow, fit_power_law
 from .shear import GridResolutionError, build_profile, sample_spectrum
-from .spectral_ops import FrequencyGrid, NonConvergence, SolveStats, SpectralField
+from .spectral_ops import FrequencyGrid, NonConvergence, SolveStats
 from .weights import WeightSet
 
 __all__ = ["ConfigError", "RunConfig", "main", "parse_config", "run"]
@@ -36,6 +36,9 @@ EXIT_ASSERT = 4
 
 CSV_HEADER = "t,E,E_lower,E_upper,q_norm,vx_norm,vy_norm,growth_norm,Es"
 ES_MONOTONE_RTOL = 1e-6
+# the problem is linear, so scale carries no physics; at 1e100 the squared
+# energies of a 100-time-unit N = 512 run still fit a double
+MAX_INIT_AMPLITUDE = 1e100
 
 
 class ConfigError(ValueError):
@@ -52,7 +55,8 @@ class GaussianInit:
     alpha: float = 1.0
 
     def sample(self, etas):
-        return self.amplitude * np.exp(-self.alpha * (etas - self.center) ** 2)
+        with np.errstate(over="ignore"):  # an exponent overflowing to -inf gives exp = 0
+            return self.amplitude * np.exp(-self.alpha * (etas - self.center) ** 2)
 
 
 @dataclass
@@ -152,9 +156,17 @@ class RunConfig:
             raise ConfigError(f"solver.tol must lie in (0, 1), got {self.solver_tol}")
         if self.solver_max_iter < 1:
             raise ConfigError(f"solver.max_iter must be at least 1, got {self.solver_max_iter}")
-        for init in (self.init_theta, self.init_q):
+        for name, init in (("theta", self.init_theta), ("q", self.init_q)):
             if init.alpha <= 0:
                 raise ConfigError(f"init alpha must be positive, got {init.alpha}")
+            if abs(init.amplitude) > MAX_INIT_AMPLITUDE:
+                raise ConfigError(
+                    f"|init.{name}.amplitude| = {abs(init.amplitude):g} is above "
+                    f"{MAX_INIT_AMPLITUDE:g}; the problem is linear, so scale the data down"
+                )
+        etas = FrequencyGrid(k=self.k_list[0], eta_max=self.grid_eta_max, n=self.grid_n).etas
+        if not (np.any(self.init_theta.sample(etas)) or np.any(self.init_q.sample(etas))):
+            raise ConfigError("initial data are identically zero on the grid")
         lo, hi = self.fit_window()
         if self.fit_t_lo is not None and lo < 1:
             raise ConfigError(f"fit.t_lo = {lo} is below 1")
@@ -290,15 +302,12 @@ def _run_single_k(cfg: RunConfig, spectrum, weights, k, out_dir: Path):
     None for Couette.
     """
     grid = FrequencyGrid(k=k, eta_max=cfg.grid_eta_max, n=cfg.grid_n)
-    spec = None if spectrum is None else replace(spectrum, grid=grid)
-    theta0 = SpectralField(grid, cfg.init_theta.sample(grid.etas).astype(complex))
-    q0 = SpectralField(grid, cfg.init_q.sample(grid.etas).astype(complex))
     stats = SolveStats()
 
-    report, _ = evolve(
-        RawState(theta0, q0, 0.0),
+    report, _, _ = evolve(
+        grid, cfg.init_theta.sample(grid.etas), cfg.init_q.sample(grid.etas),
         beta=cfg.beta, R=cfg.R, t_max=cfg.time_t_max, dt=cfg.time_dt,
-        spec=spec, weights=weights, s=cfg.s,
+        spec=spectrum, weights=weights, s=cfg.s,
         record_every=cfg.time_record_every,
         tol=cfg.solver_tol, max_iter=cfg.solver_max_iter, stats=stats,
     )

@@ -32,7 +32,6 @@ from .multipliers import FrameSymbols
 from .spectral_ops import (
     FrequencyGrid,
     SolveStats,
-    SpectralField,
     apply_profile_convolution,
     solve_vorticity,
 )
@@ -40,7 +39,6 @@ from .weights import WeightSet
 
 __all__ = [
     "EnergyReport",
-    "RawState",
     "StepUnstable",
     "coercivity_constants",
     "couette_rhs",
@@ -58,23 +56,6 @@ BLOWUP_FACTOR = 1e6
 class StepUnstable(RuntimeError):
     """A field turned non-finite or grew past a large multiple of its
     initial amplitude."""
-
-
-@dataclass
-class RawState:
-    """Corrected vorticity and scaled density at one wavenumber and time."""
-
-    theta: SpectralField
-    q: SpectralField
-    t: float
-
-    def __post_init__(self):
-        if self.theta.grid != self.q.grid:
-            raise ValueError("theta and q must share a grid")
-
-    @property
-    def grid(self) -> FrequencyGrid:
-        return self.theta.grid
 
 
 def coercivity_constants(R):
@@ -158,23 +139,27 @@ def _amplitude(theta, q):
     return np.maximum(np.abs(theta).max(), np.abs(q).max())
 
 
-def pointwise_energy(sym, theta, q, R, weights: Optional[WeightSet] = None, s=0.0):
+def pointwise_energy(sym, theta, q, R):
     """Per-eta energy density and the coercive density |Z1|^2 + |Z2|^2.
 
-    Density: <(k, eta)>^{2s} (|Z1|^2 + |Z2|^2 + Re(p' p^{-1/2} Z1 conj(Z2)) / (2 k sqrt(R))) / 2
-    of the raw values (theta, q) at the frame ``sym``, with the symmetrized
-    variables scaled by the inverse energy weight when ``weights`` is given.
+    Density: (|Z1|^2 + |Z2|^2 + Re(p' p^{-1/2} Z1 conj(Z2)) / (2 k sqrt(R))) / 2
+    of the raw values (theta, q) at the frame ``sym``.  The density is
+    quadratic in (Z1, Z2), so the damped functional scales it pointwise by
+    <(k, eta)>^{2s} minv^2 with minv the real inverse energy weight.
     """
     k = sym.k
     p = sym.p
     pp = -2.0 * k * sym.d
-    minv = 1.0 if weights is None else weights.energy_weight_inv(sym.t, k, sym.eta)
-    z1 = minv * p**-0.25 * theta
-    z2 = minv * p**0.25 * 1j * math.sqrt(R) * q
+    z1 = p**-0.25 * theta
+    z2 = p**0.25 * 1j * math.sqrt(R) * q
     mixed = (pp / np.sqrt(p)) * (z1 * np.conj(z2)).real / (2.0 * k * math.sqrt(R))
     quad = np.abs(z1) ** 2 + np.abs(z2) ** 2
-    sob = (1.0 + k * k + sym.eta**2) ** s
-    return 0.5 * sob * (quad + mixed), quad
+    return 0.5 * (quad + mixed), quad
+
+
+def _l2(grid, x):
+    """sqrt of the trapezoid integral of |x|^2 over the grid."""
+    return float(np.sqrt(grid.integrate(np.abs(x) ** 2)))
 
 
 @dataclass
@@ -187,9 +172,9 @@ class EnergyReport:
     the density Q, the velocity (vx, vy) and the growing functional
     ||Omega|| + ||sqrt(p) Q|| are taken on the frequency side,
     sqrt(trapezoid |field|^2 d eta), a constant factor sqrt(2 pi) above the
-    physical-space L^2 norms.  The ratio fields track E(t; eta)/E(0; eta)
-    over time for every cell carrying at least ENERGY_MASK_SHARE of the
-    initial energy.
+    physical-space L^2 norms.  ``ratio_max`` and ``ratio_min`` bound
+    E(t; eta)/E(0; eta) over the records and over every cell carrying at
+    least ENERGY_MASK_SHARE of the initial energy; NaN when no cell does.
     """
 
     times: np.ndarray
@@ -201,39 +186,41 @@ class EnergyReport:
     vx_norm: np.ndarray
     vy_norm: np.ndarray
     growth_norm: np.ndarray
-    ratio_max_per_eta: np.ndarray
-    ratio_min_per_eta: np.ndarray
-
-    @property
-    def ratio_max(self) -> float:
-        return float(np.nanmax(self.ratio_max_per_eta))
-
-    @property
-    def ratio_min(self) -> float:
-        return float(np.nanmin(self.ratio_min_per_eta))
+    ratio_max: float
+    ratio_min: float
 
 
-def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
+def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=None,
            weights: Optional[WeightSet] = None, s=0.0, record_every=10,
            tol=1e-10, max_iter=50, stats: Optional[SolveStats] = None):
-    """Advance a raw state to t_max, recording energies and observables.
+    """Advance (theta0, q0) on ``grid`` from t0 by round(t_max / dt) steps,
+    recording energies and observables.
 
     Uses the pointwise right-hand side when ``spec`` is None and the
     resolvent-based one otherwise.  Records every ``record_every`` steps
-    (first and last steps always included); each record solves for the
-    vorticity once and reads the velocity from it: vx = i (eta - k t) u / p,
+    (first and last steps always included); each record evaluates the energy
+    density once, scaling it for the damped functional, and solves for the
+    vorticity once, reading the velocity from it: vx = i (eta - k t) u / p,
     vy = -i k u / p with u = T_L Omega, and vx picks up the shear-rate
     factor g = 1 + (g-1) for a perturbed profile.  The right-hand sides, the
     resolvent sweeps and the records read the time-dependent symbols from
     one ``FrameSymbols`` per distinct t, kept for the three times an RK4
     step uses.  Raises ``StepUnstable`` (naming k and t) if a field turns
     non-finite or its amplitude exceeds BLOWUP_FACTOR times its initial
-    value, and ``ValueError`` when R is not positive, record_every is below
-    1 or dt fails ``dt_is_stable``.
+    value, and ``ValueError`` when either initial array is not of shape
+    (grid.n,) or holds a non-finite value, R is not positive, record_every
+    is below 1 or dt fails ``dt_is_stable``.
 
-    Returns (EnergyReport, final RawState).
+    Returns (EnergyReport, theta, q) with the fields at the final time
+    ``report.times[-1]``.
     """
-    grid = initial.grid
+    theta0 = np.asarray(theta0, dtype=complex)
+    q0 = np.asarray(q0, dtype=complex)
+    for name, x in (("theta0", theta0), ("q0", q0)):
+        if x.shape != (grid.n,):
+            raise ValueError(f"{name}: expected {grid.n} values, got shape {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"{name} contains non-finite entries")
     k = grid.k
     lo_const, hi_const = coercivity_constants(R)
     if record_every < 1:
@@ -252,22 +239,20 @@ def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
         rhs = lambda t, th, qq: couette_rhs(symbols_at(t), th, qq, R)
 
     n_steps = int(round(t_max / dt))
-    e0_eta, _ = pointwise_energy(symbols_at(initial.t), initial.theta.values,
-                                 initial.q.values, R)
+    e0_eta, _ = pointwise_energy(symbols_at(t0), theta0, q0, R)
     cell_share = e0_eta * grid.deta
     total0 = float(np.sum(cell_share))
     mask = cell_share >= ENERGY_MASK_SHARE * total0 if total0 > 0 else np.zeros(grid.n, bool)
+    sob = None if weights is None else (1.0 + k * k + grid.etas**2) ** s
 
-    amp0 = _amplitude(initial.theta.values, initial.q.values)
+    amp0 = _amplitude(theta0, q0)
 
     times, e_series, lo_series, hi_series, es_series = [], [], [], [], []
     qn, vxn, vyn, gn = [], [], [], []
-    ratio_max = np.full(grid.n, np.nan)
-    ratio_min = np.full(grid.n, np.nan)
-    ratio_max[mask] = -np.inf
-    ratio_min[mask] = np.inf
+    ratio_max, ratio_min = -math.inf, math.inf
 
     def record(step, t, theta, q):
+        nonlocal ratio_max, ratio_min
         # the guard runs after the step, so it cannot name the RK stage
         amp = _amplitude(theta, q)
         if not np.isfinite(amp):
@@ -287,14 +272,14 @@ def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
         lo_series.append(lo_const * quad_total)
         hi_series.append(hi_const * quad_total)
         if weights is not None:
-            es_series.append(float(grid.integrate(
-                pointwise_energy(sym, theta, q, R, weights, s)[0])))
+            minv = weights.energy_weight_inv(t, k, sym.eta)
+            es_series.append(float(grid.integrate(sob * minv**2 * e_eta)))
         else:
             es_series.append(math.nan)
         if np.any(mask):
             ratio = e_eta[mask] / e0_eta[mask]
-            ratio_max[mask] = np.maximum(ratio_max[mask], ratio)
-            ratio_min[mask] = np.minimum(ratio_min[mask], ratio)
+            ratio_max = max(ratio_max, float(ratio.max()))
+            ratio_min = min(ratio_min, float(ratio.min()))
 
         omega, u = solve_vorticity(sym, spec, theta, tol, max_iter, stats)
         d = sym.d
@@ -303,14 +288,14 @@ def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
         vy = -1j * k * u / p
         if spec is not None:
             vx = vx + apply_profile_convolution(spec, "g1", vx)
-        qn.append(SpectralField(grid, q).l2())
-        vxn.append(SpectralField(grid, vx).l2())
-        vyn.append(SpectralField(grid, vy).l2())
-        gn.append(SpectralField(grid, omega).l2() + SpectralField(grid, np.sqrt(p) * q).l2())
+        qn.append(_l2(grid, q))
+        vxn.append(_l2(grid, vx))
+        vyn.append(_l2(grid, vy))
+        gn.append(_l2(grid, omega) + _l2(grid, np.sqrt(p) * q))
 
-    t_end = initial.t + n_steps * dt
-    theta, q = rk4_integrate(rhs, initial.theta.values, initial.q.values, initial.t,
-                             t_end, dt, callback=record)
+    theta, q = rk4_integrate(rhs, theta0, q0, t0, t0 + n_steps * dt, dt, callback=record)
+    if not np.any(mask):
+        ratio_max = ratio_min = math.nan
 
     report = EnergyReport(
         times=np.asarray(times),
@@ -322,7 +307,7 @@ def evolve(initial: RawState, *, beta, R, t_max, dt, spec=None,
         vx_norm=np.asarray(vxn),
         vy_norm=np.asarray(vyn),
         growth_norm=np.asarray(gn),
-        ratio_max_per_eta=ratio_max,
-        ratio_min_per_eta=ratio_min,
+        ratio_max=ratio_max,
+        ratio_min=ratio_min,
     )
-    return report, RawState(SpectralField(grid, theta), SpectralField(grid, q), t_end)
+    return report, theta, q

@@ -256,10 +256,9 @@ class ProfileSpectrum:
     ``kern_g1``, ``kern_g2`` and ``kern_b`` hold the transforms of g-1, g^2-1
     and b on the (2N-1)-point difference lattice that the linear convolution
     needs (Hermitian-symmetric since the profiles are real); convolution
-    matrices built from them are cached on first use.  The lattice depends
-    on N and eta_max only, not on k, so one sampled spectrum serves every
-    wavenumber of a run: ``dataclasses.replace(spec, grid=grid_k)`` shares
-    the kernels and the convolution cache with the grid of another k.
+    matrices built from them are cached on first use.  The lattice and the
+    matrices depend on N and eta_max only (read from ``grid``), not on k, so
+    one sampled spectrum serves every wavenumber of a run as it is.
     """
 
     grid: FrequencyGrid

@@ -26,8 +26,6 @@ __all__ = [
     "FrequencyGrid",
     "NonConvergence",
     "SolveStats",
-    "SpectralField",
-    "apply_T_eps",
     "apply_profile_convolution",
     "solve_vorticity",
 ]
@@ -73,33 +71,6 @@ class FrequencyGrid:
         return np.trapezoid(density, self.etas)
 
 
-@dataclass
-class SpectralField:
-    """Complex values over a frequency grid; entries must stay finite."""
-
-    grid: FrequencyGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.grid.n,):
-            raise ValueError(f"expected {self.grid.n} values, got shape {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("spectral field contains non-finite entries")
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.values.copy())
-
-    def l2(self) -> float:
-        """sqrt of the trapezoid integral of |values|^2."""
-        return float(np.sqrt(self.grid.integrate(np.abs(self.values) ** 2)))
-
-
-def _same_grid(spec, u: SpectralField):
-    if spec.grid is not u.grid and spec.grid != u.grid:
-        raise ValueError("profile spectrum and field live on different grids")
-
-
 def _conv_matrix(spec, name):
     """Dense Toeplitz matrix of the deta/(2 pi)-weighted linear convolution."""
     mat = spec._conv_cache.get(name)
@@ -119,22 +90,15 @@ def apply_profile_convolution(spec, name, values):
 
 
 def _t_eps_values(sym, spec, values):
+    """Perturbative part T_eps of the sheared Laplacian, (I - T_eps) Delta_L form.
+
+    Convolution of the g^2-1 transform against -(eta-kt)^2/p times the values
+    plus convolution of the b transform against i (eta-kt)/p times them; both
+    inner multipliers are bounded by 1 and are read from the frame ``sym``.
+    """
     part_g = apply_profile_convolution(spec, "g2", sym.t_eps_g2 * values)
     part_b = apply_profile_convolution(spec, "b", sym.t_eps_b * values)
     return part_g + part_b
-
-
-def apply_T_eps(sym, spec, u: SpectralField) -> SpectralField:
-    """Perturbative part of the sheared Laplacian, (I - T_eps) Delta_L form.
-
-    In frequency space this is convolution of the g^2-1 transform against
-    -(eta-kt)^2/p times the field, plus convolution of the b transform against
-    i (eta-kt)/p times the field; both inner multipliers are bounded by 1 and
-    are read from ``sym``, the ``FrameSymbols`` of t on the field's grid
-    (T_eps does not depend on its beta).
-    """
-    _same_grid(spec, u)
-    return SpectralField(u.grid, _t_eps_values(sym, spec, u.values))
 
 
 @dataclass

@@ -3,12 +3,7 @@ import pytest
 
 from stratshear.multipliers import FrameSymbols, eval_bl, eval_p
 from stratshear.shear import build_profile, sample_spectrum
-from stratshear.spectral_ops import (
-    FrequencyGrid,
-    SpectralField,
-    apply_profile_convolution,
-    apply_T_eps,
-)
+from stratshear.spectral_ops import FrequencyGrid, apply_profile_convolution
 
 
 @pytest.fixture(scope="session")
@@ -34,32 +29,39 @@ def frame(grid, t, beta=0.0):
 
 
 def gaussian_field(grid, center=0.0, alpha=1.0, phase=0.0):
-    vals = np.exp(-alpha * (grid.etas - center) ** 2) * np.exp(1j * phase * grid.etas)
-    return SpectralField(grid, vals)
+    return np.exp(-alpha * (grid.etas - center) ** 2) * np.exp(1j * phase * grid.etas)
 
 
-def operator_matrix(apply_fn, grid):
-    """Dense matrix of a linear operator, column by column from unit vectors."""
-    n = grid.n
-    mat = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[j] = 1.0
-        mat[:, j] = apply_fn(SpectralField(grid, e)).values
-    return mat
+def l2(grid, values):
+    """sqrt of the trapezoid integral of |values|^2 over the grid."""
+    return float(np.sqrt(grid.integrate(np.abs(values) ** 2)))
+
+
+def dense_t_eps(t, spec):
+    """Dense T_eps = G2 diag(-d^2/p) + B diag(i d/p), d = eta - k t.
+
+    G2 and B are the g^2-1 and b convolution matrices; d and p are built here
+    and from ``eval_p``, so the reference shares neither the solver's sweep
+    nor ``FrameSymbols``.
+    """
+    grid = spec.grid
+    eye = np.eye(grid.n, dtype=complex)
+    d = grid.etas - grid.k * t
+    p = eval_p(t, grid.k, grid.etas)
+    return (apply_profile_convolution(spec, "g2", eye) * (-(d * d) / p)
+            + apply_profile_convolution(spec, "b", eye) * (1j * d / p))
 
 
 def dense_resolvent(t, spec, beta):
     """Dense T_L, B and the multiplier BL, a reference for ``solve_vorticity``.
 
-    T_L = inv(I - A) with A the matrix of ``apply_T_eps``, and
+    T_L = inv(I - T_eps) with T_eps from ``dense_t_eps``, and
     B = beta diag(BL) (G1 diag(D) T_L + diag(D) (T_L - I)) with G1 the g-1
     convolution matrix and D = -i (eta - k t)/p.
     """
     grid = spec.grid
     eye = np.eye(grid.n, dtype=complex)
-    t_l = np.linalg.inv(eye - operator_matrix(lambda f: apply_T_eps(frame(grid, t), spec, f),
-                                              grid))
+    t_l = np.linalg.inv(eye - dense_t_eps(t, spec))
     g1 = apply_profile_convolution(spec, "g1", eye)
     dmul = (-1j * (grid.etas - grid.k * t) / eval_p(t, grid.k, grid.etas))[:, None]
     bl = eval_bl(t, grid.k, grid.etas, beta)

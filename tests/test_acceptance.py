@@ -6,17 +6,16 @@ not tuned at runtime.
 """
 
 import functools
-import json
 import math
 import time
 
 import numpy as np
 import pytest
 
-from conftest import dense_vorticity, frame
+from conftest import dense_t_eps, dense_vorticity, frame
+from test_cli import read_summary
 from stratshear.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from stratshear.evolution import (
-    RawState,
     coercivity_constants,
     couette_rhs,
     evolve,
@@ -26,13 +25,7 @@ from stratshear.evolution import (
 from stratshear.multipliers import FrameSymbols, bl_bound_report, eval_bl, eval_p
 from stratshear.observables import fit_modulated_power_law, fit_power_law
 from stratshear.shear import build_profile, sample_spectrum
-from stratshear.spectral_ops import (
-    FrequencyGrid,
-    SolveStats,
-    SpectralField,
-    apply_T_eps,
-    solve_vorticity,
-)
+from stratshear.spectral_ops import FrequencyGrid, SolveStats, solve_vorticity
 from stratshear.weights import WeightSet, check_exchange
 
 ES_MONOTONE_RTOL = 1e-6
@@ -45,17 +38,18 @@ def verdict(ok, label, detail=""):
 
 
 def standard_state(grid):
-    theta = SpectralField(grid, np.exp(-grid.etas**2).astype(complex))
-    q = SpectralField(grid, np.exp(-((grid.etas - 1.0) ** 2) / 2.0).astype(complex))
-    return RawState(theta, q, 0.0)
+    """The grid and the standard data (theta, q), as ``evolve`` takes them."""
+    theta = np.exp(-grid.etas**2).astype(complex)
+    q = np.exp(-((grid.etas - 1.0) ** 2) / 2.0).astype(complex)
+    return grid, theta, q
 
 
 @pytest.fixture(scope="module")
 def couette_reference_run():
     # k=1, R=1, beta=1, N=512, eta_max=20, t_max=200, dt=0.01
     grid = FrequencyGrid(k=1, eta_max=20.0, n=512)
-    report, _ = evolve(standard_state(grid), beta=1.0, R=1.0, t_max=200.0,
-                       dt=0.01, record_every=10)
+    report, _, _ = evolve(*standard_state(grid), beta=1.0, R=1.0, t_max=200.0,
+                          dt=0.01, record_every=10)
     return report
 
 
@@ -68,8 +62,8 @@ def test_couette_energy_conservation():
             for k in (1, 2):
                 grid = FrequencyGrid(k=k, eta_max=20.0, n=512)
                 started = time.time()
-                report, _ = evolve(standard_state(grid), beta=beta, R=R,
-                                   t_max=200.0, dt=0.01, record_every=10)
+                report, _, _ = evolve(*standard_state(grid), beta=beta, R=R,
+                                      t_max=200.0, dt=0.01, record_every=10)
                 elapsed = time.time() - started
                 ok = (
                     math.log(report.ratio_max) <= log_env
@@ -121,9 +115,9 @@ def test_near_couette_monotonicity_and_decay():
     spec = sample_spectrum(profile, grid)
     weights = WeightSet.for_run(R=1.0, beta=1.0, epsilon=profile.epsilon, C0=64.0)
     stats = SolveStats()
-    report, _ = evolve(standard_state(grid), beta=1.0, R=1.0, t_max=100.0,
-                       dt=0.01, spec=spec, weights=weights, s=0.0,
-                       record_every=50, stats=stats)
+    report, _, _ = evolve(*standard_state(grid), beta=1.0, R=1.0, t_max=100.0,
+                          dt=0.01, spec=spec, weights=weights, s=0.0,
+                          record_every=50, stats=stats)
     elapsed = time.time() - started
 
     es = report.energy_weighted
@@ -148,25 +142,16 @@ def test_operator_correctness():
     profile = build_profile("perturbed", a=0.0045, sigma=2.0, s=0.0)
     assert profile.epsilon <= 0.05
     spec = sample_spectrum(profile, grid)
-    f = SpectralField(grid, (np.exp(-grid.etas**2) * (1 + 0.2j)).astype(complex))
+    f = (np.exp(-grid.etas**2) * (1 + 0.2j)).astype(complex)
     t, beta = 2.5, 1.0
 
-    def matrix_of(op):
-        cols = np.empty((grid.n, grid.n), complex)
-        for j in range(grid.n):
-            e = np.zeros(grid.n, complex)
-            e[j] = 1.0
-            cols[:, j] = op(SpectralField(grid, e)).values
-        return cols
-
     eye = np.eye(grid.n, dtype=complex)
-    dense_tl = np.linalg.solve(eye - matrix_of(lambda u: apply_T_eps(frame(grid, t), spec, u)),
-                               f.values)
-    err_tl = np.linalg.norm(dense_tl - solve_vorticity(frame(grid, t), spec, f.values, tol=tol)[1])
-    dense_omega, dense_u = dense_vorticity(t, spec, beta, f.values)
-    omega, u = solve_vorticity(frame(grid, t, beta), spec, f.values, tol=tol)
+    dense_tl = np.linalg.solve(eye - dense_t_eps(t, spec), f)
+    err_tl = np.linalg.norm(dense_tl - solve_vorticity(frame(grid, t), spec, f, tol=tol)[1])
+    dense_omega, dense_u = dense_vorticity(t, spec, beta, f)
+    omega, u = solve_vorticity(frame(grid, t, beta), spec, f, tol=tol)
     err_tb = max(np.linalg.norm(dense_omega - omega), np.linalg.norm(dense_u - u))
-    scale = np.linalg.norm(f.values)
+    scale = np.linalg.norm(f)
     ok_dense = err_tl <= 10 * tol * scale and err_tb <= 10 * tol * scale
     verdict(ok_dense, "dense-solve agreement",
             f"TL {err_tl / scale:.2e}, TB {err_tb / scale:.2e} vs {10 * tol:.0e}")
@@ -174,10 +159,10 @@ def test_operator_correctness():
     czero = sample_spectrum(build_profile("couette"), grid)
     bl = eval_bl(t, grid.k, grid.etas, beta)
     p = eval_p(t, grid.k, grid.etas)
-    omega, u = solve_vorticity(frame(grid, t, beta), czero, f.values)
-    red1 = np.max(np.abs(omega - bl * f.values))
-    red2 = np.max(np.abs(-u / p + bl * f.values / p))
-    red3 = np.max(np.abs(apply_T_eps(frame(grid, t), czero, f).values))
+    omega, u = solve_vorticity(frame(grid, t, beta), czero, f)
+    red1 = np.max(np.abs(omega - bl * f))
+    red2 = np.max(np.abs(-u / p + bl * f / p))
+    red3 = np.max(np.abs(u - omega))  # zero kernels: T_eps vanishes, so T_L is the identity
     ok_reduction = red1 < 1e-14 and red2 < 1e-14 and red3 == 0.0
     verdict(ok_reduction, "couette reduction to multipliers",
             f"max deviations {red1:.1e}, {red2:.1e}, {red3:.1e}")
@@ -188,12 +173,12 @@ def test_operator_correctness():
     worst = 0.0
     for tt in (0.0, 2.0, 9.0):
         sym = frame(grid, tt)
-        inv = -solve_vorticity(sym, spec, f.values, tol=1e-12)[1] / sym.p
+        inv = -solve_vorticity(sym, spec, f, tol=1e-12)[1] / sym.p
         d = sym.d
         forward = -sym.p * inv
         forward = forward + apply_profile_convolution(spec, "g2", -(d * d) * inv)
         forward = forward + apply_profile_convolution(spec, "b", 1j * d * inv)
-        err = np.linalg.norm((forward - f.values)[interior]) / np.linalg.norm(f.values[interior])
+        err = np.linalg.norm((forward - f)[interior]) / np.linalg.norm(f[interior])
         worst = max(worst, err)
     ok_forward = worst <= 1e-6
     verdict(ok_forward, "forward-inverse interior identity", f"worst {worst:.2e} vs 1e-06")
@@ -221,14 +206,12 @@ def test_multiplier_and_weight_properties():
     for R in (0.26, 0.5, 1.0, 4.0):
         lo, hi = coercivity_constants(R)
         for _ in range(160):
-            state = RawState(
-                SpectralField(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64)),
-                SpectralField(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64)),
-                rng.uniform(0, 30))
-            sym = frame(grid, state.t)
-            e_eta, _ = pointwise_energy(sym, state.theta.values, state.q.values, R)
+            theta = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+            q = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+            sym = frame(grid, rng.uniform(0, 30))
+            e_eta, _ = pointwise_energy(sym, theta, q, R)
             p = sym.p  # |Z1|^2 + |Z2|^2 with Z1 = p^-1/4 Theta, Z2 = p^1/4 i sqrt(R) Q
-            quad = np.abs(state.theta.values) ** 2 / np.sqrt(p) + R * np.sqrt(p) * np.abs(state.q.values) ** 2
+            quad = np.abs(theta) ** 2 / np.sqrt(p) + R * np.sqrt(p) * np.abs(q) ** 2
             ok_coercive &= bool(np.all(e_eta >= lo * quad - 1e-12)
                                 and np.all(e_eta <= hi * quad + 1e-12))
     verdict(ok_coercive, "coercivity sandwich", "4 x 10^4 cell samples")
@@ -312,7 +295,7 @@ def test_determinism_schema_and_exit_codes(tmp_path):
     ok_identical = code1 == EXIT_OK and code2 == EXIT_OK and identical
     verdict(ok_identical, "byte-identical reruns")
 
-    summary = json.loads((out1 / "summary.json").read_text())
+    summary = read_summary(out1)
     required = ("exponent_q", "exponent_vx", "exponent_vy", "exponent_growth",
                 "energy_ratio_max", "energy_ratio_min", "Es_monotone",
                 "epsilon_measured", "delta_used")

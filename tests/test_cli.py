@@ -38,6 +38,15 @@ SUMMARY_FIELDS = (
 )
 
 
+def read_summary(out):
+    """summary.json of a run, parsed as strict JSON: NaN and Infinity raise."""
+
+    def reject(constant):
+        raise ValueError(f"summary.json holds {constant}, which is not valid JSON")
+
+    return json.loads((Path(out) / "summary.json").read_text(), parse_constant=reject)
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -102,7 +111,7 @@ def test_smoke_run_under_ten_seconds(tmp_path):
     assert code == EXIT_OK
     assert elapsed < 10.0
     assert (out / "series_k1.csv").exists()
-    assert (out / "summary.json").exists()
+    read_summary(out)
 
 
 def test_csv_schema_and_summary_fields(tmp_path):
@@ -111,7 +120,7 @@ def test_csv_schema_and_summary_fields(tmp_path):
     assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
     header = (out / "series_k1.csv").read_text().splitlines()[0]
     assert header == "t,E,E_lower,E_upper,q_norm,vx_norm,vy_norm,growth_norm,Es"
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_summary(out)
     for field in SUMMARY_FIELDS:
         assert field in summary
     assert summary["runs"][0]["k"] == 1
@@ -161,8 +170,7 @@ def test_assertion_failure_exits_4(tmp_path):
     # without --assert the run succeeds and only reports
     assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
     assert main(["--config", str(cfg), "--out", str(out), "--assert"]) == EXIT_ASSERT
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["assertion_failures"]
+    assert read_summary(out)["assertion_failures"]
 
 
 def test_env_var_output_override(tmp_path, monkeypatch):
@@ -170,7 +178,7 @@ def test_env_var_output_override(tmp_path, monkeypatch):
     target = tmp_path / "env_out"
     monkeypatch.setenv("STRATSHEAR_OUT", str(target))
     assert main(["--config", str(cfg)]) == EXIT_OK
-    assert (target / "summary.json").exists()
+    read_summary(target)
 
 
 BUMP = """
@@ -263,6 +271,10 @@ CONFIG_ERRORS = {
     "negative_sobolev_order": "s = -20.0\n",  # epsilon was measured as NaN
     "negative_weight_constant": "weights.C0 = -1.0\n",  # weight inverse above 1
     "unaffordable_bump_width": "profile.sigma = 2.0e4\n",  # tens of GB per transform chunk
+    # NaN energy ratios written to summary.json
+    "zero_initial_data": "init.theta.amplitude = 0.0\ninit.q.amplitude = 0.0\n",
+    "huge_init_amplitude": "init.theta.amplitude = 1e300\n",  # every CSV value inf
+    "overflowing_init_alpha": "init.theta.alpha = 1e306\ninit.q.alpha = 1e306\n",
 }
 
 
@@ -286,4 +298,4 @@ def test_unset_fit_window_keeps_default(tmp_path):
     cfg = write_config(tmp_path, SMOKE.replace("time.t_max = 100.0", "time.t_max = 2.0"))
     out = tmp_path / "o"
     assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    assert json.loads((out / "summary.json").read_text())["exponent_q"] is None
+    assert read_summary(out)["exponent_q"] is None

@@ -4,9 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import dense_vorticity, frame, gaussian_field
+from conftest import dense_vorticity, frame, gaussian_field, l2
 from stratshear.evolution import (
-    RawState,
     StepUnstable,
     coercivity_constants,
     couette_rhs,
@@ -20,22 +19,19 @@ from stratshear.shear import build_profile, sample_spectrum
 from stratshear.spectral_ops import (
     FrequencyGrid,
     SolveStats,
-    SpectralField,
     apply_profile_convolution,
     solve_vorticity,
 )
 from stratshear.weights import WeightSet
 
 
-def make_state(grid, t=0.0, qc=1.0):
-    theta = gaussian_field(grid)
-    q = SpectralField(grid, np.exp(-((grid.etas - qc) ** 2) / 2).astype(complex))
-    return RawState(theta, q, t)
+def make_state(grid):
+    """Standard data (theta, q): Gaussians centred at 0 and at 1."""
+    return gaussian_field(grid), np.exp(-((grid.etas - 1.0) ** 2) / 2).astype(complex)
 
 
-def energy_of(state, R, weights=None, s=0.0):
-    return pointwise_energy(frame(state.grid, state.t), state.theta.values, state.q.values,
-                            R, weights, s)
+def energy_of(grid, t, theta, q, R):
+    return pointwise_energy(frame(grid, t), theta, q, R)
 
 
 def z_map(grid, t, theta, q, R):
@@ -47,14 +43,13 @@ def z_map(grid, t, theta, q, R):
 def test_couette_rhs_substitutions(grid256):
     # with theta = 0 the density feeds theta only: dtheta = -i k R q, dq = 0
     k = grid256.k
-    q = gaussian_field(grid256).values
+    q = gaussian_field(grid256)
     zeros = np.zeros(grid256.n, complex)
     dtheta, dq = couette_rhs(frame(grid256, 0.7), zeros, q, 2.0)
     assert np.allclose(dtheta, -1j * k * 2.0 * q)
     assert not np.any(dq)
     # R = 0 and beta = 0 freeze theta entirely
-    state = make_state(grid256)
-    dtheta, dq = couette_rhs(frame(grid256, 0.0), state.theta.values, state.q.values, 0.0)
+    dtheta, dq = couette_rhs(frame(grid256, 0.0), *make_state(grid256), 0.0)
     assert not np.any(dtheta)
 
 
@@ -74,12 +69,12 @@ def test_raw_step_matches_symmetrized_step(grid256, beta):
     # one RK4 step in raw variables, transformed, against one step of the
     # symmetrized system; agreement far below the O(dt^2) envelope
     R, dt, t0 = 1.0, 0.01, 1.3
-    state = make_state(grid256, t=t0)
-    z1_0, z2_0 = z_map(grid256, t0, state.theta.values, state.q.values, R)
+    theta0, q0 = make_state(grid256)
+    z1_0, z2_0 = z_map(grid256, t0, theta0, q0, R)
 
     th, q = rk4_integrate(
         lambda t, a, b: couette_rhs(frame(grid256, t, beta), a, b, R),
-        state.theta.values, state.q.values, t0, t0 + dt, dt)
+        theta0, q0, t0, t0 + dt, dt)
     z1_raw, z2_raw = z_map(grid256, t0 + dt, th, q, R)
 
     z1, z2 = rk4_integrate(
@@ -93,8 +88,7 @@ def test_raw_step_matches_symmetrized_step(grid256, beta):
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_full_rhs_reduces_to_couette(grid256, couette_spectrum, beta):
-    state = make_state(grid256, t=2.3)
-    th, q = state.theta.values, state.q.values
+    th, q = make_state(grid256)
     sym = frame(grid256, 2.3, beta)
     ref = couette_rhs(sym, th, q, 1.0)
     got = full_rhs(sym, th, q, couette_spectrum, 1.0)
@@ -104,9 +98,8 @@ def test_full_rhs_reduces_to_couette(grid256, couette_spectrum, beta):
 
 def test_full_rhs_perturbation_scaling(grid256):
     t, beta, R = 1.5, 1.0, 1.0
-    state = make_state(grid256, t=t)
-    th, q = state.theta.values, state.q.values
-    snorm = state.theta.l2() + state.q.l2()
+    th, q = make_state(grid256)
+    snorm = l2(grid256, th) + l2(grid256, q)
     consts = []
     for a in (0.01, 0.02, 0.04):
         prof = build_profile("perturbed", a=a, sigma=2.0, s=0.0)
@@ -129,8 +122,7 @@ def test_full_rhs_matches_dense_solve(grid256, amplitude):
     spec = sample_spectrum(build_profile("perturbed", a=amplitude, sigma=2.0), grid256)
     k = grid256.k
     for t in (0.0, 2.5, 9.0):
-        state = make_state(grid256, t=t)
-        th, q = state.theta.values, state.q.values
+        th, q = make_state(grid256)
         _, u = dense_vorticity(t, spec, beta, th)
         phi = -u / eval_p(t, k, grid256.etas)
         coupling = (apply_profile_convolution(spec, "b", phi)
@@ -142,20 +134,38 @@ def test_full_rhs_matches_dense_solve(grid256, amplitude):
 
 
 def test_evolve_zero_data_stays_zero(grid256):
-    zeros = SpectralField(grid256, np.zeros(grid256.n, complex))
-    report, final = evolve(RawState(zeros, zeros.copy(), 0.0), beta=0.0, R=1.0,
-                           t_max=1.0, dt=0.01, record_every=10)
-    assert not np.any(final.theta.values) and not np.any(final.q.values)
-    assert final.t == pytest.approx(1.0)
+    zeros = np.zeros(grid256.n, complex)
+    report, theta, q = evolve(grid256, zeros, zeros, beta=0.0, R=1.0,
+                              t_max=1.0, dt=0.01, record_every=10)
+    assert not np.any(theta) and not np.any(q)
+    assert report.times[-1] == pytest.approx(1.0)
     assert np.all(report.energy == 0.0)
     for norms in (report.q_norm, report.vx_norm, report.vy_norm, report.growth_norm):
         assert np.all(norms == 0.0)
+    # no cell carries energy, so the ratio bounds are undefined
+    assert math.isnan(report.ratio_max) and math.isnan(report.ratio_min)
+
+
+def test_evolve_rejects_bad_initial_data(grid256):
+    theta, q = make_state(grid256)
+    args = {"beta": 0.0, "R": 1.0, "t_max": 1.0, "dt": 0.01}
+    nan_theta = theta.copy()
+    nan_theta[3] = np.nan
+    with pytest.raises(ValueError, match="theta0 contains non-finite entries"):
+        evolve(grid256, nan_theta, q, **args)
+    inf_q = q.copy()
+    inf_q[200] = np.inf
+    with pytest.raises(ValueError, match="q0 contains non-finite entries"):
+        evolve(grid256, theta, inf_q, **args)
+    with pytest.raises(ValueError, match=r"q0: expected 256 values, got shape \(255,\)"):
+        evolve(grid256, theta, q[:-1], **args)
+    with pytest.raises(ValueError, match=r"theta0: expected 256 values, got shape \(\)"):
+        evolve(grid256, 1.0, q, **args)
 
 
 def test_evolve_rejects_unstable_dt(grid256):
-    state = make_state(grid256)
     with pytest.raises(ValueError, match="stability"):
-        evolve(state, beta=0.0, R=4.0, t_max=1.0, dt=0.05)
+        evolve(grid256, *make_state(grid256), beta=0.0, R=4.0, t_max=1.0, dt=0.05)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -168,16 +178,16 @@ def test_evolve_rejects_nonpositive_R_and_record_every(grid256, kwargs, message)
     # R = 0 used to return NaN energies and record_every = -1 to record every step
     args = {"beta": 0.0, "R": 1.0, "t_max": 1.0, "dt": 0.01, "record_every": 10, **kwargs}
     with pytest.raises(ValueError, match=message):
-        evolve(make_state(grid256), **args)
+        evolve(grid256, *make_state(grid256), **args)
 
 
 def test_evolve_linearity(grid256):
-    state = make_state(grid256)
-    scaled = RawState(SpectralField(grid256, 2.5 * state.theta.values),
-                      SpectralField(grid256, 2.5 * state.q.values), 0.0)
-    _, f1 = evolve(state, beta=1.0, R=1.0, t_max=2.0, dt=0.01, record_every=100)
-    _, f2 = evolve(scaled, beta=1.0, R=1.0, t_max=2.0, dt=0.01, record_every=100)
-    assert np.max(np.abs(f2.theta.values - 2.5 * f1.theta.values)) < 1e-12
+    theta, q = make_state(grid256)
+    _, th1, _ = evolve(grid256, theta, q, beta=1.0, R=1.0, t_max=2.0, dt=0.01,
+                       record_every=100)
+    _, th2, _ = evolve(grid256, 2.5 * theta, 2.5 * q, beta=1.0, R=1.0, t_max=2.0, dt=0.01,
+                       record_every=100)
+    assert np.max(np.abs(th2 - 2.5 * th1)) < 1e-12
 
 
 def test_pointwise_energy_values(grid256):
@@ -187,9 +197,9 @@ def test_pointwise_energy_values(grid256):
     eta0 = grid256.etas[140]
     t = eta0 / k
     p = eval_p(t, k, grid256.etas)
-    theta = SpectralField(grid256, p**0.25 * np.ones(grid256.n, complex))
-    q = SpectralField(grid256, np.zeros(grid256.n, complex))
-    e_eta, _ = energy_of(RawState(theta, q, t), R=1.0)
+    theta = p**0.25 * np.ones(grid256.n, complex)
+    q = np.zeros(grid256.n, complex)
+    e_eta, _ = energy_of(grid256, t, theta, q, R=1.0)
     assert e_eta[140] == pytest.approx(0.5)
 
 
@@ -200,11 +210,10 @@ def test_pointwise_energy_coercivity_sandwich():
         lo, hi = coercivity_constants(R)
         for _ in range(160):  # 160 states x 64 cells ~ 10^4 samples
             t = rng.uniform(0, 30)
-            theta = SpectralField(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64))
-            q = SpectralField(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64))
-            state = RawState(theta, q, t)
-            e_eta, _ = energy_of(state, R)
-            z1, z2 = z_map(grid, t, theta.values, q.values, R)
+            theta = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+            q = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+            e_eta, _ = energy_of(grid, t, theta, q, R)
+            z1, z2 = z_map(grid, t, theta, q, R)
             quad = np.abs(z1) ** 2 + np.abs(z2) ** 2
             assert np.all(e_eta >= lo * quad - 1e-12)
             assert np.all(e_eta <= hi * quad + 1e-12)
@@ -218,47 +227,59 @@ def test_coercivity_fails_at_and_below_threshold():
 
 
 def test_pointwise_energy_returns_quadratic_density(grid256):
-    state = make_state(grid256, t=2.7)
-    z1, z2 = z_map(grid256, 2.7, state.theta.values, state.q.values, 2.0)
-    _, quad = energy_of(state, 2.0)
+    theta, q = make_state(grid256)
+    z1, z2 = z_map(grid256, 2.7, theta, q, 2.0)
+    _, quad = energy_of(grid256, 2.7, theta, q, 2.0)
     assert np.allclose(quad, np.abs(z1) ** 2 + np.abs(z2) ** 2, rtol=1e-13, atol=0)
 
 
 def test_pointwise_energy_sobolev_factor(grid256):
-    state = make_state(grid256, t=2.7)
-    plain, _ = energy_of(state, 1.0)
-    e_s, _ = energy_of(state, 1.0, s=1.5)
-    bracket = (1.0 + grid256.k**2 + grid256.etas**2) ** 1.5
-    assert np.allclose(e_s, bracket * plain, rtol=1e-13, atol=0)
+    # the recorded damped functional is the energy form of the weighted pair
+    # (minv Z1, minv Z2), times the Sobolev factor <(k, eta)>^{2s}
+    t, R, s = 2.7, 1.0, 1.5
+    k, etas = grid256.k, grid256.etas
+    ws = WeightSet.for_run(R, 1.0, 0.02)
+    theta, q = make_state(grid256)
+    report, _, _ = evolve(grid256, theta, q, beta=1.0, R=R, t_max=0.01, dt=0.01, t0=t,
+                          weights=ws, s=s, record_every=1)
+    minv = ws.energy_weight_inv(t, k, etas)
+    z1, z2 = (minv * z for z in z_map(grid256, t, theta, q, R))
+    p = eval_p(t, k, etas)
+    mixed = (eval_p_prime(t, k, etas) / np.sqrt(p)) * (z1 * np.conj(z2)).real \
+        / (2.0 * k * math.sqrt(R))
+    bracket = (1.0 + k**2 + etas**2) ** s
+    density = 0.5 * bracket * (np.abs(z1) ** 2 + np.abs(z2) ** 2 + mixed)
+    assert report.times[0] == t
+    assert report.energy_weighted[0] == pytest.approx(grid256.integrate(density), rel=1e-13)
 
 
 def test_weighted_energy_zero_state(grid256):
-    zeros = SpectralField(grid256, np.zeros(grid256.n, complex))
+    zeros = np.zeros(grid256.n, complex)
     ws = WeightSet.for_run(1.0, 1.0, 0.02)
-    e_eta, _ = energy_of(RawState(zeros, zeros.copy(), 1.0), 1.0, ws)
-    assert grid256.integrate(e_eta) == 0.0
+    report, _, _ = evolve(grid256, zeros, zeros, beta=1.0, R=1.0, t_max=0.02, dt=0.01,
+                          t0=1.0, weights=ws, s=1.5, record_every=1)
+    assert np.all(report.energy_weighted == 0.0)
 
 
 def test_weighted_energy_matches_pointwise_at_t0(grid256):
     # at t = 0 every weight is 1, so with s = 0 the functionals coincide
     ws = WeightSet.for_run(1.0, 0.0, 0.0)  # epsilon 0 -> delta 0
-    state = make_state(grid256, t=0.0)
-    plain, _ = energy_of(state, 1.0)
-    weighted, _ = energy_of(state, 1.0, ws, s=0.0)
-    assert grid256.integrate(weighted) == pytest.approx(grid256.integrate(plain), rel=1e-12)
+    report, _, _ = evolve(grid256, *make_state(grid256), beta=0.0, R=1.0, t_max=0.01,
+                          dt=0.01, weights=ws, s=0.0, record_every=1)
+    assert report.energy_weighted[0] == report.energy[0]
 
 
 def test_recorded_energy_inside_coercivity_envelopes(grid256):
-    state = make_state(grid256)
-    report, _ = evolve(state, beta=1.0, R=1.0, t_max=20.0, dt=0.01, record_every=20)
+    report, _, _ = evolve(grid256, *make_state(grid256), beta=1.0, R=1.0, t_max=20.0,
+                          dt=0.01, record_every=20)
     assert np.all(report.energy >= report.energy_lower - 1e-12)
     assert np.all(report.energy <= report.energy_upper + 1e-12)
 
 
 def test_negative_wavenumber_evolution():
     grid = FrequencyGrid(k=-1, eta_max=16.0, n=256)
-    state = make_state(grid)
-    report, _ = evolve(state, beta=1.0, R=1.0, t_max=10.0, dt=0.01, record_every=20)
+    report, _, _ = evolve(grid, *make_state(grid), beta=1.0, R=1.0, t_max=10.0, dt=0.01,
+                          record_every=20)
     assert np.all(np.isfinite(report.energy))
     assert report.ratio_max < 50.0 and report.ratio_min > 1.0 / 50.0
     assert np.all(report.energy >= report.energy_lower - 1e-12)
@@ -266,8 +287,8 @@ def test_negative_wavenumber_evolution():
 
 def test_couette_energy_ratio_envelope(grid256):
     # per-cell energy ratio within the explicit envelope for R=1, beta=1
-    state = make_state(grid256)
-    report, _ = evolve(state, beta=1.0, R=1.0, t_max=50.0, dt=0.01, record_every=20)
+    report, _, _ = evolve(grid256, *make_state(grid256), beta=1.0, R=1.0, t_max=50.0,
+                          dt=0.01, record_every=20)
     log_env = 4 * math.pi * (1 + 1.0) ** 2 / (2 * math.sqrt(1.0) - 1)
     assert math.log(report.ratio_max) <= log_env
     assert math.log(report.ratio_min) >= -log_env
@@ -282,9 +303,9 @@ def test_evolve_blowup_guard(grid256, monkeypatch):
         return 10.0 * theta, 10.0 * q
 
     monkeypatch.setattr(ev, "couette_rhs", runaway)
-    state = make_state(grid256)
     with pytest.raises(StepUnstable, match=r"amplitude grew by more than 1e\+06 at k = 1, t = "):
-        ev.evolve(state, beta=0.0, R=1.0, t_max=2.0, dt=0.01, record_every=1)
+        ev.evolve(grid256, *make_state(grid256), beta=0.0, R=1.0, t_max=2.0, dt=0.01,
+                  record_every=1)
 
 
 def count_calls(monkeypatch, counts, label, owners, name):
@@ -335,8 +356,8 @@ def test_evolve_evaluates_bl_once_per_distinct_time(grid256, monkeypatch):
     counts = Counter()
     count_bl_calls(monkeypatch, counts)
     n_steps = 200
-    report, _ = evolve(make_state(grid256), beta=1.0, R=1.0, t_max=n_steps * 0.01,
-                       dt=0.01, record_every=10)
+    report, _, _ = evolve(grid256, *make_state(grid256), beta=1.0, R=1.0,
+                          t_max=n_steps * 0.01, dt=0.01, record_every=10)
     assert 2 * n_steps <= counts["eval_bl"] <= 2 * n_steps + report.times.size + 1
 
 
@@ -346,8 +367,8 @@ def test_perturbed_evolve_evaluates_bl_once_per_distinct_time(grid256, bump_spec
     counts = Counter()
     count_bl_calls(monkeypatch, counts)
     n_steps = 20
-    report, _ = evolve(make_state(grid256), beta=1.0, R=1.0, t_max=n_steps * 0.01,
-                       dt=0.01, record_every=5, spec=spec)
+    report, _, _ = evolve(grid256, *make_state(grid256), beta=1.0, R=1.0,
+                          t_max=n_steps * 0.01, dt=0.01, record_every=5, spec=spec)
     assert 2 * n_steps <= counts["eval_bl"] <= 2 * n_steps + report.times.size + 1
 
 
@@ -358,7 +379,7 @@ def test_solve_vorticity_builds_symbols_once_per_solve(grid256, bump_spectrum, m
     count_bl_calls(monkeypatch, counts)
     count_calls(monkeypatch, counts, "FrameSymbols", (FrameSymbols,), "__init__")
     stats = SolveStats()
-    theta = make_state(grid256).theta.values
+    theta, _ = make_state(grid256)
     solve_vorticity(sym, spec, theta, stats=stats)
     assert stats.iterations_max >= 3
     assert counts["eval_bl"] == 1
@@ -369,8 +390,7 @@ def test_full_rhs_skips_g1_coupling_at_beta_zero(grid256, bump_spectrum, monkeyp
     from stratshear import evolution, spectral_ops
 
     _, spec = bump_spectrum
-    state = make_state(grid256, t=1.1)
-    th, q = state.theta.values, state.q.values
+    th, q = make_state(grid256)
     kernels = Counter()
     for owner in (evolution, spectral_ops):
         real = owner.apply_profile_convolution
@@ -409,4 +429,5 @@ def test_step_guard_catches_nan_in_either_field(monkeypatch, field):
 
     monkeypatch.setattr(ev, "couette_rhs", poisoned)
     with pytest.raises(StepUnstable, match=r"non-finite field at k = 2, t = 0\.06$"):
-        ev.evolve(make_state(grid), beta=1.0, R=1.0, t_max=2.0, dt=0.01, record_every=10)
+        ev.evolve(grid, *make_state(grid), beta=1.0, R=1.0, t_max=2.0, dt=0.01,
+                  record_every=10)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_resolvent, frame, gaussian_field
-from stratshear.evolution import RawState, evolve
+from conftest import dense_resolvent, frame, gaussian_field, l2
+from stratshear.evolution import evolve
 from stratshear.multipliers import eval_bl, eval_p
 from stratshear.observables import (
     InsufficientWindow,
@@ -12,33 +12,29 @@ from stratshear.observables import (
     fit_power_law,
 )
 from stratshear.shear import fourier_transform_samples
-from stratshear.spectral_ops import FrequencyGrid, SpectralField, solve_vorticity
+from stratshear.spectral_ops import FrequencyGrid, solve_vorticity
 
 
-def first_record(theta, q, t):
+def first_record(grid, theta, q, t):
     """Recorded norms of a beta = 0 Couette state at its own time t (row 0)."""
-    report, _ = evolve(RawState(theta, q, t), beta=0.0, R=1.0, t_max=0.01, dt=0.01,
-                       record_every=1)
+    report, _, _ = evolve(grid, theta, q, beta=0.0, R=1.0, t_max=0.01, dt=0.01, t0=t,
+                          record_every=1)
     return report
-
-
-def l2(grid, values):
-    return SpectralField(grid, values).l2()
 
 
 def test_vorticity_identity_for_zero_beta(grid256):
     theta = gaussian_field(grid256, phase=0.3)
-    omega, _ = solve_vorticity(frame(grid256, 2.0), None, theta.values)
-    assert np.array_equal(omega, theta.values)
+    omega, _ = solve_vorticity(frame(grid256, 2.0), None, theta)
+    assert np.array_equal(omega, theta)
 
 
 def test_vorticity_couette_pointwise_bounds(grid256):
     beta = 2.0
     theta = gaussian_field(grid256, center=0.5)
     for t in (0.0, 3.0, 11.0):
-        omega, _ = solve_vorticity(frame(grid256, t, beta), None, theta.values)
-        lo = np.abs(theta.values) / np.sqrt(1 + beta * beta)
-        assert np.all(np.abs(omega) <= np.abs(theta.values) * (1 + 1e-12))
+        omega, _ = solve_vorticity(frame(grid256, t, beta), None, theta)
+        lo = np.abs(theta) / np.sqrt(1 + beta * beta)
+        assert np.all(np.abs(omega) <= np.abs(theta) * (1 + 1e-12))
         assert np.all(np.abs(omega) >= lo * (1 - 1e-12))
 
 
@@ -46,12 +42,12 @@ def test_vorticity_roundtrip_near_couette(grid256, bump_spectrum):
     _, spec = bump_spectrum
     beta, t = 1.0, 2.0
     theta = gaussian_field(grid256, center=0.2, alpha=0.8)
-    omega, _ = solve_vorticity(frame(grid256, t, beta), spec, theta.values, tol=1e-12)
+    omega, _ = solve_vorticity(frame(grid256, t, beta), spec, theta, tol=1e-12)
     # invert: theta = BL^{-1} (omega - B_eps omega)
     bl = eval_bl(t, grid256.k, grid256.etas, beta)
     beps = dense_resolvent(t, spec, beta)[1] @ omega
     back = (omega - beps) / bl
-    assert np.max(np.abs(back - theta.values)) <= 1e-8 * np.max(np.abs(theta.values))
+    assert np.max(np.abs(back - theta)) <= 1e-8 * np.max(np.abs(theta))
 
 
 def test_velocity_multiplier_identity(grid256):
@@ -59,22 +55,22 @@ def test_velocity_multiplier_identity(grid256):
     omega = gaussian_field(grid256, center=-0.3, phase=0.2)
     q = gaussian_field(grid256, center=1.0)
     for t in (0.0, 4.0):
-        report = first_record(omega, q, t)
+        report = first_record(grid256, omega, q, t)
         sym = frame(grid256, t)
         d, p = sym.d, sym.p
         assert report.times[0] == t
-        assert report.vx_norm[0] == pytest.approx(l2(grid256, 1j * d * omega.values / p),
+        assert report.vx_norm[0] == pytest.approx(l2(grid256, 1j * d * omega / p),
                                                   rel=1e-15)
         assert report.vy_norm[0] == pytest.approx(
-            l2(grid256, -1j * grid256.k * omega.values / p), rel=1e-15)
+            l2(grid256, -1j * grid256.k * omega / p), rel=1e-15)
 
 
 def test_velocity_point_value():
     # t=0, k=1, omega = 1: vy = -i / p and vx = i eta / p with p = 1 + eta^2,
     # whose norms over the grid span [-L, L] have closed forms
     grid = FrequencyGrid(k=1, eta_max=8.0, n=512)
-    ones = SpectralField(grid, np.ones(grid.n, complex))
-    report = first_record(ones, ones.copy(), 0.0)
+    ones = np.ones(grid.n, complex)
+    report = first_record(grid, ones, ones, 0.0)
     big_l = grid.etas[-1]
     inv_p2 = big_l / (1 + big_l**2) + math.atan(big_l)  # int 1/p^2
     inv_p = 2 * math.atan(big_l)  # int 1/p
@@ -85,15 +81,15 @@ def test_velocity_point_value():
 def test_velocity_vy_bounded_by_omega_over_sqrt_p(grid256):
     omega = gaussian_field(grid256)
     for t in (0.0, 7.0):
-        report = first_record(omega, omega.copy(), t)
-        bound = l2(grid256, np.abs(omega.values) / np.sqrt(eval_p(t, grid256.k, grid256.etas)))
+        report = first_record(grid256, omega, omega, t)
+        bound = l2(grid256, np.abs(omega) / np.sqrt(eval_p(t, grid256.k, grid256.etas)))
         assert report.vy_norm[0] <= bound * (1 + 1e-12)
 
 
 def test_recorded_norms_zero_history(grid256):
-    zeros = SpectralField(grid256, np.zeros(grid256.n, complex))
-    report, _ = evolve(RawState(zeros, zeros.copy(), 0.0), beta=1.0, R=1.0,
-                       t_max=0.04, dt=0.01, record_every=1)
+    zeros = np.zeros(grid256.n, complex)
+    report, _, _ = evolve(grid256, zeros, zeros, beta=1.0, R=1.0, t_max=0.04, dt=0.01,
+                          record_every=1)
     assert report.times.size == 5
     assert np.all(report.q_norm == 0) and np.all(report.growth_norm == 0)
 
@@ -103,8 +99,7 @@ def test_recorded_norms_plancherel_crosscheck(grid256):
     # frequency-side norm up to the sqrt(2 pi) transform constant
     alpha = 0.5
     qhat = np.exp(-alpha * grid256.etas**2)
-    report = first_record(SpectralField(grid256, np.zeros(grid256.n, complex)),
-                          SpectralField(grid256, qhat.astype(complex)), 0.0)
+    report = first_record(grid256, np.zeros(grid256.n, complex), qhat.astype(complex), 0.0)
     # q(Y) = (1/2pi) int qhat e^{i eta Y} d eta is a Gaussian with closed form
     y = np.linspace(-30, 30, 6001)
     qy = fourier_transform_samples(grid256.etas, qhat, -y).conj() / (2 * np.pi)
@@ -113,8 +108,9 @@ def test_recorded_norms_plancherel_crosscheck(grid256):
 
 
 def test_recorded_norms_nonnegative_finite(grid256):
-    state = RawState(gaussian_field(grid256), gaussian_field(grid256, center=1.0, alpha=0.5), 0.0)
-    report, _ = evolve(state, beta=1.0, R=1.0, t_max=5.0, dt=0.01, record_every=50)
+    report, _, _ = evolve(grid256, gaussian_field(grid256),
+                          gaussian_field(grid256, center=1.0, alpha=0.5),
+                          beta=1.0, R=1.0, t_max=5.0, dt=0.01, record_every=50)
     for arr in (report.q_norm, report.vx_norm, report.vy_norm, report.growth_norm):
         assert arr.shape == report.times.shape
         assert np.all(np.isfinite(arr)) and np.all(arr >= 0)
@@ -123,10 +119,9 @@ def test_recorded_norms_nonnegative_finite(grid256):
 def test_vy_decade_decay_ratio():
     # vy norm falls by ~10^{-3/2} per decade for the standard data
     grid = FrequencyGrid(k=1, eta_max=20.0, n=512)
-    state = RawState(SpectralField(grid, np.exp(-grid.etas**2).astype(complex)),
-                     SpectralField(grid, np.exp(-((grid.etas - 1) ** 2) / 2).astype(complex)),
-                     0.0)
-    ser, _ = evolve(state, beta=1.0, R=1.0, t_max=100.0, dt=0.01, record_every=100)
+    ser, _, _ = evolve(grid, np.exp(-grid.etas**2).astype(complex),
+                       np.exp(-((grid.etas - 1) ** 2) / 2).astype(complex),
+                       beta=1.0, R=1.0, t_max=100.0, dt=0.01, record_every=100)
     i10 = int(np.argmin(np.abs(ser.times - 10.0)))
     i100 = int(np.argmin(np.abs(ser.times - 100.0)))
     ratio = ser.vy_norm[i100] / ser.vy_norm[i10]

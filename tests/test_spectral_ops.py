@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_resolvent, dense_vorticity, frame, gaussian_field, operator_matrix
+from conftest import dense_resolvent, dense_t_eps, dense_vorticity, frame, gaussian_field, l2
 from stratshear.evolution import full_rhs
 from stratshear.multipliers import eval_bl, eval_p
 from stratshear.shear import build_profile, sample_spectrum
@@ -9,8 +9,7 @@ from stratshear.spectral_ops import (
     FrequencyGrid,
     NonConvergence,
     SolveStats,
-    SpectralField,
-    apply_T_eps,
+    _t_eps_values,
     solve_vorticity,
 )
 from stratshear.weights import energy_weight_inv
@@ -27,10 +26,9 @@ def forward_delta_t(t, spec, u):
     grid = spec.grid
     d = grid.etas - grid.k * t
     p = eval_p(t, grid.k, grid.etas)
-    out = -p * u.values
-    out = out + apply_profile_convolution(spec, "g2", -(d * d) * u.values)
-    out = out + apply_profile_convolution(spec, "b", 1j * d * u.values)
-    return SpectralField(grid, out)
+    out = -p * u
+    out = out + apply_profile_convolution(spec, "g2", -(d * d) * u)
+    return out + apply_profile_convolution(spec, "b", 1j * d * u)
 
 
 def test_grid_basic_invariants():
@@ -42,14 +40,6 @@ def test_grid_basic_invariants():
         FrequencyGrid(k=0, eta_max=10.0, n=64)
     with pytest.raises(ValueError):
         FrequencyGrid(k=1, eta_max=10.0, n=63)
-
-
-def test_field_rejects_non_finite():
-    g = FrequencyGrid(k=1, eta_max=4.0, n=8)
-    vals = np.zeros(8, complex)
-    vals[3] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        SpectralField(g, vals)
 
 
 def inv_laplace_via_rhs(t, spec, theta):
@@ -73,14 +63,8 @@ def test_inv_laplace_at_critical_time(grid256, couette_spectrum):
     eta0 = grid256.etas[130]
     t = eta0 / grid256.k
     u = gaussian_field(grid256)
-    out = inv_laplace_via_rhs(t, couette_spectrum, u.values)
-    assert out[130] == pytest.approx(-u.values[130] / grid256.k**2)
-
-
-def test_t_eps_couette_is_zero(grid256, couette_spectrum):
-    u = gaussian_field(grid256, phase=0.7)
-    out = apply_T_eps(frame(grid256, 1.5), couette_spectrum, u)
-    assert not np.any(out.values)
+    out = inv_laplace_via_rhs(t, couette_spectrum, u)
+    assert out[130] == pytest.approx(-u[130] / grid256.k**2)
 
 
 def test_t_eps_inner_multiplier_bounded(grid256):
@@ -95,7 +79,7 @@ def test_t_eps_norm_scales_with_amplitude(grid256):
     norms = {}
     for a in (0.025, 0.05):
         spec = sample_spectrum(build_profile("perturbed", a=a, sigma=2.0, y0=0.4), grid256)
-        mat = operator_matrix(lambda f: apply_T_eps(frame(grid256, t), spec, f), grid256)
+        mat = dense_t_eps(t, spec)
         rng = np.random.default_rng(40)
         v = rng.standard_normal(grid256.n) + 1j * rng.standard_normal(grid256.n)
         for _ in range(60):
@@ -132,9 +116,9 @@ def test_profile_convolution_matches_physical_product(grid256, bump_spectrum):
 def test_solve_tl_couette_identity(grid256, couette_spectrum):
     f = gaussian_field(grid256, center=1.0)
     for spec in (couette_spectrum, None):
-        omega, u = solve_vorticity(frame(grid256, 0.8), spec, f.values)
-        assert np.array_equal(u, f.values)
-        assert np.array_equal(omega, f.values)
+        omega, u = solve_vorticity(frame(grid256, 0.8), spec, f)
+        assert np.array_equal(u, f)
+        assert np.array_equal(omega, f)
 
 
 def test_solve_tl_residual_contract(grid256, bump_spectrum):
@@ -143,9 +127,9 @@ def test_solve_tl_residual_contract(grid256, bump_spectrum):
     for t in (0.0, 1.7, 12.0):
         f = gaussian_field(grid256, center=-0.5, alpha=0.8)
         sym = frame(grid256, t)
-        _, u = solve_vorticity(sym, spec, f.values, tol=tol)
-        resid = u - f.values - apply_T_eps(sym, spec, SpectralField(grid256, u)).values
-        assert np.linalg.norm(resid) <= tol * np.linalg.norm(f.values)
+        _, u = solve_vorticity(sym, spec, f, tol=tol)
+        resid = u - f - dense_t_eps(t, spec) @ u
+        assert np.linalg.norm(resid) <= tol * np.linalg.norm(f)
 
 
 def test_solve_tl_agrees_with_dense_solve(grid256, bump_spectrum):
@@ -153,12 +137,10 @@ def test_solve_tl_agrees_with_dense_solve(grid256, bump_spectrum):
     t = 2.5
     tol = 1e-10
     eye = np.eye(grid256.n, dtype=complex)
-    sym = frame(grid256, t)
-    a_mat = eye - operator_matrix(lambda v: apply_T_eps(sym, spec, v), grid256)
     f = gaussian_field(grid256, center=0.5)
-    direct = np.linalg.solve(a_mat, f.values)
-    _, vianeumann = solve_vorticity(sym, spec, f.values, tol=tol)
-    denom = np.linalg.norm(f.values)
+    direct = np.linalg.solve(eye - dense_t_eps(t, spec), f)
+    _, vianeumann = solve_vorticity(frame(grid256, t), spec, f, tol=tol)
+    denom = np.linalg.norm(f)
     assert np.linalg.norm(direct - vianeumann) <= 10 * tol * denom
 
 
@@ -168,7 +150,7 @@ def test_solve_tl_nonconvergence_for_large_profile(grid256):
     spec = sample_spectrum(prof, grid256)
     f = gaussian_field(grid256)
     with pytest.raises(NonConvergence, match=r"k = 1, t = 1\b") as err:
-        solve_vorticity(frame(grid256, 1.0), spec, f.values, tol=1e-10, max_iter=50)
+        solve_vorticity(frame(grid256, 1.0), spec, f, tol=1e-10, max_iter=50)
     assert err.value.iterations > 0
 
 
@@ -176,10 +158,10 @@ def test_b_eps_zero_cases(grid256, bump_spectrum, couette_spectrum):
     # the vorticity correction vanishes: Omega = BL Theta exactly
     _, spec = bump_spectrum
     u = gaussian_field(grid256)
-    omega, _ = solve_vorticity(frame(grid256, 1.0), spec, u.values)
-    assert np.array_equal(omega, u.values)
-    omega, _ = solve_vorticity(frame(grid256, 1.0, 2.0), couette_spectrum, u.values)
-    assert np.array_equal(omega, eval_bl(1.0, grid256.k, grid256.etas, 2.0) * u.values)
+    omega, _ = solve_vorticity(frame(grid256, 1.0), spec, u)
+    assert np.array_equal(omega, u)
+    omega, _ = solve_vorticity(frame(grid256, 1.0, 2.0), couette_spectrum, u)
+    assert np.array_equal(omega, eval_bl(1.0, grid256.k, grid256.etas, 2.0) * u)
     assert not np.any(dense_resolvent(1.0, spec, 0.0)[1])
     assert not np.any(dense_resolvent(1.0, couette_spectrum, 2.0)[1])
 
@@ -192,8 +174,8 @@ def test_b_eps_norm_scales_with_epsilon(grid256):
     for a in (0.01, 0.02, 0.04):
         prof = build_profile("perturbed", a=a, sigma=2.0, s=0.0)
         spec = sample_spectrum(prof, grid256)
-        out = SpectralField(grid256, dense_resolvent(t, spec, beta)[1] @ u.values)
-        consts.append(out.l2() / (beta * prof.epsilon * u.l2()))
+        out = dense_resolvent(t, spec, beta)[1] @ u
+        consts.append(l2(grid256, out) / (beta * prof.epsilon * l2(grid256, u)))
     assert all(np.isfinite(consts))
     base = consts[0]
     for c in consts[1:]:
@@ -205,9 +187,9 @@ def test_solve_tb_couette_and_beta_zero(grid256, bump_spectrum, couette_spectrum
     _, spec = bump_spectrum
     f = gaussian_field(grid256)
     bl = eval_bl(1.0, grid256.k, grid256.etas, 2.0)
-    omega, u = solve_vorticity(frame(grid256, 1.0, 2.0), couette_spectrum, f.values)
-    assert np.array_equal(omega, bl * f.values) and np.array_equal(u, omega)
-    assert np.array_equal(solve_vorticity(frame(grid256, 1.0), spec, f.values)[0], f.values)
+    omega, u = solve_vorticity(frame(grid256, 1.0, 2.0), couette_spectrum, f)
+    assert np.array_equal(omega, bl * f) and np.array_equal(u, omega)
+    assert np.array_equal(solve_vorticity(frame(grid256, 1.0), spec, f)[0], f)
 
 
 def test_solve_tb_residual_and_norm_bound(grid256, bump_spectrum):
@@ -215,22 +197,22 @@ def test_solve_tb_residual_and_norm_bound(grid256, bump_spectrum):
     t, beta, tol = 3.0, 1.0, 1e-10
     f = gaussian_field(grid256, center=-1.0)
     t_l, b, bl = dense_resolvent(t, spec, beta)
-    omega, u = solve_vorticity(frame(grid256, t, beta), spec, f.values, tol=tol)
-    src = bl * f.values
+    omega, u = solve_vorticity(frame(grid256, t, beta), spec, f, tol=tol)
+    src = bl * f
     resid = omega - src - b @ omega
     assert np.linalg.norm(resid) <= 2 * tol * np.linalg.norm(src)
     assert np.linalg.norm(u - t_l @ omega) <= 2 * tol * np.linalg.norm(src)
-    assert SpectralField(grid256, omega).l2() <= 2.0 * SpectralField(grid256, src).l2()
+    assert l2(grid256, omega) <= 2.0 * l2(grid256, src)
 
 
 def test_solve_tb_agrees_with_dense_solve(grid256, bump_spectrum):
     _, spec = bump_spectrum
     t, beta, tol = 2.5, 1.0, 1e-10
     f = gaussian_field(grid256, center=0.5)
-    dense_omega, dense_u = dense_vorticity(t, spec, beta, f.values)
-    omega, u = solve_vorticity(frame(grid256, t, beta), spec, f.values, tol=tol)
-    assert np.linalg.norm(dense_omega - omega) <= 10 * tol * np.linalg.norm(f.values)
-    assert np.linalg.norm(dense_u - u) <= 10 * tol * np.linalg.norm(f.values)
+    dense_omega, dense_u = dense_vorticity(t, spec, beta, f)
+    omega, u = solve_vorticity(frame(grid256, t, beta), spec, f, tol=tol)
+    assert np.linalg.norm(dense_omega - omega) <= 10 * tol * np.linalg.norm(f)
+    assert np.linalg.norm(dense_u - u) <= 10 * tol * np.linalg.norm(f)
 
 
 def test_bt_couette_reduces_to_multiplier(grid256, couette_spectrum):
@@ -238,15 +220,15 @@ def test_bt_couette_reduces_to_multiplier(grid256, couette_spectrum):
     u = gaussian_field(grid256, center=0.2)
     bl = eval_bl(t, grid256.k, grid256.etas, beta)
     for spec in (couette_spectrum, None):
-        omega, _ = solve_vorticity(frame(grid256, t, beta), spec, u.values)
-        assert np.max(np.abs(omega - bl * u.values)) < 1e-15
+        omega, _ = solve_vorticity(frame(grid256, t, beta), spec, u)
+        assert np.max(np.abs(omega - bl * u)) < 1e-15
 
 
 def test_inv_delta_t_couette_reduces(grid256, couette_spectrum):
     t = 4.0
     u = gaussian_field(grid256)
-    out = inv_laplace_via_rhs(t, couette_spectrum, u.values)
-    assert np.max(np.abs(out + u.values / eval_p(t, grid256.k, grid256.etas))) < 1e-15
+    out = inv_laplace_via_rhs(t, couette_spectrum, u)
+    assert np.max(np.abs(out + u / eval_p(t, grid256.k, grid256.etas))) < 1e-15
 
 
 def test_forward_inverse_consistency(grid256, bump_spectrum):
@@ -256,10 +238,10 @@ def test_forward_inverse_consistency(grid256, bump_spectrum):
     for t in (0.0, 2.0, 9.0):
         u = gaussian_field(grid256, center=0.4, alpha=0.6)
         sym = frame(grid256, t)
-        _, tl = solve_vorticity(sym, spec, u.values, tol=1e-12)
-        back = forward_delta_t(t, spec, SpectralField(grid256, -tl / sym.p))
-        err = np.linalg.norm((back.values - u.values)[interior])
-        assert err <= 1e-6 * np.linalg.norm(u.values[interior])
+        _, tl = solve_vorticity(sym, spec, u, tol=1e-12)
+        back = forward_delta_t(t, spec, -tl / sym.p)
+        err = np.linalg.norm((back - u)[interior])
+        assert err <= 1e-6 * np.linalg.norm(u[interior])
 
 
 def test_operators_are_linear(grid256, bump_spectrum):
@@ -273,13 +255,13 @@ def test_operators_are_linear(grid256, bump_spectrum):
     b = dense_resolvent(t, spec, beta)[1]
     sym = frame(grid256, t, beta)
     for op, bound in (
-        (lambda f: apply_T_eps(sym, spec, SpectralField(grid256, f)).values, 1e-12),
+        (lambda f: _t_eps_values(sym, spec, f), 1e-12),
         (lambda f: b @ f, 1e-12),
         (lambda f: solve_vorticity(sym, spec, f, tol=tol)[0], 10 * tol),
         (lambda f: solve_vorticity(sym, spec, f, tol=tol)[1], 10 * tol),
     ):
-        lhs = op(alpha * u.values + v.values)
-        rhs = alpha * op(u.values) + op(v.values)
+        lhs = op(alpha * u + v)
+        rhs = alpha * op(u) + op(v)
         scale = max(np.max(np.abs(lhs)), 1e-30)
         assert np.max(np.abs(lhs - rhs)) <= bound * max(scale, 1.0)
 
@@ -288,8 +270,8 @@ def test_neumann_contraction_ratio_logged(grid256, bump_spectrum):
     _, spec = bump_spectrum
     stats = SolveStats()
     f = gaussian_field(grid256)
-    solve_vorticity(frame(grid256, 1.0), spec, f.values, stats=stats)
-    solve_vorticity(frame(grid256, 1.0, 1.0), spec, f.values, stats=stats)
+    solve_vorticity(frame(grid256, 1.0), spec, f, stats=stats)
+    solve_vorticity(frame(grid256, 1.0, 1.0), spec, f, stats=stats)
     assert stats.solves == 2
     assert stats.ratio_max < 0.5
 
@@ -315,13 +297,13 @@ def test_weighted_commutation_bounds(grid256):
         worst_tl = worst_tb = worst_teps = worst_beps = 0.0
         eye = np.eye(grid256.n)
         for t in t_samples:
-            wn = weighted_norm(u.values, t)
+            wn = weighted_norm(u, t)
             t_l, b, _ = dense_resolvent(t, spec, 1.0)
-            worst_tl = max(worst_tl, weighted_norm(t_l @ u.values, t) / wn)
-            worst_tb = max(worst_tb, weighted_norm(np.linalg.solve(eye - b, u.values), t) / wn)
+            worst_tl = max(worst_tl, weighted_norm(t_l @ u, t) / wn)
+            worst_tb = max(worst_tb, weighted_norm(np.linalg.solve(eye - b, u), t) / wn)
             worst_teps = max(worst_teps,
-                             weighted_norm(apply_T_eps(frame(grid256, t), spec, u).values, t) / wn)
-            worst_beps = max(worst_beps, weighted_norm(b @ u.values, t) / wn)
+                             weighted_norm(dense_t_eps(t, spec) @ u, t) / wn)
+            worst_beps = max(worst_beps, weighted_norm(b @ u, t) / wn)
         assert worst_tl <= 2.0
         assert worst_tb <= 2.0
         eps_consts.append((worst_teps / prof.epsilon, worst_beps / prof.epsilon))
