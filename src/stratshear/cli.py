@@ -39,6 +39,10 @@ ES_MONOTONE_RTOL = 1e-6
 # the problem is linear, so scale carries no physics; at 1e100 the squared
 # energies of a 100-time-unit N = 512 run still fit a double
 MAX_INIT_AMPLITUDE = 1e100
+# the damped functional scales energy densities by (1 + k^2 + eta^2)^s; for
+# densities of the size MAX_INIT_AMPLITUDE^2 the product fits a double while
+# the log of that factor stays below this
+MAX_LOG_SOBOLEV_FACTOR = math.log(sys.float_info.max / MAX_INIT_AMPLITUDE**2)
 
 
 class ConfigError(ValueError):
@@ -138,7 +142,7 @@ class RunConfig:
             raise ConfigError("mode = couette requires profile.kind = couette")
         if self.beta < 0:
             raise ConfigError("beta must be nonnegative")
-        if self.s < 0:
+        if not self.s >= 0:
             raise ConfigError(f"s must be nonnegative, got {self.s}")
         if self.weights_c0 < 0:
             raise ConfigError(f"weights.C0 must be nonnegative, got {self.weights_c0}")
@@ -147,6 +151,13 @@ class RunConfig:
             raise ConfigError(
                 f"time.dt = {self.time_dt} violates the stability margin "
                 f"0 < dt * |k| * max(R, 1 + beta) <= 0.1 for k = {kmax}"
+            )
+        log_bracket = math.log1p(kmax**2 + self.grid_eta_max**2)
+        if self.s * log_bracket > MAX_LOG_SOBOLEV_FACTOR:
+            raise ConfigError(
+                f"s = {self.s} makes the Sobolev factor (1 + k^2 + eta_max^2)^s overflow "
+                f"energy densities up to {MAX_INIT_AMPLITUDE:g}^2; on this grid s must be "
+                f"at most {MAX_LOG_SOBOLEV_FACTOR / log_bracket:.4g}"
             )
         if self.time_t_max < self.time_dt:
             raise ConfigError(f"time.t_max = {self.time_t_max} is below time.dt = {self.time_dt}")

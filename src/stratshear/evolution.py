@@ -209,7 +209,8 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
     non-finite or its amplitude exceeds BLOWUP_FACTOR times its initial
     value, and ``ValueError`` when either initial array is not of shape
     (grid.n,) or holds a non-finite value, R is not positive, record_every
-    is below 1 or dt fails ``dt_is_stable``.
+    is below 1, dt fails ``dt_is_stable`` or, with weights, the Sobolev
+    factor <(k, eta)>^{2s} is not finite on the grid.
 
     Returns (EnergyReport, theta, q) with the fields at the final time
     ``report.times[-1]``.
@@ -243,7 +244,12 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
     cell_share = e0_eta * grid.deta
     total0 = float(np.sum(cell_share))
     mask = cell_share >= ENERGY_MASK_SHARE * total0 if total0 > 0 else np.zeros(grid.n, bool)
-    sob = None if weights is None else (1.0 + k * k + grid.etas**2) ** s
+    sob = None
+    if weights is not None:
+        with np.errstate(over="ignore"):
+            sob = (1.0 + k * k + grid.etas**2) ** s
+        if not np.all(np.isfinite(sob)):
+            raise ValueError(f"Sobolev factor (1 + k^2 + eta^2)^s is not finite at s = {s}")
 
     amp0 = _amplitude(theta0, q0)
 

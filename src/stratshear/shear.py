@@ -35,10 +35,12 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 _INVERSION_TOL = 1e-13
-# quadrature samples per transform window; one 256-frequency chunk of the
-# transform then holds a 256 x 2^15 real and a 256 x 2^15 complex buffer
-# (about 200 MB together)
+# quadrature samples per transform window; one 64-frequency chunk of the
+# transform then holds a 64 x 2^15 real and a 64 x 2^15 complex buffer
+# (about 50 MB together)
 _MAX_WINDOW_SAMPLES = 2**15
+# math.erf as a ufunc (it returns Python floats, cast back on use)
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 
 class GridResolutionError(ValueError):
@@ -51,11 +53,8 @@ def _bump(z):
 
 
 def _bump_primitive(z):
-    # odd, with sup of the derivative equal to 1 and range (-sqrt(pi)/2, sqrt(pi)/2);
-    # scipy.special is imported here so that only a perturbed profile pays for it
-    from scipy.special import erf
-
-    return 0.5 * _SQRT_PI * erf(np.asarray(z, dtype=float))
+    # odd, with sup of the derivative equal to 1 and range (-sqrt(pi)/2, sqrt(pi)/2)
+    return 0.5 * _SQRT_PI * np.asarray(_erf(np.asarray(z, dtype=float)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ def fourier_transform_samples(y, values, etas):
     shape (M, c); the result has shape (len(etas),) or (len(etas), c).
     ``y`` must be uniformly spaced and wide enough that every sampled
     function is negligible at the window ends.  Evaluation is chunked over
-    ``etas`` to bound memory: each chunk of 256 frequencies fills one phase
+    ``etas`` to bound memory: each chunk of 64 frequencies fills one phase
     matrix exp(-i eta y), in buffers reused across chunks, and every column
     of the stack shares it through its own matrix-vector product, so a
     stacked column equals the transform of that column alone.
@@ -139,7 +138,7 @@ def fourier_transform_samples(y, values, etas):
     wts[0] = wts[-1] = 0.5 * h
     weighted = np.ascontiguousarray(np.atleast_2d(values.T) * wts)  # one row per column
     out = np.empty((weighted.shape[0], etas.size), dtype=complex)
-    chunk = 256
+    chunk = 64
     rows = min(chunk, etas.size)
     arg = np.empty((rows, y.size))
     phase = np.empty((rows, y.size), dtype=complex)
@@ -202,23 +201,34 @@ def sobolev_norm(etas, fhat, order, k=None):
 
 
 def _measurement_etas(profile: ShearProfile, order: float):
-    # Wide enough that <eta>^{2*order} |fhat|^2 has decayed below 1e-30.
+    # Wide enough that <eta>^{2*order} |fhat|^2 has decayed below 1e-30.  The
+    # lattice is exactly symmetric, (-m) * h == -(m * h), so that the
+    # transforms can be mirrored from eta >= 0.
     hi = (10.0 + 2.0 * order) * max(1.0, 2.0 / profile.width)
-    return np.linspace(-hi, hi, 2001)
+    return np.arange(-1000, 1001) * (hi / 1000)
+
+
+def _conj_mirror(half):
+    """Transforms of real functions on an exactly symmetric lattice from
+    their rows at eta >= 0 (eta = 0 first): the row at -eta is the conjugate
+    of the row at eta."""
+    return np.concatenate([np.conj(half[:0:-1]), half])
 
 
 def _measure_epsilon(profile: ShearProfile, s: float):
     etas = _measurement_etas(profile, s + 5.0)
     Y, gm1, bb = _frame_samples(profile, etas)
-    g_hat, b_hat = fourier_transform_samples(Y, np.stack([gm1, bb], axis=1), etas).T
+    g_hat, b_hat = _conj_mirror(fourier_transform_samples(
+        Y, np.stack([gm1, bb], axis=1), etas[etas.size // 2:])).T
     return sobolev_norm(etas, g_hat, s + 5.0) + sobolev_norm(etas, b_hat, s + 4.0)
 
 
 def _measure_epsilon_velocity(profile: ShearProfile):
     etas = _measurement_etas(profile, 6.0)
     Y = _profile_window(profile, float(np.max(np.abs(etas))))
-    up_hat, us_hat = fourier_transform_samples(
-        Y, np.stack([profile.u_prime(Y) - 1.0, profile.u_second(Y)], axis=1), etas).T
+    up_hat, us_hat = _conj_mirror(fourier_transform_samples(
+        Y, np.stack([profile.u_prime(Y) - 1.0, profile.u_second(Y)], axis=1),
+        etas[etas.size // 2:])).T
     return sobolev_norm(etas, up_hat, 6.0) + sobolev_norm(etas, us_hat, 5.0)
 
 
@@ -292,9 +302,7 @@ def sample_spectrum(profile: ShearProfile, grid: FrequencyGrid) -> ProfileSpectr
             f"eta_max * sigma = {grid.eta_max * profile.width:.4g} < 20: grid too "
             "short to carry the profile spectrum"
         )
-    # The lattice is exactly symmetric and the profiles are real, so the
-    # transform at -eta is the conjugate of the one at eta: transform the
-    # n points eta >= 0 and mirror them.
-    g1, g2, bb = (np.concatenate([np.conj(half[:0:-1]), half])
-                  for half in profile_transforms(profile, lattice[n - 1:]))
+    # The lattice is exactly symmetric and the profiles are real: transform
+    # the n points eta >= 0 and mirror them.
+    g1, g2, bb = (_conj_mirror(half) for half in profile_transforms(profile, lattice[n - 1:]))
     return ProfileSpectrum(grid, kern_g1=g1, kern_g2=g2, kern_b=bb)

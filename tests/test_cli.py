@@ -233,16 +233,26 @@ def test_spectrum_is_sampled_once_per_run(tmp_path, monkeypatch):
         assert (out / f"series_k{k}.csv").exists()
 
 
-def test_cli_import_leaves_scipy_special_out():
-    # scipy.special serves only the perturbed profile, so importing the CLI
-    # must not pay for it
-    code = "import sys, stratshear.cli; print('scipy.special' in sys.modules)"
+def test_perturbed_run_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: a perturbed profile, its spectrum
+    # and a perturbed CLI run import no scipy module
+    cfg = write_config(tmp_path, BUMP)
+    code = "\n".join([
+        "import sys, stratshear",
+        "from stratshear.cli import main",
+        "from stratshear.shear import build_profile, sample_spectrum",
+        "from stratshear.spectral_ops import FrequencyGrid",
+        "profile = build_profile('perturbed', a=0.0018, sigma=1.6, y0=0.3)",
+        "sample_spectrum(profile, FrequencyGrid(k=1, eta_max=20.0, n=256))",
+        f"assert main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
     src = str(Path(stratshear.cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 # configs that once crashed, ran a silent one-row "success", or were
@@ -275,6 +285,8 @@ CONFIG_ERRORS = {
     "zero_initial_data": "init.theta.amplitude = 0.0\ninit.q.amplitude = 0.0\n",
     "huge_init_amplitude": "init.theta.amplitude = 1e300\n",  # every CSV value inf
     "overflowing_init_alpha": "init.theta.alpha = 1e306\ninit.q.alpha = 1e306\n",
+    # (1 + k^2 + eta_max^2)^s = 402^120 overflows: every Es value inf, or a traceback
+    "overflowing_sobolev_factor": "mode = couette\nprofile.kind = couette\ns = 120.0\n",
 }
 
 

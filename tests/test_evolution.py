@@ -253,6 +253,14 @@ def test_pointwise_energy_sobolev_factor(grid256):
     assert report.energy_weighted[0] == pytest.approx(grid256.integrate(density), rel=1e-13)
 
 
+def test_evolve_rejects_overflowing_sobolev_factor(grid256):
+    # (1 + k^2 + eta^2)^s overflows on the grid: no Es series of inf
+    ws = WeightSet.for_run(1.0, 1.0, 0.02)
+    with pytest.raises(ValueError, match="Sobolev factor"):
+        evolve(grid256, *make_state(grid256), beta=1.0, R=1.0, t_max=0.01, dt=0.01,
+               weights=ws, s=1e4, record_every=1)
+
+
 def test_weighted_energy_zero_state(grid256):
     zeros = np.zeros(grid256.n, complex)
     ws = WeightSet.for_run(1.0, 1.0, 0.02)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stratshear import shear
 from stratshear.shear import (
     GridResolutionError,
     build_profile,
@@ -58,6 +59,20 @@ def test_inverse_composition_roundtrip():
     assert np.max(np.abs(prof.u_inverse(prof.u(y)) - y)) <= 1e-10
 
 
+def test_profile_matches_scipy_erf_reference():
+    # the bump primitive evaluates math.erf; U agrees with a scipy.special.erf
+    # reference within 4 ulp of its larger term (U = y + a phi cancels to 0
+    # near one point), and the inverse still round-trips
+    erf = pytest.importorskip("scipy.special").erf
+    prof = build_profile("perturbed", a=0.0018, sigma=1.6, y0=0.3)
+    y = prof.center + prof.width * np.linspace(-12.0, 12.0, 200001)
+    z = (y - prof.center) / prof.width
+    ref = y + prof.amplitude * (0.5 * np.sqrt(np.pi) * erf(z))
+    ulp = np.spacing(np.maximum(np.abs(y), np.abs(ref)))
+    assert np.all(np.abs(prof.u(y) - ref) <= 4 * ulp)
+    assert np.max(np.abs(prof.u_inverse(ref) - y)) <= 1e-13
+
+
 def test_gaussian_transform_closed_form():
     # f(y) = A exp(-(y-c)^2/s^2)  ->  A s sqrt(pi) exp(-s^2 eta^2/4) exp(-i eta c)
     A, s, c = 0.7, 1.3, 0.45
@@ -84,7 +99,7 @@ def test_stacked_transform_equals_single_columns(n_etas):
     y = np.linspace(-9.0, 9.0, 1201)
     bump = np.exp(-y**2)
     stack = np.stack([bump, y * np.exp(-(y - 0.3) ** 2), bump**2 - 0.5 * bump], axis=1)
-    etas = np.linspace(-15.0, 15.0, n_etas)  # not a multiple of the 256-row chunk
+    etas = np.linspace(-15.0, 15.0, n_etas)  # not a multiple of the 64-row chunk
     got = fourier_transform_samples(y, stack, etas)
     assert got.shape == (n_etas, 3)
     for j in range(stack.shape[1]):
@@ -191,3 +206,22 @@ def test_reports_both_smallness_measurements():
     # the velocity-side measurement uses higher orders; both scale together
     p2 = build_profile("perturbed", a=0.04, sigma=2.0, s=0.0)
     assert p2.epsilon_velocity / p.epsilon_velocity == pytest.approx(2.0, rel=0.05)
+
+
+def test_smallness_measurements_mirror_full_transforms():
+    # the measurement lattice is exactly symmetric, so transforming eta >= 0
+    # and mirroring gives both smallness measurements bit for bit
+    prof = build_profile("perturbed", a=0.0018, sigma=1.6, y0=-0.05, s=1.5)
+    etas = shear._measurement_etas(prof, prof.sobolev_order + 5.0)
+    assert np.array_equal(etas[::-1], -etas)
+    Y, gm1, bb = shear._frame_samples(prof, etas)
+    g_hat, b_hat = fourier_transform_samples(Y, np.stack([gm1, bb], axis=1), etas).T
+    assert prof.epsilon == (sobolev_norm(etas, g_hat, prof.sobolev_order + 5.0)
+                            + sobolev_norm(etas, b_hat, prof.sobolev_order + 4.0))
+    etas = shear._measurement_etas(prof, 6.0)
+    assert np.array_equal(etas[::-1], -etas)
+    Y = shear._profile_window(prof, float(np.max(np.abs(etas))))
+    up_hat, us_hat = fourier_transform_samples(
+        Y, np.stack([prof.u_prime(Y) - 1.0, prof.u_second(Y)], axis=1), etas).T
+    assert prof.epsilon_velocity == (sobolev_norm(etas, up_hat, 6.0)
+                                     + sobolev_norm(etas, us_hat, 5.0))

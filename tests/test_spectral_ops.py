@@ -42,6 +42,16 @@ def test_grid_basic_invariants():
         FrequencyGrid(k=1, eta_max=10.0, n=63)
 
 
+@pytest.mark.parametrize("eta_max, n", [(20.0, 512), (7.3, 200)])
+def test_grid_integrate_is_trapezoid_bit_for_bit(eta_max, n):
+    # integrate reuses the grid's steps in np.trapezoid's own formula
+    g = FrequencyGrid(k=1, eta_max=eta_max, n=n)
+    rng = np.random.default_rng(5)
+    for scale in (1e-300, 1.0, 1e300):
+        y = scale * rng.standard_normal(n)
+        assert g.integrate(y) == np.trapezoid(y, g.etas)
+
+
 def inv_laplace_via_rhs(t, spec, theta):
     """phi = -T_L(Bt Theta)/p read back from dq = i k phi at beta = 0."""
     zeros = np.zeros_like(theta)
