@@ -461,6 +461,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = parse_config(Path(args.config).read_text())
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

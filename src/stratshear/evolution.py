@@ -1,9 +1,9 @@
 """Per-wavenumber time evolution and the energy functionals.
 
-The state advanced in time is the raw pair (Theta, Q): the corrected
-vorticity and the scaled density at one x-wavenumber k, as functions of the
-Y-frequency eta.  For the linear profile the right-hand side is a pointwise
-2x2 system per eta,
+The state advanced in time is the raw pair (Theta, Q), stacked as one
+(2, N) array: the corrected vorticity and the scaled density at one
+x-wavenumber k, as functions of the Y-frequency eta.  For the linear
+profile the right-hand side is a pointwise 2x2 system per eta,
 
     dTheta/dt = -i k R Q - i k beta * invLap * BL * Theta,
     dQ/dt     = -i k BL * Theta / p,           invLap = -1/p,
@@ -21,7 +21,6 @@ the mixed term makes it coercive exactly when R > 1/4.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -44,6 +43,7 @@ __all__ = [
     "couette_rhs",
     "dt_is_stable",
     "evolve",
+    "frame_blocks",
     "full_rhs",
     "pointwise_energy",
     "rk4_integrate",
@@ -51,6 +51,9 @@ __all__ = [
 
 ENERGY_MASK_SHARE = 1e-8  # minimum share of the initial energy a cell must carry
 BLOWUP_FACTOR = 1e6
+# RK4 steps whose frames are evaluated as one batch; at N = 512, 32 rows add
+# about 2 MB of peak memory and no speed
+STEP_BLOCK = 16
 
 
 class StepUnstable(RuntimeError):
@@ -75,68 +78,103 @@ def dt_is_stable(dt, k, R, beta):
     return dt > 0 and dt * abs(k) * max(R, 1.0 + beta) <= 0.1 + 1e-12
 
 
-def couette_rhs(sym, theta, q, R):
+def couette_rhs(sym, y, R):
     """Raw-array right-hand side for the linear profile; pointwise in eta.
 
-    ``sym`` is the ``FrameSymbols`` of (t, k, eta, beta) on the fields' grid.
+    ``sym`` is the ``FrameSymbols`` of (t, k, eta, beta) on the grid of the
+    stacked state y = (Theta, Q); returns dy/dt of the same (2, N) shape.
     """
-    dtheta = -1j * sym.k * R * q + sym.couette_theta * theta
-    dq = sym.couette_q * theta
-    return dtheta, dq
+    theta = y[0]  # rows by index: unpacking a 2-row array costs three times more
+    dy = np.empty_like(y)
+    dtheta, dq = dy[0], dy[1]
+    np.multiply(-1j * sym.k * R, y[1], out=dtheta)
+    np.multiply(sym.couette_theta, theta, out=dq)
+    dtheta += dq
+    np.multiply(sym.couette_q, theta, out=dq)
+    return dy
 
 
-def full_rhs(sym, theta, q, spec, R, tol=1e-10, max_iter=50, stats=None):
+def full_rhs(sym, y, spec, R, tol=1e-10, max_iter=50, stats=None):
     """Raw-array right-hand side for a perturbed profile.
 
     Realizes phi = invDelta_t(Bt Theta) = -T_L(Bt Theta)/p through
     ``solve_vorticity`` on the frame ``sym``, then couples it back with the
     split profile factor; at beta = 0 the g-1 part of the coupling drops out
-    and is not computed.
+    and is not computed.  Takes and returns (2, N) arrays as ``couette_rhs``.
     """
     k, beta = sym.k, sym.beta
-    _, u = solve_vorticity(sym, spec, theta, tol, max_iter, stats)
+    _, u = solve_vorticity(sym, spec, y[0], tol, max_iter, stats)
     phi = -u / sym.p
     coupling = apply_profile_convolution(spec, "b", phi)
     if beta != 0.0:
         coupling = coupling - beta * apply_profile_convolution(spec, "g1", phi)
-    dtheta = -1j * k * R * q + 1j * k * (coupling - beta * phi)
-    dq = 1j * k * phi
-    return dtheta, dq
+    dy = np.empty_like(y)
+    dtheta, dq = dy[0], dy[1]
+    np.multiply(-1j * k * R, y[1], out=dtheta)
+    dtheta += 1j * k * (coupling - beta * phi)
+    np.multiply(1j * k, phi, out=dq)
+    return dy
 
 
-def rk4_integrate(rhs, theta0, q0, t0, t_end, dt, callback=None):
-    """Classical 4th-order one-step integration of (theta, q) arrays.
+def frame_blocks(t0, dt, n_steps, k, etas, beta):
+    """The frames of n_steps RK4 steps from t0, one block of STEP_BLOCK
+    steps at a time.
 
-    ``rhs(t, theta, q) -> (dtheta, dq)``.  The callback, if given, is invoked
-    as callback(step_index, t, theta, q) after every step including step 0.
-    Step i evaluates the rhs at only three times: t_i = t0 + i dt, t_i + dt/2
-    (stages 2 and 3) and t_{i+1}, the same float as the next step's stage 1
-    and the callback's time, so a per-t cache of the rhs serves all three.
+    Yields per block a pair (half, whole) of batched ``FrameSymbols``: for
+    the steps i of the block, ``half`` is at the times (t0 + i dt) + dt/2 of
+    stages 2 and 3 and ``whole`` at t0 + (i+1) dt, the time of stage 4, of
+    the step's record and of the next step's stage 1.
     """
-    theta = np.array(theta0, dtype=complex)
-    q = np.array(q0, dtype=complex)
-    n_steps = int(round((t_end - t0) / dt))
+    for start in range(0, n_steps, STEP_BLOCK):
+        i = np.arange(start, min(start + STEP_BLOCK, n_steps))[:, None]
+        yield (FrameSymbols((t0 + i * dt) + 0.5 * dt, k, etas, beta),
+               FrameSymbols(t0 + (i + 1) * dt, k, etas, beta))
+
+
+def rk4_integrate(rhs, y0, frame0, blocks, dt, callback=None):
+    """Classical 4th-order one-step integration of a stacked state y.
+
+    ``rhs(sym, y) -> dy/dt`` at the frame ``sym`` returns a new array, which
+    the step may overwrite.  ``frame0`` is the frame of the start time and
+    ``blocks`` yields the (half, whole) batches of ``frame_blocks``; step i
+    reads its stage-1 frame from step i - 1.  The callback, if given, is
+    invoked as callback(step_index, sym, y) after every step including step
+    0, with the frame of the step's end time.
+    """
+    y = np.array(y0, dtype=complex)
+    sym0 = frame0
+    step = 0
     if callback is not None:
-        callback(0, t0, theta, q)
-    for i in range(n_steps):
-        t = t0 + i * dt
-        t_half = t + 0.5 * dt
-        t_next = t0 + (i + 1) * dt
-        k1t, k1q = rhs(t, theta, q)
-        k2t, k2q = rhs(t_half, theta + 0.5 * dt * k1t, q + 0.5 * dt * k1q)
-        k3t, k3q = rhs(t_half, theta + 0.5 * dt * k2t, q + 0.5 * dt * k2q)
-        k4t, k4q = rhs(t_next, theta + dt * k3t, q + dt * k3q)
-        theta = theta + (dt / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-        q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-        if callback is not None:
-            callback(i + 1, t_next, theta, q)
-    return theta, q
-
-
-def _amplitude(theta, q):
-    """max(|theta|, |q|) over the grid; NaN or inf when either field is
-    non-finite (np.maximum propagates NaN, unlike Python's max)."""
-    return np.maximum(np.abs(theta).max(), np.abs(q).max())
+        callback(step, sym0, y)
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    for half, whole in blocks:
+        for sym_half, sym1 in zip(half.rows(), whole.rows()):
+            # y + (dt/2) k1, y + (dt/2) k2, y + dt k3 and then
+            # y + (dt/6) (k1 + 2 k2 + 2 k3 + k4), evaluated in place in the
+            # same order: IEEE sums and products commute exactly
+            k1 = rhs(sym0, y)
+            stage = half_dt * k1
+            stage += y
+            k2 = rhs(sym_half, stage)
+            np.multiply(half_dt, k2, out=stage)
+            stage += y
+            k3 = rhs(sym_half, stage)
+            np.multiply(dt, k3, out=stage)
+            stage += y
+            k4 = rhs(sym1, stage)
+            k2 *= 2.0
+            k2 += k1
+            k3 *= 2.0
+            k2 += k3
+            k2 += k4
+            k2 *= sixth_dt
+            k2 += y
+            y = k2
+            step += 1
+            if callback is not None:
+                callback(step, sym1, y)
+            sym0 = sym1
+    return y
 
 
 def pointwise_energy(sym, theta, q, R):
@@ -204,8 +242,9 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
     vy = -i k u / p with u = T_L Omega, and vx picks up the shear-rate
     factor g = 1 + (g-1) for a perturbed profile.  The right-hand sides, the
     resolvent sweeps and the records read the time-dependent symbols from
-    one ``FrameSymbols`` per distinct t, kept for the three times an RK4
-    step uses.  Raises ``StepUnstable`` (naming k and t) if a field turns
+    the row frames of ``frame_blocks``, which evaluates them once per block
+    of STEP_BLOCK steps; the state (Theta, Q) is stepped as one (2, N)
+    array.  Raises ``StepUnstable`` (naming k and t) if a field turns
     non-finite or its amplitude exceeds BLOWUP_FACTOR times its initial
     value, and ``ValueError`` when either initial array is not of shape
     (grid.n,) or holds a non-finite value, R is not positive, record_every
@@ -231,16 +270,14 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
             f"dt = {dt} violates the stability margin "
             f"0 < dt * |k| * max(R, 1 + beta) <= 0.1 for k = {k}, R = {R}, beta = {beta}"
         )
-    # an RK4 step and its record use three times: t, t + dt/2 and t + dt
-    symbols_at = functools.lru_cache(maxsize=3)(lambda t: FrameSymbols(t, k, grid.etas, beta))
-
+    frame0 = FrameSymbols(t0, k, grid.etas, beta)
     if spec is not None:
-        rhs = lambda t, th, qq: full_rhs(symbols_at(t), th, qq, spec, R, tol, max_iter, stats)
+        rhs = lambda sym, y: full_rhs(sym, y, spec, R, tol, max_iter, stats)
     else:
-        rhs = lambda t, th, qq: couette_rhs(symbols_at(t), th, qq, R)
+        rhs = lambda sym, y: couette_rhs(sym, y, R)
 
     n_steps = int(round(t_max / dt))
-    e0_eta, _ = pointwise_energy(symbols_at(t0), theta0, q0, R)
+    e0_eta, _ = pointwise_energy(frame0, theta0, q0, R)
     cell_share = e0_eta * grid.deta
     total0 = float(np.sum(cell_share))
     mask = cell_share >= ENERGY_MASK_SHARE * total0 if total0 > 0 else np.zeros(grid.n, bool)
@@ -251,17 +288,20 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
         if not np.all(np.isfinite(sob)):
             raise ValueError(f"Sobolev factor (1 + k^2 + eta^2)^s is not finite at s = {s}")
 
-    amp0 = _amplitude(theta0, q0)
+    y0 = np.stack([theta0, q0])
+    amp0 = np.abs(y0).max()
 
     times, e_series, lo_series, hi_series, es_series = [], [], [], [], []
     qn, vxn, vyn, gn = [], [], [], []
     ratio_max, ratio_min = -math.inf, math.inf
 
-    def record(step, t, theta, q):
+    def record(step, sym, y):
         nonlocal ratio_max, ratio_min
-        # the guard runs after the step, so it cannot name the RK stage
-        amp = _amplitude(theta, q)
-        if not np.isfinite(amp):
+        # the guard runs after the step, so it cannot name the RK stage; the
+        # max of |y| is NaN when any entry is
+        amp = np.abs(y).max()
+        t = sym.t
+        if not math.isfinite(amp):
             raise StepUnstable(f"non-finite field at k = {k}, t = {t:.6g}")
         if amp0 > 0 and amp > BLOWUP_FACTOR * amp0:
             raise StepUnstable(
@@ -270,7 +310,7 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
             )
         if step % record_every != 0 and step != n_steps:
             return
-        sym = symbols_at(t)
+        theta, q = y
         e_eta, quad = pointwise_energy(sym, theta, q, R)
         quad_total = float(grid.integrate(quad))
         times.append(t)
@@ -299,7 +339,8 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
         vyn.append(_l2(grid, vy))
         gn.append(_l2(grid, omega) + _l2(grid, np.sqrt(p) * q))
 
-    theta, q = rk4_integrate(rhs, theta0, q0, t0, t0 + n_steps * dt, dt, callback=record)
+    blocks = frame_blocks(t0, dt, n_steps, k, grid.etas, beta)
+    theta, q = rk4_integrate(rhs, y0, frame0, blocks, dt, callback=record)
     if not np.any(mask):
         ratio_max = ratio_min = math.nan
 

@@ -8,8 +8,9 @@ x-wavenumber k:
 * ``eval_p_prime``  -- its time derivative -2 k (eta - k t),
 * ``eval_bl``       -- the stratification multiplier, reciprocal of
                        1 + i beta (eta - k t) / p,
-* ``FrameSymbols``  -- the symbols at one time t that the right-hand sides,
-                       the resolvent sweeps and the records share.
+* ``FrameSymbols``  -- the symbols at one time t, or at a column of times,
+                       that the right-hand sides, the resolvent sweeps and
+                       the records share.
 
 Functions broadcast over numpy arrays in ``eta`` (and ``t``); they are pure
 and safe for concurrent use.
@@ -87,9 +88,10 @@ def eval_bl(t, k, eta, beta):
 
 class _symbol:
     """Build a FrameSymbols array on first access and keep it, read-only, in
-    the instance.  functools.cached_property would do the same but takes a
-    lock on every first access under Python 3.11, which costs more than an
-    N = 1 symbol itself."""
+    the instance; a row frame takes its row of the batch's array instead.
+    functools.cached_property would do the same but takes a lock on every
+    first access under Python 3.11, which costs more than an N = 1 symbol
+    itself."""
 
     def __init__(self, build):
         self.build = build
@@ -99,27 +101,48 @@ class _symbol:
     def __get__(self, sym, owner=None):
         if sym is None:
             return self
-        value = self.build(sym)
-        if isinstance(value, np.ndarray):  # a scalar eta gives numpy scalars
-            value.flags.writeable = False
+        if sym.batch is None:
+            value = self.build(sym)
+            if isinstance(value, np.ndarray):  # a scalar eta gives numpy scalars
+                value.flags.writeable = False
+        else:  # a view of a read-only row, itself read-only
+            value = getattr(sym.batch, self.name)[sym.row]
         sym.__dict__[self.name] = value
         return value
 
 
 class FrameSymbols:
-    """The moving-frame symbols at one time t over the frequencies ``eta``
-    at x-wavenumber k and stratification rate beta.
+    """The moving-frame symbols at time t over the frequencies ``eta`` at
+    x-wavenumber k and stratification rate beta.
 
     Each symbol is built on first use and then kept, read-only, so one
     instance serves every right-hand side stage, resolvent sweep and record
     made at that t, and a caller pays only for the symbols its path reads.
+
+    A column of times t, of shape (m, 1), makes a batch: each symbol has one
+    row per time, and ``rows()`` hands out the frame of each time.  A symbol
+    of a row frame is the row of the batch's symbol, which is built once, on
+    first use, for every row.
     """
+
+    batch = None  # the batch a row frame belongs to, and its row in it
+    row = None
 
     def __init__(self, t, k, eta, beta):
         self.t = t
         self.k = k
         self.eta = eta
         self.beta = beta
+
+    def rows(self):
+        """The frame of each time of a batch, in order, with t a float."""
+        frames = []
+        for row, t in enumerate(self.t[:, 0].tolist()):
+            frame = FrameSymbols(t, self.k, self.eta, self.beta)
+            frame.batch = self
+            frame.row = row
+            frames.append(frame)
+        return frames
 
     @_symbol
     def d(self):

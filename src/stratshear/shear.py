@@ -39,13 +39,17 @@ _INVERSION_TOL = 1e-13
 # transform then holds a 64 x 2^15 real and a 64 x 2^15 complex buffer
 # (about 50 MB together)
 _MAX_WINDOW_SAMPLES = 2**15
+# bytes the three dense N x N complex convolution operators of a perturbed
+# run may take together: N up to 4728
+_MAX_OPERATOR_BYTES = 2**30
 # math.erf as a ufunc (it returns Python floats, cast back on use)
 _erf = np.frompyfunc(math.erf, 1, 1)
 
 
 class GridResolutionError(ValueError):
     """Frequency grid too coarse or too short to carry the profile spectrum,
-    or a profile whose transform would need an unaffordable quadrature."""
+    too fine for its dense convolution operators to fit the memory bound, or
+    a profile whose transform would need an unaffordable quadrature."""
 
 
 def _bump(z):
@@ -284,6 +288,8 @@ def sample_spectrum(profile: ShearProfile, grid: FrequencyGrid) -> ProfileSpectr
     For perturbed profiles the grid must resolve the bump:
     sigma * deta <= 1/4 (sampling) and eta_max * sigma >= 20 (truncation);
     otherwise aliasing or tail loss would corrupt the convolution operators.
+    The three dense N x N operators must also fit _MAX_OPERATOR_BYTES; each
+    check raises ``GridResolutionError`` before anything is transformed.
     A Couette profile gives zero kernels; the operators take ``spec=None``
     for Couette instead.
     """
@@ -301,6 +307,12 @@ def sample_spectrum(profile: ShearProfile, grid: FrequencyGrid) -> ProfileSpectr
         raise GridResolutionError(
             f"eta_max * sigma = {grid.eta_max * profile.width:.4g} < 20: grid too "
             "short to carry the profile spectrum"
+        )
+    operator_bytes = 3 * 16 * n * n
+    if operator_bytes > _MAX_OPERATOR_BYTES:
+        raise GridResolutionError(
+            f"N = {n} needs {operator_bytes / 2**30:.3g} GiB for the three dense "
+            f"convolution operators, above {_MAX_OPERATOR_BYTES / 2**30:.3g} GiB"
         )
     # The lattice is exactly symmetric and the profiles are real: transform
     # the n points eta >= 0 and mirror them.

@@ -5,7 +5,6 @@ measured values (run with -s to see them live).  Tolerances are fixed here,
 not tuned at runtime.
 """
 
-import functools
 import math
 import time
 
@@ -19,6 +18,7 @@ from stratshear.evolution import (
     coercivity_constants,
     couette_rhs,
     evolve,
+    frame_blocks,
     pointwise_energy,
     rk4_integrate,
 )
@@ -247,29 +247,32 @@ def test_multiplier_and_weight_properties():
 def test_integrator_self_convergence():
     """4th-order slope and refined-step reference agreement."""
     etas = np.array([0.0])
-    frame = functools.lru_cache(maxsize=3)(lambda t: FrameSymbols(t, 1, etas, 0.0))
-    rhs = lambda t, a, b: couette_rhs(frame(t), a, b, 1.0)
-    th0 = np.array([1.0 + 0j])
-    q0 = np.array([0.0 + 0j])
+    rhs = lambda sym, y: couette_rhs(sym, y, 1.0)
 
-    ref_th, ref_q = rk4_integrate(rhs, th0, q0, 0.0, 20.0, 20.0 / 2**15)
+    def integrate(y, t_from, t_to, dt):
+        frame0 = FrameSymbols(t_from, 1, etas, 0.0)
+        blocks = frame_blocks(t_from, dt, int(round((t_to - t_from) / dt)), 1, etas, 0.0)
+        return rk4_integrate(rhs, y, frame0, blocks, dt)
+
+    y0 = np.array([[1.0 + 0j], [0.0 + 0j]])
+
+    ref = integrate(y0, 0.0, 20.0, 20.0 / 2**15)
     errs = []
     dts = (0.04, 0.02, 0.01)
     for dt in dts:
-        th, q = rk4_integrate(rhs, th0, q0, 0.0, 20.0, dt)
-        errs.append(math.hypot(abs(th[0] - ref_th[0]), abs(q[0] - ref_q[0])))
+        y = integrate(y0, 0.0, 20.0, dt)
+        errs.append(math.hypot(*np.abs(y[:, 0] - ref[:, 0])))
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
     ok_order = abs(slope - 4.0) <= 0.2
     verdict(ok_order, "integration order", f"slope {slope:.2f} vs 4.0 +- 0.2")
 
     worst = 0.0
-    th, q = th0, q0
-    thf, qf = th0, q0
+    y, yf = y0, y0
     for t_from in np.arange(0.0, 100.0, 10.0):
-        th, q = rk4_integrate(rhs, th, q, t_from, t_from + 10.0, 0.01)
-        thf, qf = rk4_integrate(rhs, thf, qf, t_from, t_from + 10.0, 0.01 / 16)
-        mag = math.hypot(abs(thf[0]), abs(qf[0]))
-        worst = max(worst, math.hypot(abs(th[0] - thf[0]), abs(q[0] - qf[0])) / mag)
+        y = integrate(y, t_from, t_from + 10.0, 0.01)
+        yf = integrate(yf, t_from, t_from + 10.0, 0.01 / 16)
+        mag = math.hypot(*np.abs(yf[:, 0]))
+        worst = max(worst, math.hypot(*np.abs(y[:, 0] - yf[:, 0])) / mag)
     ok_ref = worst <= 1e-6
     verdict(ok_ref, "refined-step reference agreement", f"worst relative {worst:.2e}")
 

@@ -215,6 +215,17 @@ def test_parallel_jobs_match_serial(tmp_path, text):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_2_with_one_line(tmp_path, capsys, jobs):
+    # --jobs -3 used to be accepted and run serially
+    cfg = write_config(tmp_path, SMOKE.replace("time.t_max = 100.0", "time.t_max = 0.05"))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "--jobs", jobs]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and jobs in err[0]
+    assert not out.exists()
+
+
 def test_spectrum_is_sampled_once_per_run(tmp_path, monkeypatch):
     calls = []
     real = stratshear.cli.sample_spectrum
@@ -281,6 +292,7 @@ CONFIG_ERRORS = {
     "negative_sobolev_order": "s = -20.0\n",  # epsilon was measured as NaN
     "negative_weight_constant": "weights.C0 = -1.0\n",  # weight inverse above 1
     "unaffordable_bump_width": "profile.sigma = 2.0e4\n",  # tens of GB per transform chunk
+    "unaffordable_dense_operators": "grid.N = 32768\n",  # 48 GiB of convolution matrices
     # NaN energy ratios written to summary.json
     "zero_initial_data": "init.theta.amplitude = 0.0\ninit.q.amplitude = 0.0\n",
     "huge_init_amplitude": "init.theta.amplitude = 1e300\n",  # every CSV value inf

@@ -13,8 +13,10 @@ from stratshear.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, _SCHE
 from test_cli import BUMP, SMOKE  # noqa: E402
 
 # Candidate values per key, valid and invalid alike.  Valid shapes stay small
-# (N <= 256, t_max <= 0.05); bump widths and Sobolev orders whose transforms
-# would be unaffordable are refused before anything is allocated.
+# (N <= 256, t_max <= 0.05) but for N = 32768, which a Couette run steps in
+# milliseconds and a perturbed run refuses for the size of its dense
+# operators; bump widths and Sobolev orders whose transforms would be
+# unaffordable are refused before anything is allocated too.
 FUZZ_VALUES = {
     "mode": ["couette", "near_couette", "bogus"],
     "R": ["1.0", "4.0", "0.25", "0.2", "0", "-1", "nan", "inf", "1e300"],
@@ -23,7 +25,7 @@ FUZZ_VALUES = {
     "s": ["0", "1.5", "1e4", "-1", "nan"],
     "exploratory": ["true", "false", "maybe"],
     "grid.eta_max": ["20.0", "16.0", "1e-300", "0", "-5", "nan", "inf"],
-    "grid.N": ["256", "128", "64", "2", "7", "0", "-2", "1.5"],
+    "grid.N": ["256", "128", "64", "2", "7", "0", "-2", "1.5", "32768"],
     "profile.kind": ["couette", "perturbed", "bogus"],
     "profile.a": ["0", "0.0018", "-0.05", "1.6", "2.0", "nan"],
     "profile.sigma": ["1.6", "2.0", "0.5", "2e4", "0", "-1", "inf"],

@@ -6,10 +6,12 @@ import pytest
 
 from conftest import dense_vorticity, frame, gaussian_field, l2
 from stratshear.evolution import (
+    STEP_BLOCK,
     StepUnstable,
     coercivity_constants,
     couette_rhs,
     evolve,
+    frame_blocks,
     full_rhs,
     pointwise_energy,
     rk4_integrate,
@@ -45,23 +47,30 @@ def test_couette_rhs_substitutions(grid256):
     k = grid256.k
     q = gaussian_field(grid256)
     zeros = np.zeros(grid256.n, complex)
-    dtheta, dq = couette_rhs(frame(grid256, 0.7), zeros, q, 2.0)
+    dtheta, dq = couette_rhs(frame(grid256, 0.7), np.stack([zeros, q]), 2.0)
     assert np.allclose(dtheta, -1j * k * 2.0 * q)
     assert not np.any(dq)
     # R = 0 and beta = 0 freeze theta entirely
-    dtheta, dq = couette_rhs(frame(grid256, 0.0), *make_state(grid256), 0.0)
+    dtheta, dq = couette_rhs(frame(grid256, 0.0), np.stack(make_state(grid256)), 0.0)
     assert not np.any(dtheta)
 
 
-def symmetric_rhs(t, z1, z2, k, etas, beta, R):
+def symmetric_rhs(t, z, k, etas, beta, R):
     """Direct right-hand side of the symmetrized 2x2 system (unweighted)."""
+    z1, z2 = z
     p = eval_p(t, k, etas)
     pp = eval_p_prime(t, k, etas)
     bl = eval_bl(t, k, etas, beta)
     row = k * math.sqrt(R) / np.sqrt(p)
     dz1 = -0.25 * (pp / p) * z1 - row * z2 + 1j * k * beta * bl * z1 / p
     dz2 = row * z1 + 0.25 * (pp / p) * z2 + row * (bl - 1.0) * z1
-    return dz1, dz2
+    return np.stack([dz1, dz2])
+
+
+def integrate(rhs, y0, grid, t0, dt, n_steps, beta=0.0):
+    """rk4_integrate over n_steps steps from t0 on the frames of a grid."""
+    return rk4_integrate(rhs, y0, frame(grid, t0, beta),
+                         frame_blocks(t0, dt, n_steps, grid.k, grid.etas, beta), dt)
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
@@ -72,14 +81,13 @@ def test_raw_step_matches_symmetrized_step(grid256, beta):
     theta0, q0 = make_state(grid256)
     z1_0, z2_0 = z_map(grid256, t0, theta0, q0, R)
 
-    th, q = rk4_integrate(
-        lambda t, a, b: couette_rhs(frame(grid256, t, beta), a, b, R),
-        theta0, q0, t0, t0 + dt, dt)
+    th, q = integrate(lambda sym, y: couette_rhs(sym, y, R), np.stack([theta0, q0]),
+                      grid256, t0, dt, 1, beta)
     z1_raw, z2_raw = z_map(grid256, t0 + dt, th, q, R)
 
-    z1, z2 = rk4_integrate(
-        lambda t, a, b: symmetric_rhs(t, a, b, grid256.k, grid256.etas, beta, R),
-        z1_0, z2_0, t0, t0 + dt, dt)
+    z1, z2 = integrate(
+        lambda sym, z: symmetric_rhs(sym.t, z, grid256.k, grid256.etas, beta, R),
+        np.stack([z1_0, z2_0]), grid256, t0, dt, 1, beta)
 
     scale = max(np.max(np.abs(z1)), np.max(np.abs(z2)))
     assert np.max(np.abs(z1_raw - z1)) <= dt**2 * scale
@@ -88,10 +96,10 @@ def test_raw_step_matches_symmetrized_step(grid256, beta):
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_full_rhs_reduces_to_couette(grid256, couette_spectrum, beta):
-    th, q = make_state(grid256)
+    y = np.stack(make_state(grid256))
     sym = frame(grid256, 2.3, beta)
-    ref = couette_rhs(sym, th, q, 1.0)
-    got = full_rhs(sym, th, q, couette_spectrum, 1.0)
+    ref = couette_rhs(sym, y, 1.0)
+    got = full_rhs(sym, y, couette_spectrum, 1.0)
     assert np.max(np.abs(ref[0] - got[0])) < 1e-14
     assert np.max(np.abs(ref[1] - got[1])) < 1e-14
 
@@ -99,14 +107,15 @@ def test_full_rhs_reduces_to_couette(grid256, couette_spectrum, beta):
 def test_full_rhs_perturbation_scaling(grid256):
     t, beta, R = 1.5, 1.0, 1.0
     th, q = make_state(grid256)
+    y = np.stack([th, q])
     snorm = l2(grid256, th) + l2(grid256, q)
     consts = []
     for a in (0.01, 0.02, 0.04):
         prof = build_profile("perturbed", a=a, sigma=2.0, s=0.0)
         spec = sample_spectrum(prof, grid256)
         sym = frame(grid256, t, beta)
-        dref = couette_rhs(sym, th, q, R)
-        dgot = full_rhs(sym, th, q, spec, R)
+        dref = couette_rhs(sym, y, R)
+        dgot = full_rhs(sym, y, spec, R)
         diff = np.sqrt(grid256.integrate(np.abs(dgot[0] - dref[0]) ** 2)
                        + grid256.integrate(np.abs(dgot[1] - dref[1]) ** 2))
         consts.append(diff / (prof.epsilon * snorm))
@@ -128,7 +137,7 @@ def test_full_rhs_matches_dense_solve(grid256, amplitude):
         coupling = (apply_profile_convolution(spec, "b", phi)
                     - beta * apply_profile_convolution(spec, "g1", phi))
         dense = (-1j * k * R * q + 1j * k * (coupling - beta * phi), 1j * k * phi)
-        got = full_rhs(frame(grid256, t, beta), th, q, spec, R, tol=tol)
+        got = full_rhs(frame(grid256, t, beta), np.stack([th, q]), spec, R, tol=tol)
         for ref, val in zip(dense, got):
             assert np.linalg.norm(val - ref) <= 10 * tol * np.linalg.norm(ref)
 
@@ -307,8 +316,8 @@ def test_evolve_blowup_guard(grid256, monkeypatch):
     # an artificial exponential runaway must trip the amplitude guard
     from stratshear import evolution as ev
 
-    def runaway(sym, theta, q, R):
-        return 10.0 * theta, 10.0 * q
+    def runaway(sym, y, R):
+        return 10.0 * y
 
     monkeypatch.setattr(ev, "couette_rhs", runaway)
     with pytest.raises(StepUnstable, match=r"amplitude grew by more than 1e\+06 at k = 1, t = "):
@@ -330,61 +339,125 @@ def count_calls(monkeypatch, counts, label, owners, name):
         monkeypatch.setattr(owner, name, counted)
 
 
-def count_bl_calls(monkeypatch, counts):
+def count_bl(monkeypatch, counts):
+    """Count the calls of eval_bl and the time rows they evaluate: one for a
+    scalar t, m for a column of m times."""
     from stratshear import evolution, multipliers, spectral_ops
 
-    count_calls(monkeypatch, counts, "eval_bl", (multipliers, spectral_ops, evolution),
-                "eval_bl")
+    for owner in (multipliers, spectral_ops, evolution):
+        real = getattr(owner, "eval_bl", None)
+        if real is None:
+            continue
+
+        def counted(t, *args, _real=real, **kwargs):
+            counts["eval_bl"] += 1
+            counts["eval_bl rows"] += np.size(t)
+            return _real(t, *args, **kwargs)
+
+        monkeypatch.setattr(owner, "eval_bl", counted)
 
 
-def test_rk4_stage_four_time_is_next_stage_one_time():
-    # with t0 = 1.3, dt = 0.01 the sum (t0 + i dt) + dt misses t0 + (i+1) dt
-    # by an ulp for 34 of the first 100 steps
-    times, recorded = [], []
+def test_frame_blocks_times_are_the_step_times():
+    # the whole and half times are the floats t0 + i dt and (t0 + i dt) + dt/2
+    # of a per-step loop, across two block boundaries
+    t0, dt, n_steps = 1.3, 0.01, 2 * STEP_BLOCK + 5
+    blocks = list(frame_blocks(t0, dt, n_steps, 1, np.zeros(1), 0.0))
+    assert [half.t.shape for half, _ in blocks] == [(STEP_BLOCK, 1), (STEP_BLOCK, 1), (5, 1)]
+    half = [sym.t for batch, _ in blocks for sym in batch.rows()]
+    whole = [sym.t for _, batch in blocks for sym in batch.rows()]
+    assert half == [(t0 + i * dt) + 0.5 * dt for i in range(n_steps)]
+    assert whole == [t0 + i * dt for i in range(1, n_steps + 1)]
+    # the stage-4 sum (t0 + i dt) + dt would miss some of them by an ulp
+    assert any(whole[i] != (t0 + i * dt) + dt for i in range(n_steps))
 
-    def rhs(t, a, b):
-        times.append(t)
-        return np.zeros_like(a), np.zeros_like(b)
 
-    t0, dt, n_steps = 1.3, 0.01, 100
-    zero = np.zeros(1, complex)
-    rk4_integrate(rhs, zero, zero, t0, t0 + n_steps * dt, dt,
-                  callback=lambda i, t, a, b: recorded.append(t))
-    stages = np.array(times).reshape(n_steps, 4)
-    assert np.array_equal(stages[:, 1], stages[:, 2])
-    assert np.array_equal(stages[:-1, 3], stages[1:, 0])
-    assert np.array_equal(stages[:, 3], recorded[1:])
-    assert len(np.unique(times)) == 2 * n_steps + 1
+def reference_evolve(grid, theta, q, *, beta, R, t0, dt, n_steps, record_every, spec=None):
+    """A per-step RK4 loop on the pair (theta, q) with one scalar frame per
+    evaluation; returns the records (t, E, ||q||, ||vy||) and the final pair."""
+    k = grid.k
+
+    def rhs(t, th, qq):
+        sym = frame(grid, t, beta)
+        if spec is None:
+            return -1j * k * R * qq + sym.couette_theta * th, sym.couette_q * th
+        _, u = solve_vorticity(sym, spec, th)
+        phi = -u / sym.p
+        coupling = apply_profile_convolution(spec, "b", phi)
+        if beta != 0.0:
+            coupling = coupling - beta * apply_profile_convolution(spec, "g1", phi)
+        return -1j * k * R * qq + 1j * k * (coupling - beta * phi), 1j * k * phi
+
+    records = []
+
+    def record(step, t, th, qq):
+        if step % record_every == 0 or step == n_steps:
+            sym = frame(grid, t, beta)
+            e_eta, _ = pointwise_energy(sym, th, qq, R)
+            _, u = solve_vorticity(sym, spec, th)
+            records.append((t, float(grid.integrate(e_eta)), l2(grid, qq),
+                            l2(grid, -1j * k * u / sym.p)))
+
+    record(0, t0, theta, q)
+    for i in range(n_steps):
+        t = t0 + i * dt
+        t_half = t + 0.5 * dt
+        t_next = t0 + (i + 1) * dt
+        k1t, k1q = rhs(t, theta, q)
+        k2t, k2q = rhs(t_half, theta + 0.5 * dt * k1t, q + 0.5 * dt * k1q)
+        k3t, k3q = rhs(t_half, theta + 0.5 * dt * k2t, q + 0.5 * dt * k2q)
+        k4t, k4q = rhs(t_next, theta + dt * k3t, q + dt * k3q)
+        theta = theta + (dt / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+        q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        record(i + 1, t_next, theta, q)
+    return records, theta, q
+
+
+@pytest.mark.parametrize("profile", ["couette", "bump"])
+def test_evolve_matches_per_step_loop_bit_for_bit(grid256, bump_spectrum, profile):
+    # more than two blocks, and records that fall at every offset in a block
+    spec = bump_spectrum[1] if profile == "bump" else None
+    t0, dt, n_steps, every = 1.3, 0.01, 2 * STEP_BLOCK + 7, 5
+    theta0, q0 = make_state(grid256)
+    records, theta, q = reference_evolve(grid256, theta0, q0, beta=1.0, R=1.0, t0=t0, dt=dt,
+                                         n_steps=n_steps, record_every=every, spec=spec)
+    report, th, qq = evolve(grid256, theta0, q0, beta=1.0, R=1.0, t_max=n_steps * dt, dt=dt,
+                            t0=t0, spec=spec, record_every=every)
+    assert th.tobytes() == theta.tobytes() and qq.tobytes() == q.tobytes()
+    got = list(zip(report.times.tolist(), report.energy.tolist(), report.q_norm.tolist(),
+                   report.vy_norm.tolist()))
+    assert got == records
 
 
 def test_evolve_evaluates_bl_once_per_distinct_time(grid256, monkeypatch):
-    # an RK4 step needs BL at t + dt/2 and t + dt alone: stage 1 and the record
-    # reuse the previous step's t + dt, so n steps cost at most
-    # 2 n + (records + 1) evaluations instead of 4 n + records
+    # n steps have 2n + 1 distinct times: t0, and per step t + dt/2 and t + dt.
+    # Each is one row of one eval_bl call per block; stage 1 and the records
+    # read the rows of the step before, so records add none
     counts = Counter()
-    count_bl_calls(monkeypatch, counts)
+    count_bl(monkeypatch, counts)
     n_steps = 200
-    report, _, _ = evolve(grid256, *make_state(grid256), beta=1.0, R=1.0,
-                          t_max=n_steps * 0.01, dt=0.01, record_every=10)
-    assert 2 * n_steps <= counts["eval_bl"] <= 2 * n_steps + report.times.size + 1
+    evolve(grid256, *make_state(grid256), beta=1.0, R=1.0, t_max=n_steps * 0.01, dt=0.01,
+           record_every=10)
+    assert counts["eval_bl rows"] == 2 * n_steps + 1
+    assert counts["eval_bl"] == 1 + 2 * math.ceil(n_steps / STEP_BLOCK)
 
 
 def test_perturbed_evolve_evaluates_bl_once_per_distinct_time(grid256, bump_spectrum,
                                                               monkeypatch):
     _, spec = bump_spectrum
     counts = Counter()
-    count_bl_calls(monkeypatch, counts)
+    count_bl(monkeypatch, counts)
     n_steps = 20
-    report, _, _ = evolve(grid256, *make_state(grid256), beta=1.0, R=1.0,
-                          t_max=n_steps * 0.01, dt=0.01, record_every=5, spec=spec)
-    assert 2 * n_steps <= counts["eval_bl"] <= 2 * n_steps + report.times.size + 1
+    evolve(grid256, *make_state(grid256), beta=1.0, R=1.0, t_max=n_steps * 0.01, dt=0.01,
+           record_every=5, spec=spec)
+    assert counts["eval_bl rows"] == 2 * n_steps + 1
+    assert counts["eval_bl"] == 1 + 2 * math.ceil(n_steps / STEP_BLOCK)
 
 
 def test_solve_vorticity_builds_symbols_once_per_solve(grid256, bump_spectrum, monkeypatch):
     _, spec = bump_spectrum
     sym = frame(grid256, 1.3, 1.0)
     counts = Counter()
-    count_bl_calls(monkeypatch, counts)
+    count_bl(monkeypatch, counts)
     count_calls(monkeypatch, counts, "FrameSymbols", (FrameSymbols,), "__init__")
     stats = SolveStats()
     theta, _ = make_state(grid256)
@@ -409,7 +482,7 @@ def test_full_rhs_skips_g1_coupling_at_beta_zero(grid256, bump_spectrum, monkeyp
 
         monkeypatch.setattr(owner, "apply_profile_convolution", counted)
     sym = frame(grid256, 1.1)
-    dtheta, _ = full_rhs(sym, th, q, spec, 1.0)
+    dtheta, _ = full_rhs(sym, np.stack([th, q]), spec, 1.0)
     assert kernels["g1"] == 0 and kernels["b"] > 0
     # the coupling b - 0 * g1 it drops is b bit for bit
     _, u = solve_vorticity(sym, spec, th)
@@ -429,11 +502,11 @@ def test_step_guard_catches_nan_in_either_field(monkeypatch, field):
     grid = FrequencyGrid(k=2, eta_max=16.0, n=256)
     real = ev.couette_rhs
 
-    def poisoned(sym, theta, q, R):
-        dtheta, dq = real(sym, theta, q, R)
+    def poisoned(sym, y, R):
+        dy = real(sym, y, R)
         if sym.t > 0.05:
-            (dtheta if field == "theta" else dq)[grid.n // 2] = np.nan
-        return dtheta, dq
+            dy[0 if field == "theta" else 1, grid.n // 2] = np.nan
+        return dy
 
     monkeypatch.setattr(ev, "couette_rhs", poisoned)
     with pytest.raises(StepUnstable, match=r"non-finite field at k = 2, t = 0\.06$"):

@@ -172,3 +172,24 @@ def test_frame_symbols_match_closed_forms(k, beta):
         assert not got.flags.writeable
         with pytest.raises(ValueError):
             got[0] = 0.0
+
+
+SYMBOLS = ("d", "p", "bl", "couette_q", "couette_theta", "resolvent_d", "t_eps_g2", "t_eps_b")
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_row_frames_match_scalar_frames_bit_for_bit(k, beta):
+    eta = (np.arange(512) - 255.5) * (40.0 / 512)
+    t0, dt = 1.3, 0.01
+    batch = FrameSymbols(t0 + np.arange(16)[:, None] * dt, k, eta, beta)
+    rows = batch.rows()
+    assert [row.t for row in rows] == [t0 + i * dt for i in range(16)]
+    # rows read in reverse, so the first symbol read builds the whole batch
+    for row in reversed(rows):
+        scalar = FrameSymbols(row.t, k, eta, beta)
+        for name in SYMBOLS:
+            got = getattr(row, name)
+            assert got.tobytes() == getattr(scalar, name).tobytes(), name
+            assert np.shares_memory(got, getattr(batch, name))
+            assert getattr(row, name) is got and not got.flags.writeable

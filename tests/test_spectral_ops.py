@@ -54,8 +54,7 @@ def test_grid_integrate_is_trapezoid_bit_for_bit(eta_max, n):
 
 def inv_laplace_via_rhs(t, spec, theta):
     """phi = -T_L(Bt Theta)/p read back from dq = i k phi at beta = 0."""
-    zeros = np.zeros_like(theta)
-    _, dq = full_rhs(frame(spec.grid, t), theta, zeros, spec, 1.0)
+    _, dq = full_rhs(frame(spec.grid, t), np.stack([theta, np.zeros_like(theta)]), spec, 1.0)
     return dq / (1j * spec.grid.k)
 
 
