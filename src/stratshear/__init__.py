@@ -13,7 +13,7 @@ from .evolution import (
     full_rhs,
     pointwise_energy,
 )
-from .multipliers import FrameSymbols, bl_bound_report, eval_bl, eval_p, eval_p_prime
+from .multipliers import FrameSymbols, eval_bl, eval_p
 from .observables import fit_power_law
 from .shear import (
     GridResolutionError,
@@ -24,6 +24,6 @@ from .shear import (
     sobolev_norm,
 )
 from .spectral_ops import FrequencyGrid, NonConvergence, solve_vorticity
-from .weights import WeightSet, c_beta_constant, check_exchange, eval_m1, eval_w
+from .weights import WeightSet, c_beta_constant, eval_w
 
 __version__ = "0.1.0"

@@ -5,7 +5,6 @@ x-wavenumber k:
 
 * ``eval_p``        -- symbol p = k^2 + (eta - k t)^2 of the negative sheared
                        Laplacian,
-* ``eval_p_prime``  -- its time derivative -2 k (eta - k t),
 * ``eval_bl``       -- the stratification multiplier, reciprocal of
                        1 + i beta (eta - k t) / p,
 * ``FrameSymbols``  -- the symbols at one time t, or at a column of times,
@@ -18,23 +17,13 @@ and safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "BOUND_SLACK",
-    "BlBoundReport",
     "FrameSymbols",
-    "bl_bound_report",
     "eval_bl",
     "eval_p",
-    "eval_p_prime",
 ]
-
-# Bound predicates are exact in real arithmetic; the slack absorbs double
-# precision rounding so they never fail spuriously.
-BOUND_SLACK = 1.0 + 1e-12
 
 
 def _require_nonzero_k(k):
@@ -50,16 +39,6 @@ def eval_p(t, k, eta):
     _require_nonzero_k(k)
     d = np.asarray(eta, dtype=float) - k * t
     return k * k + d * d
-
-
-def eval_p_prime(t, k, eta):
-    """Time derivative of ``eval_p``: -2 k (eta - k t).
-
-    Satisfies |p'| <= 2 |k| sqrt(p) everywhere.
-    """
-    _require_nonzero_k(k)
-    d = np.asarray(eta, dtype=float) - k * t
-    return -2.0 * k * d
 
 
 def eval_bl(t, k, eta, beta):
@@ -184,37 +163,3 @@ class FrameSymbols:
     def t_eps_b(self):
         """i (eta - k t)/p, the inner multiplier of the b part of T_eps."""
         return 1j * self.d / self.p
-
-
-@dataclass(frozen=True)
-class BlBoundReport:
-    """Outcome of the four elementary bounds on the stratification multiplier.
-
-    Each flag is the conjunction over all sampled frequencies passed in:
-
-    * ``abs_bound``       |B| <= 1 + beta
-    * ``imag_bound``      |Im B| <= beta / sqrt(p)
-    * ``real_shift_bound``|Re(B - 1)| <= beta^2 / p
-    * ``shift_bound``     |B - 1| <= (beta + beta^2) / sqrt(p)
-    """
-
-    abs_bound: bool
-    imag_bound: bool
-    real_shift_bound: bool
-    shift_bound: bool
-
-    def all_hold(self) -> bool:
-        return self.abs_bound and self.imag_bound and self.real_shift_bound and self.shift_bound
-
-
-def bl_bound_report(t, k, eta, beta) -> BlBoundReport:
-    """Evaluate the four multiplier bounds at (t; k, eta), elementwise-conjoined."""
-    bl = eval_bl(t, k, eta, beta)
-    p = eval_p(t, k, eta)
-    sp = np.sqrt(p)
-    return BlBoundReport(
-        abs_bound=bool(np.all(np.abs(bl) <= (1.0 + beta) * BOUND_SLACK)),
-        imag_bound=bool(np.all(np.abs(bl.imag) <= beta / sp * BOUND_SLACK + 1e-300)),
-        real_shift_bound=bool(np.all(np.abs(bl.real - 1.0) <= beta * beta / p * BOUND_SLACK + 1e-300)),
-        shift_bound=bool(np.all(np.abs(bl - 1.0) <= (beta + beta * beta) / sp * BOUND_SLACK + 1e-300)),
-    )

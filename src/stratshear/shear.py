@@ -39,6 +39,9 @@ _INVERSION_TOL = 1e-13
 # transform then holds a 64 x 2^15 real and a 64 x 2^15 complex buffer
 # (about 50 MB together)
 _MAX_WINDOW_SAMPLES = 2**15
+# share of either smallness measurement that the rounding floor of its
+# transforms may make up (estimated) before build_profile refuses it
+_FLOOR_SHARE_BOUND = 1e-3
 # bytes the three dense N x N complex convolution operators of a perturbed
 # run may take together: N up to 4728
 _MAX_OPERATOR_BYTES = 2**30
@@ -204,12 +207,27 @@ def sobolev_norm(etas, fhat, order, k=None):
     return float(np.sqrt(np.trapezoid(density, etas)))
 
 
-def _measurement_etas(profile: ShearProfile, order: float):
-    # Wide enough that <eta>^{2*order} |fhat|^2 has decayed below 1e-30.  The
-    # lattice is exactly symmetric, (-m) * h == -(m * h), so that the
-    # transforms can be mirrored from eta >= 0.
-    hi = (10.0 + 2.0 * order) * max(1.0, 2.0 / profile.width)
-    return np.arange(-1000, 1001) * (hi / 1000)
+def _measurement_samples(profile: ShearProfile, s: float):
+    """The smallness lattice, the transform window Y, and the samples on Y of
+    (g - 1, b) at U^{-1}(Y) and of (U' - 1, U''), stacked as four columns.
+
+    The lattice ends at hi, past which <eta>^{2 order} |fhat|^2 has decayed
+    below 1e-30 at the highest order measured, max(s + 5, 6).  Its spacing is
+    pi/L, L the half-width of the window: |fhat|^2 is the transform of an
+    autocorrelation that vanishes outside [-2L, 2L], and so is its product
+    with any polynomial, so by Poisson summation the trapezoid rule
+    integrates both exactly once 2 pi / spacing >= 2L.  The spacing is
+    capped at 1000 intervals per side.  The lattice is exactly symmetric,
+    (-m) * h == -(m * h), so that the transforms can be mirrored from
+    eta >= 0.
+    """
+    hi = (10.0 + 2.0 * max(s + 5.0, 6.0)) * max(1.0, 2.0 / profile.width)
+    Y = _profile_window(profile, hi)
+    m = min(1000, math.ceil(hi * (Y[-1] - Y[0]) / (2.0 * math.pi)))
+    yin = profile.u_inverse(Y)
+    samples = np.stack([profile.u_prime(yin) - 1.0, profile.u_second(yin),
+                        profile.u_prime(Y) - 1.0, profile.u_second(Y)], axis=1)
+    return np.arange(-m, m + 1) * (hi / m), Y, samples
 
 
 def _conj_mirror(half):
@@ -219,21 +237,33 @@ def _conj_mirror(half):
     return np.concatenate([np.conj(half[:0:-1]), half])
 
 
-def _measure_epsilon(profile: ShearProfile, s: float):
-    etas = _measurement_etas(profile, s + 5.0)
-    Y, gm1, bb = _frame_samples(profile, etas)
-    g_hat, b_hat = _conj_mirror(fourier_transform_samples(
-        Y, np.stack([gm1, bb], axis=1), etas[etas.size // 2:])).T
-    return sobolev_norm(etas, g_hat, s + 5.0) + sobolev_norm(etas, b_hat, s + 4.0)
+def _measure_smallness(profile: ShearProfile, s: float):
+    """epsilon = ||g - 1||_{s+5} + ||b||_{s+4} and the velocity smallness
+    ||U' - 1||_6 + ||U''||_5, from one transform of the four samples.
 
-
-def _measure_epsilon_velocity(profile: ShearProfile):
-    etas = _measurement_etas(profile, 6.0)
-    Y = _profile_window(profile, float(np.max(np.abs(etas))))
-    up_hat, us_hat = _conj_mirror(fourier_transform_samples(
-        Y, np.stack([profile.u_prime(Y) - 1.0, profile.u_second(Y)], axis=1),
-        etas[etas.size // 2:])).T
-    return sobolev_norm(etas, up_hat, 6.0) + sobolev_norm(etas, us_hat, 5.0)
+    The computed transforms level off at a rounding floor, which the Sobolev
+    weights amplify at high orders.  The floor of each column is estimated
+    as the RMS of its transform over the outer tenth of the lattice, taken
+    as flat over the whole lattice; if the floor's norms exceed
+    _FLOOR_SHARE_BOUND of either measurement, the measurement is refused.
+    """
+    etas, Y, samples = _measurement_samples(profile, s)
+    fhat = _conj_mirror(fourier_transform_samples(Y, samples, etas[etas.size // 2:]))
+    orders = (s + 5.0, s + 4.0, 6.0, 5.0)
+    norms = [sobolev_norm(etas, col, order) for col, order in zip(fhat.T, orders)]
+    outer = np.abs(etas) >= 0.9 * etas[-1]
+    floor_rms = np.sqrt(np.mean(np.abs(fhat[outer]) ** 2, axis=0))
+    flat = np.ones(etas.size)
+    floors = [rms * sobolev_norm(etas, flat, order) for rms, order in zip(floor_rms, orders)]
+    eps, eps_velocity = norms[0] + norms[1], norms[2] + norms[3]
+    for name, value, floor in (("epsilon", eps, floors[0] + floors[1]),
+                               ("the velocity smallness", eps_velocity, floors[2] + floors[3])):
+        if floor > _FLOOR_SHARE_BOUND * value:
+            raise GridResolutionError(
+                f"s = {s:.4g}: the rounding floor of the profile transform makes up "
+                f"{floor / value:.2g} of {name}, above {_FLOOR_SHARE_BOUND:g}; lower s"
+            )
+    return eps, eps_velocity
 
 
 def build_profile(kind, a=0.0, sigma=1.0, y0=0.0, s=0.0) -> ShearProfile:
@@ -241,7 +271,9 @@ def build_profile(kind, a=0.0, sigma=1.0, y0=0.0, s=0.0) -> ShearProfile:
 
     ``kind`` is "couette" (ignores the bump parameters) or "perturbed".
     Rejects non-monotone parameter choices: monotonicity of U requires
-    |a| * sup|phi'| / sigma = |a|/sigma < 1.
+    |a| * sup|phi'| / sigma = |a|/sigma < 1.  Raises ``GridResolutionError``
+    when the transform window would be unaffordable, or when the rounding
+    floor would carry too much of the measured smallness.
     """
     if kind not in ("couette", "perturbed"):
         raise ValueError(f"unknown profile kind {kind!r}")
@@ -257,8 +289,7 @@ def build_profile(kind, a=0.0, sigma=1.0, y0=0.0, s=0.0) -> ShearProfile:
                         sobolev_order=s)
     if a == 0.0:
         return base
-    eps = _measure_epsilon(base, s)
-    eps_vel = _measure_epsilon_velocity(base)
+    eps, eps_vel = _measure_smallness(base, s)
     return ShearProfile(kind="perturbed", amplitude=a, width=sigma, center=y0,
                         sobolev_order=s, epsilon=eps, epsilon_velocity=eps_vel)
 

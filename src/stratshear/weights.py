@@ -1,7 +1,7 @@
 """Ghost weights for the energy method: w and m1, combined as w**delta / m1.
 
 The decay-correction weight w solves  d(log w)/dt = |p'| / (4 p),  w(0) = 1.
-The arctan weight m1 is returned in its bounded closed form
+The arctan weight m1 enters in its bounded closed form
 
     m1(t; k, eta) = exp[ C (arctan(eta/k - t) - arctan(eta/k)) ],
 
@@ -16,19 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .multipliers import eval_p
 
 __all__ = [
-    "ExchangeRatios",
     "WeightSet",
     "c_beta_constant",
-    "check_exchange",
     "energy_weight_inv",
-    "eval_m1",
     "eval_w",
 ]
 
@@ -60,16 +56,6 @@ def eval_w(t, k, eta):
     pre = (p0 / p) ** 0.25
     grow = (p / p0) ** 0.25
     return np.where(tc > 0, np.where(np.less(t, tc), pre, past), grow)
-
-
-def eval_m1(t, k, eta, c_beta):
-    """Bounded arctan weight exp[c_beta (arctan(eta/k - t) - arctan(eta/k))].
-
-    Equals 1 at t = 0, is nonincreasing in t and bounded below by
-    exp(-pi c_beta).  Its logarithmic derivative is -c_beta k^2 / p.
-    """
-    eta = np.asarray(eta, dtype=float)
-    return np.exp(c_beta * (np.arctan(eta / k - t) - np.arctan(eta / k)))
 
 
 def energy_weight_inv(t, k, eta, delta, c_beta):
@@ -104,46 +90,3 @@ class WeightSet:
 
     def energy_weight_inv(self, t, k, eta):
         return energy_weight_inv(t, k, eta, self.delta, self.c_beta)
-
-
-class ExchangeRatios(NamedTuple):
-    """Left/right ratios of the three frequency-exchange inequalities."""
-
-    ratio_p: np.ndarray
-    ratio_p_prime: np.ndarray
-    ratio_m: np.ndarray
-
-
-def check_exchange(t, k, eta, xi, delta, c_beta=1.0):
-    """Ratios LHS/RHS for exchanging the frequency eta against xi.
-
-    The three inequalities moved across convolutions are
-
-        1/p(eta)        <=  C <eta-xi>^2  / p(xi)
-        (|p'|/p)(eta)   <=  C [ <eta-xi>^2 (|p'|/p)(xi) + |k| <eta-xi>^3 / p(xi) ]
-        minv(eta)       <=  C <eta-xi>^delta  minv(xi)
-
-    with <x> = sqrt(1 + x^2) and minv the inverse energy weight.  Each entry of
-    the result is the ratio of the two sides, so a sampled supremum bounds the
-    constant C empirically.  ``c_beta`` defaults to 1: the m-ratio is an
-    exponential in c_beta and leaves double precision for run-sized constants.
-    """
-    eta = np.asarray(eta, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    jap = np.sqrt(1.0 + (eta - xi) ** 2)
-    p_eta = eval_p(t, k, eta)
-    p_xi = eval_p(t, k, xi)
-
-    ratio_p = p_xi / (jap**2 * p_eta)
-
-    d_eta = eta - k * t
-    d_xi = xi - k * t
-    lhs_pp = 2.0 * abs(k) * np.abs(d_eta) / p_eta
-    rhs_pp = jap**2 * 2.0 * abs(k) * np.abs(d_xi) / p_xi + abs(k) * jap**3 / p_xi
-    ratio_pp = lhs_pp / rhs_pp
-
-    minv_eta = energy_weight_inv(t, k, eta, delta, c_beta)
-    minv_xi = energy_weight_inv(t, k, xi, delta, c_beta)
-    ratio_m = minv_eta / (jap**delta * minv_xi)
-
-    return ExchangeRatios(ratio_p=ratio_p, ratio_p_prime=ratio_pp, ratio_m=ratio_m)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_t_eps, dense_vorticity, frame
+from lemmas import bl_bound_report, check_exchange
 from test_cli import read_summary
 from stratshear.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from stratshear.evolution import (
@@ -22,11 +23,11 @@ from stratshear.evolution import (
     pointwise_energy,
     rk4_integrate,
 )
-from stratshear.multipliers import FrameSymbols, bl_bound_report, eval_bl, eval_p
+from stratshear.multipliers import FrameSymbols, eval_bl, eval_p
 from stratshear.observables import fit_modulated_power_law, fit_power_law
 from stratshear.shear import build_profile, sample_spectrum
 from stratshear.spectral_ops import FrequencyGrid, SolveStats, solve_vorticity
-from stratshear.weights import WeightSet, check_exchange
+from stratshear.weights import WeightSet
 
 ES_MONOTONE_RTOL = 1e-6
 REFERENCE_NU = math.sqrt(1.0 - 0.25)  # log-periodic frequency sqrt(R - 1/4) at R = 1

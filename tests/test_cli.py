@@ -292,6 +292,9 @@ CONFIG_ERRORS = {
     "negative_sobolev_order": "s = -20.0\n",  # epsilon was measured as NaN
     "negative_weight_constant": "weights.C0 = -1.0\n",  # weight inverse above 1
     "unaffordable_bump_width": "profile.sigma = 2.0e4\n",  # tens of GB per transform chunk
+    # epsilon measured from the transform's rounding floor: 2.6x and 6.7x too large
+    "rounding_floor_high_order": "s = 6.0\n",
+    "rounding_floor_wide_bump": "profile.sigma = 4.0\ns = 5.0\n",
     "unaffordable_dense_operators": "grid.N = 32768\n",  # 48 GiB of convolution matrices
     # NaN energy ratios written to summary.json
     "zero_initial_data": "init.theta.amplitude = 0.0\ninit.q.amplitude = 0.0\n",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_vorticity, frame, gaussian_field, l2
+from lemmas import eval_p_prime
 from stratshear.evolution import (
     STEP_BLOCK,
     StepUnstable,
@@ -16,7 +17,7 @@ from stratshear.evolution import (
     pointwise_energy,
     rk4_integrate,
 )
-from stratshear.multipliers import FrameSymbols, eval_bl, eval_p, eval_p_prime
+from stratshear.multipliers import FrameSymbols, eval_bl, eval_p
 from stratshear.shear import build_profile, sample_spectrum
 from stratshear.spectral_ops import (
     FrequencyGrid,

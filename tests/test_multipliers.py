@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from stratshear.multipliers import (
-    FrameSymbols,
-    bl_bound_report,
-    eval_bl,
-    eval_p,
-    eval_p_prime,
-)
+from lemmas import bl_bound_report, eval_p_prime
+from stratshear.multipliers import FrameSymbols, eval_bl, eval_p
 
 
 def test_p_direct_values():

@@ -212,16 +212,121 @@ def test_smallness_measurements_mirror_full_transforms():
     # the measurement lattice is exactly symmetric, so transforming eta >= 0
     # and mirroring gives both smallness measurements bit for bit
     prof = build_profile("perturbed", a=0.0018, sigma=1.6, y0=-0.05, s=1.5)
-    etas = shear._measurement_etas(prof, prof.sobolev_order + 5.0)
+    s = prof.sobolev_order
+    etas, Y, samples = shear._measurement_samples(prof, s)
     assert np.array_equal(etas[::-1], -etas)
-    Y, gm1, bb = shear._frame_samples(prof, etas)
-    g_hat, b_hat = fourier_transform_samples(Y, np.stack([gm1, bb], axis=1), etas).T
-    assert prof.epsilon == (sobolev_norm(etas, g_hat, prof.sobolev_order + 5.0)
-                            + sobolev_norm(etas, b_hat, prof.sobolev_order + 4.0))
-    etas = shear._measurement_etas(prof, 6.0)
-    assert np.array_equal(etas[::-1], -etas)
-    Y = shear._profile_window(prof, float(np.max(np.abs(etas))))
-    up_hat, us_hat = fourier_transform_samples(
-        Y, np.stack([prof.u_prime(Y) - 1.0, prof.u_second(Y)], axis=1), etas).T
-    assert prof.epsilon_velocity == (sobolev_norm(etas, up_hat, 6.0)
-                                     + sobolev_norm(etas, us_hat, 5.0))
+    g_hat, b_hat, up_hat, us_hat = fourier_transform_samples(Y, samples, etas).T
+    assert prof.epsilon == sobolev_norm(etas, g_hat, s + 5.0) + sobolev_norm(etas, b_hat, s + 4.0)
+    assert prof.epsilon_velocity == sobolev_norm(etas, up_hat, 6.0) + sobolev_norm(etas, us_hat, 5.0)
+
+
+def _fine_lattice_transforms(prof, order, columns):
+    """Transforms on a 2001-point lattice ending at (10 + 2 order) max(1, 2/sigma),
+    with the window of that end, computed at eta >= 0 and mirrored."""
+    hi = (10.0 + 2.0 * order) * max(1.0, 2.0 / prof.width)
+    etas = np.arange(-1000, 1001) * (hi / 1000)
+    Y = shear._profile_window(prof, hi)
+    yin = prof.u_inverse(Y)
+    samples = {"g": prof.u_prime(yin) - 1.0, "b": prof.u_second(yin),
+               "up": prof.u_prime(Y) - 1.0, "us": prof.u_second(Y)}
+    half = fourier_transform_samples(Y, np.stack([samples[c] for c in columns], axis=1),
+                                     etas[1000:])
+    return etas, np.concatenate([np.conj(half[:0:-1]), half]).T
+
+
+def _two_lattice_smallness(prof, orders):
+    """epsilon at each offset order s + 5 in ``orders`` and the velocity
+    smallness, each measured on its own 2001-point lattice and window."""
+    etas6, (g6, b6, up, us) = _fine_lattice_transforms(prof, 6.0, ("g", "b", "up", "us"))
+    eps = {}
+    for order in orders:
+        etas, (g, b) = ((etas6, (g6, b6)) if order == 6.0
+                        else _fine_lattice_transforms(prof, order, ("g", "b")))
+        eps[order] = sobolev_norm(etas, g, order) + sobolev_norm(etas, b, order - 1.0)
+    return eps, sobolev_norm(etas6, up, 6.0) + sobolev_norm(etas6, us, 5.0)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 1.6, 4.0, 10.0, 30.0])
+def test_smallness_matches_two_fine_lattices(sigma):
+    # one transform on a lattice of spacing pi/L measures what two transforms
+    # on 2001-point lattices (spacing hi/1000) and their own windows measured.
+    # Every amplitude meets every centre up to sigma = 4; the wide bumps cost
+    # about 4 s per pair on 2 vCPUs, so there each amplitude meets one centre
+    # (a centre only translates the profile)
+    amplitudes, centres = (0.0018, 0.05, 0.3 * sigma), (0.0, 0.45, -1.0)
+    pairs = (zip(amplitudes, centres) if sigma >= 10.0
+             else [(a, y0) for a in amplitudes for y0 in centres])
+    for a, y0 in pairs:
+        eps, velocity = _two_lattice_smallness(
+            shear.ShearProfile("perturbed", amplitude=a, width=sigma, center=y0), (5.0, 6.0))
+        for s in (0.0, 1.0):
+            prof = build_profile("perturbed", a=a, sigma=sigma, y0=y0, s=s)
+            assert prof.epsilon == pytest.approx(eps[s + 5.0], rel=1e-11, abs=0)
+            assert prof.epsilon_velocity == pytest.approx(velocity, rel=1e-11, abs=0)
+
+
+def test_shipped_bump_smallness_matches_two_fine_lattices():
+    for y0 in (0.0, 0.45):
+        prof = build_profile("perturbed", a=0.0018, sigma=1.6, y0=y0, s=0.0)
+        eps, velocity = _two_lattice_smallness(prof, (5.0,))
+        assert prof.epsilon == pytest.approx(eps[5.0], rel=1e-12, abs=0)
+        assert prof.epsilon_velocity == pytest.approx(velocity, rel=1e-12, abs=0)
+
+
+def test_smallness_transforms_a_bounded_count_of_frequencies(monkeypatch):
+    # the work of the measurement, counted: one transform of at most 1001
+    # frequencies eta >= 0 (the old lattices' count), far fewer for the
+    # shipped bump width
+    counts = []
+
+    def counting(y, values, etas):
+        counts.append(np.size(etas))
+        return fourier_transform_samples(y, values, etas)
+
+    monkeypatch.setattr(shear, "fourier_transform_samples", counting)
+    for sigma in (0.05, 0.5, 1.6, 4.0, 10.0, 30.0):
+        counts.clear()
+        build_profile("perturbed", a=0.0018, sigma=sigma, y0=0.45)
+        assert len(counts) == 1 and counts[0] <= 1001
+        if sigma == 1.6:
+            assert counts[0] <= 301
+
+
+def _truncated_smallness(prof, s):
+    """Both measurements from the transform on the measurement lattice, each
+    column cut to zero from the first frequency past its peak where it
+    reaches its rounding floor, the largest modulus at |eta| >= hi/2."""
+    etas, Y, samples = shear._measurement_samples(prof, s)
+    fhat = fourier_transform_samples(Y, samples, etas).T
+    for col in fhat:
+        floor = np.max(np.abs(col[np.abs(etas) >= etas[-1] / 2]))
+        half = np.abs(col[etas >= 0])
+        peak = int(np.argmax(half))
+        cut = etas[etas >= 0][peak + int(np.argmax(half[peak:] <= floor))]
+        col[np.abs(etas) >= cut] = 0.0
+    g, b, up, us = (sobolev_norm(etas, col, order)
+                    for col, order in zip(fhat, (s + 5.0, s + 4.0, 6.0, 5.0)))
+    return g + b, up + us
+
+
+def test_smallness_is_refused_where_the_rounding_floor_carries_it():
+    # (1 + eta^2)^{s+5} amplifies the transform's rounding floor: every
+    # accepted measurement agrees with the floor-truncated transform within
+    # the bound, the orders used by the tests and configs are accepted, and
+    # those where the floor carries epsilon are refused
+    accepted, refused = set(), set()
+    for sigma in (0.5, 1.6, 2.0, 4.0):
+        for s in (0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0):
+            try:
+                prof = build_profile("perturbed", a=0.0018, sigma=sigma, y0=0.45, s=s)
+            except GridResolutionError as exc:
+                assert "rounding floor" in str(exc)
+                refused.add((sigma, s))
+                continue
+            accepted.add((sigma, s))
+            eps, velocity = _truncated_smallness(prof, s)
+            assert prof.epsilon == pytest.approx(eps, rel=shear._FLOOR_SHARE_BOUND, abs=0)
+            assert prof.epsilon_velocity == pytest.approx(
+                velocity, rel=shear._FLOOR_SHARE_BOUND, abs=0)
+    assert {(sigma, s) for sigma in (1.6, 2.0) for s in (0.0, 1.0, 1.5)} <= accepted
+    assert {(1.6, 6.0), (4.0, 5.0)} <= refused

@@ -3,15 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from stratshear.multipliers import eval_p, eval_p_prime
-from stratshear.weights import (
-    WeightSet,
-    c_beta_constant,
-    check_exchange,
-    energy_weight_inv,
-    eval_m1,
-    eval_w,
-)
+from lemmas import check_exchange, eval_m1, eval_p_prime
+from stratshear.multipliers import eval_p
+from stratshear.weights import WeightSet, c_beta_constant, energy_weight_inv, eval_w
 
 
 def test_c_beta_formula():
