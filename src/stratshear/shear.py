@@ -42,17 +42,19 @@ _MAX_WINDOW_SAMPLES = 2**15
 # share of either smallness measurement that the rounding floor of its
 # transforms may make up (estimated) before build_profile refuses it
 _FLOOR_SHARE_BOUND = 1e-3
-# bytes the three dense N x N complex convolution operators of a perturbed
-# run may take together: N up to 4728
-_MAX_OPERATOR_BYTES = 2**30
+# largest grid of a perturbed run: each profile convolution costs O(N^2)
+# work, N^2 complex multiply-adds, and a right-hand side does 9 to 14 of them
+# (at N = 4728 about 0.1 s per right-hand side on 2 cores, extrapolated from
+# 3.9-6.6 ms at N = 1024)
+_MAX_PERTURBED_N = 4728
 # math.erf as a ufunc (it returns Python floats, cast back on use)
 _erf = np.frompyfunc(math.erf, 1, 1)
 
 
 class GridResolutionError(ValueError):
     """Frequency grid too coarse or too short to carry the profile spectrum,
-    too fine for its dense convolution operators to fit the memory bound, or
-    a profile whose transform would need an unaffordable quadrature."""
+    too fine for its O(N^2) convolutions to stay affordable, or a profile
+    whose transform would need an unaffordable quadrature."""
 
 
 def _bump(z):
@@ -300,10 +302,12 @@ class ProfileSpectrum:
 
     ``kern_g1``, ``kern_g2`` and ``kern_b`` hold the transforms of g-1, g^2-1
     and b on the (2N-1)-point difference lattice that the linear convolution
-    needs (Hermitian-symmetric since the profiles are real); convolution
-    matrices built from them are cached on first use.  The lattice and the
-    matrices depend on N and eta_max only (read from ``grid``), not on k, so
-    one sampled spectrum serves every wavenumber of a run as it is.
+    needs (Hermitian-symmetric since the profiles are real).  Each kernel is
+    weighted by deta/(2 pi) on first use and cached: as its dense N x N
+    Toeplitz matrix below ``spectral_ops.DIRECT_CONVOLUTION_N``, as the
+    (2N-1)-point kernel itself from there up.  The lattice and the cached
+    operators depend on N and eta_max only (read from ``grid``), not on k,
+    so one sampled spectrum serves every wavenumber of a run as it is.
     """
 
     grid: FrequencyGrid
@@ -319,8 +323,9 @@ def sample_spectrum(profile: ShearProfile, grid: FrequencyGrid) -> ProfileSpectr
     For perturbed profiles the grid must resolve the bump:
     sigma * deta <= 1/4 (sampling) and eta_max * sigma >= 20 (truncation);
     otherwise aliasing or tail loss would corrupt the convolution operators.
-    The three dense N x N operators must also fit _MAX_OPERATOR_BYTES; each
-    check raises ``GridResolutionError`` before anything is transformed.
+    N must also stay at or below _MAX_PERTURBED_N, since every convolution
+    costs O(N^2) work; each check raises ``GridResolutionError`` before
+    anything is transformed.
     A Couette profile gives zero kernels; the operators take ``spec=None``
     for Couette instead.
     """
@@ -339,11 +344,10 @@ def sample_spectrum(profile: ShearProfile, grid: FrequencyGrid) -> ProfileSpectr
             f"eta_max * sigma = {grid.eta_max * profile.width:.4g} < 20: grid too "
             "short to carry the profile spectrum"
         )
-    operator_bytes = 3 * 16 * n * n
-    if operator_bytes > _MAX_OPERATOR_BYTES:
+    if n > _MAX_PERTURBED_N:
         raise GridResolutionError(
-            f"N = {n} needs {operator_bytes / 2**30:.3g} GiB for the three dense "
-            f"convolution operators, above {_MAX_OPERATOR_BYTES / 2**30:.3g} GiB"
+            f"N = {n} above {_MAX_PERTURBED_N}: each profile convolution would cost "
+            f"{float(n * n):.3g} complex multiply-adds, 9 to 14 of them per right-hand side"
         )
     # The lattice is exactly symmetric and the profiles are real: transform
     # the n points eta >= 0 and mirror them.

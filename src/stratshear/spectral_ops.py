@@ -5,7 +5,9 @@ uniform midpoint grid (no point sits at eta = 0 or at the ends, so the grid
 is exactly symmetric for even N).  Operators that multiply by a Y-profile
 become discrete linear convolutions against the profile transform, weighted
 by deta/(2 pi); fields are extended by zero beyond the grid, so convolutions
-are linear, not circular, and cost O(N^2) as a dense Toeplitz matvec.
+are linear, not circular, and cost O(N^2): a dense Toeplitz matvec on small
+grids, a direct sum over the (2N-1)-point kernel from DIRECT_CONVOLUTION_N up,
+where the N x N matrices would cost more memory than they save time.
 
 The two resolvents, T_L = (I - T_eps)^{-1} of the sheared Laplacian and
 T_B = (I - B_eps)^{-1} of the vorticity correction (which contains T_L), are
@@ -79,22 +81,42 @@ class FrequencyGrid:
         return (self._steps * (density[1:] + density[:-1]) / 2.0).sum()
 
 
-def _conv_matrix(spec, name):
-    """Dense Toeplitz matrix of the deta/(2 pi)-weighted linear convolution."""
-    mat = spec._conv_cache.get(name)
-    if mat is None:
+# grid size from which a profile convolution sums directly over its
+# (2N-1)-point kernel instead of multiplying by the dense N x N Toeplitz
+# matrix: the smallest N of a sweep over N in {256, 384, 448, 512, 768, 1024}
+# at which a perturbed evolve, at beta = 0 and at beta = 1, took no longer
+# with the direct sum (median wall time of fresh processes on 2 cores)
+DIRECT_CONVOLUTION_N = 512
+
+
+def _conv_operator(spec, name):
+    """The deta/(2 pi)-weighted kernel, cached on first use: as its dense
+    Toeplitz matrix below DIRECT_CONVOLUTION_N, as the (2N-1)-point kernel
+    itself from there up."""
+    op = spec._conv_cache.get(name)
+    if op is None:
         kern = {"g1": spec.kern_g1, "g2": spec.kern_g2, "b": spec.kern_b}[name]
         n = spec.grid.n
-        idx = np.arange(n)
-        scale = spec.grid.deta / (2.0 * math.pi)
-        mat = scale * kern[idx[:, None] - idx[None, :] + n - 1]
-        spec._conv_cache[name] = mat
-    return mat
+        op = spec.grid.deta / (2.0 * math.pi) * kern
+        if n < DIRECT_CONVOLUTION_N:
+            idx = np.arange(n)
+            op = op[idx[:, None] - idx[None, :] + n - 1]
+        spec._conv_cache[name] = op
+    return op
 
 
 def apply_profile_convolution(spec, name, values):
-    """Convolve raw values with one of the profile kernels ("g1", "g2", "b")."""
-    return _conv_matrix(spec, name) @ values
+    """Convolve raw values with one of the profile kernels ("g1", "g2", "b").
+
+    Entry i is the sum over j of the weighted kernel at i - j + N - 1 times
+    values[j]: a dense matvec below DIRECT_CONVOLUTION_N and ``np.convolve``
+    over the kernel from there up, which forms the same products and sums
+    them in another order.  ``values`` is one field of N values.
+    """
+    op = _conv_operator(spec, name)
+    if op.ndim == 1:
+        return np.convolve(op, values, mode="valid")
+    return op @ values
 
 
 def _t_eps_values(sym, spec, values):

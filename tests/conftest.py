@@ -3,7 +3,7 @@ import pytest
 
 from stratshear.multipliers import FrameSymbols, eval_bl, eval_p
 from stratshear.shear import build_profile, sample_spectrum
-from stratshear.spectral_ops import FrequencyGrid, apply_profile_convolution
+from stratshear.spectral_ops import FrequencyGrid
 
 
 @pytest.fixture(scope="session")
@@ -16,6 +16,14 @@ def bump_spectrum(grid256):
     # sigma * deta = 0.25 and eta_max * sigma = 32: resolution preconditions hold
     profile = build_profile("perturbed", a=0.05, sigma=2.0, y0=0.4, s=0.0)
     return profile, sample_spectrum(profile, grid256)
+
+
+@pytest.fixture(scope="session")
+def bump_spectrum512():
+    # the bump of bump_spectrum on twice the points: from DIRECT_CONVOLUTION_N
+    # up, apply_profile_convolution sums over the kernels directly
+    grid = FrequencyGrid(k=1, eta_max=16.0, n=512)
+    return sample_spectrum(build_profile("perturbed", a=0.05, sigma=2.0, y0=0.4, s=0.0), grid)
 
 
 @pytest.fixture(scope="session")
@@ -37,19 +45,28 @@ def l2(grid, values):
     return float(np.sqrt(grid.integrate(np.abs(values) ** 2)))
 
 
+def kernel_matrix(spec, name):
+    """Dense matrix deta/(2 pi) kern[i - j + N - 1] of one profile kernel
+    ("g1", "g2" or "b"), built from the sampled kernel itself, so that it is a
+    reference for ``apply_profile_convolution`` on every grid size."""
+    kern = {"g1": spec.kern_g1, "g2": spec.kern_g2, "b": spec.kern_b}[name]
+    n = spec.grid.n
+    idx = np.arange(n)
+    return spec.grid.deta / (2.0 * np.pi) * kern[idx[:, None] - idx[None, :] + n - 1]
+
+
 def dense_t_eps(t, spec):
     """Dense T_eps = G2 diag(-d^2/p) + B diag(i d/p), d = eta - k t.
 
-    G2 and B are the g^2-1 and b convolution matrices; d and p are built here
-    and from ``eval_p``, so the reference shares neither the solver's sweep
-    nor ``FrameSymbols``.
+    G2 and B are the g^2-1 and b convolution matrices from ``kernel_matrix``;
+    d and p are built here and from ``eval_p``, so the reference shares
+    neither the solver's sweep, its convolutions nor ``FrameSymbols``.
     """
     grid = spec.grid
-    eye = np.eye(grid.n, dtype=complex)
     d = grid.etas - grid.k * t
     p = eval_p(t, grid.k, grid.etas)
-    return (apply_profile_convolution(spec, "g2", eye) * (-(d * d) / p)
-            + apply_profile_convolution(spec, "b", eye) * (1j * d / p))
+    return (kernel_matrix(spec, "g2") * (-(d * d) / p)
+            + kernel_matrix(spec, "b") * (1j * d / p))
 
 
 def dense_resolvent(t, spec, beta):
@@ -62,7 +79,7 @@ def dense_resolvent(t, spec, beta):
     grid = spec.grid
     eye = np.eye(grid.n, dtype=complex)
     t_l = np.linalg.inv(eye - dense_t_eps(t, spec))
-    g1 = apply_profile_convolution(spec, "g1", eye)
+    g1 = kernel_matrix(spec, "g1")
     dmul = (-1j * (grid.etas - grid.k * t) / eval_p(t, grid.k, grid.etas))[:, None]
     bl = eval_bl(t, grid.k, grid.etas, beta)
     b = beta * bl[:, None] * (g1 @ (dmul * t_l) + dmul * (t_l - eye))

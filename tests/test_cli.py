@@ -295,7 +295,8 @@ CONFIG_ERRORS = {
     # epsilon measured from the transform's rounding floor: 2.6x and 6.7x too large
     "rounding_floor_high_order": "s = 6.0\n",
     "rounding_floor_wide_bump": "profile.sigma = 4.0\ns = 5.0\n",
-    "unaffordable_dense_operators": "grid.N = 32768\n",  # 48 GiB of convolution matrices
+    # above N = 4728: 1.07e9 complex multiply-adds per convolution
+    "unaffordable_dense_operators": "grid.N = 32768\n",
     # NaN energy ratios written to summary.json
     "zero_initial_data": "init.theta.amplitude = 0.0\ninit.q.amplitude = 0.0\n",
     "huge_init_amplitude": "init.theta.amplitude = 1e300\n",  # every CSV value inf

@@ -14,8 +14,8 @@ from test_cli import BUMP, SMOKE  # noqa: E402
 
 # Candidate values per key, valid and invalid alike.  Valid shapes stay small
 # (N <= 256, t_max <= 0.05) but for N = 32768, which a Couette run steps in
-# milliseconds and a perturbed run refuses for the size of its dense
-# operators; bump widths and Sobolev orders whose transforms would be
+# milliseconds and a perturbed run refuses for the O(N^2) work of each
+# convolution; bump widths and Sobolev orders whose transforms would be
 # unaffordable are refused before anything is allocated too.
 FUZZ_VALUES = {
     "mode": ["couette", "near_couette", "bogus"],

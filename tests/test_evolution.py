@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import dense_vorticity, frame, gaussian_field, l2
+from conftest import dense_vorticity, frame, gaussian_field, kernel_matrix, l2
 from lemmas import eval_p_prime
 from stratshear.evolution import (
     STEP_BLOCK,
@@ -20,6 +21,7 @@ from stratshear.evolution import (
 from stratshear.multipliers import FrameSymbols, eval_bl, eval_p
 from stratshear.shear import build_profile, sample_spectrum
 from stratshear.spectral_ops import (
+    DIRECT_CONVOLUTION_N,
     FrequencyGrid,
     SolveStats,
     apply_profile_convolution,
@@ -125,20 +127,25 @@ def test_full_rhs_perturbation_scaling(grid256):
         assert abs(c - base) / base < 0.25
 
 
-@pytest.mark.parametrize("amplitude", [0.0045, 0.045])  # epsilon about 0.047 and 0.46
-def test_full_rhs_matches_dense_solve(grid256, amplitude):
-    # phi = -T_L(Bt Theta)/p from dense matrices, coupled back as full_rhs does
+@pytest.mark.parametrize("n, amplitude", [
+    pytest.param(256, 0.0045, id="0.0045"),  # epsilon about 0.047
+    pytest.param(256, 0.045, id="0.045"),  # epsilon about 0.46
+    pytest.param(512, 0.045, id="N512-0.045"),  # direct convolutions
+])
+def test_full_rhs_matches_dense_solve(n, amplitude):
+    # phi = -T_L(Bt Theta)/p from dense matrices built from the kernels,
+    # coupled back as full_rhs does
     tol, beta, R = 1e-10, 1.0, 1.0
-    spec = sample_spectrum(build_profile("perturbed", a=amplitude, sigma=2.0), grid256)
-    k = grid256.k
+    grid = FrequencyGrid(k=1, eta_max=16.0, n=n)
+    spec = sample_spectrum(build_profile("perturbed", a=amplitude, sigma=2.0), grid)
+    k = grid.k
     for t in (0.0, 2.5, 9.0):
-        th, q = make_state(grid256)
+        th, q = make_state(grid)
         _, u = dense_vorticity(t, spec, beta, th)
-        phi = -u / eval_p(t, k, grid256.etas)
-        coupling = (apply_profile_convolution(spec, "b", phi)
-                    - beta * apply_profile_convolution(spec, "g1", phi))
+        phi = -u / eval_p(t, k, grid.etas)
+        coupling = kernel_matrix(spec, "b") @ phi - beta * (kernel_matrix(spec, "g1") @ phi)
         dense = (-1j * k * R * q + 1j * k * (coupling - beta * phi), 1j * k * phi)
-        got = full_rhs(frame(grid256, t, beta), np.stack([th, q]), spec, R, tol=tol)
+        got = full_rhs(frame(grid, t, beta), np.stack([th, q]), spec, R, tol=tol)
         for ref, val in zip(dense, got):
             assert np.linalg.norm(val - ref) <= 10 * tol * np.linalg.norm(ref)
 
@@ -413,20 +420,47 @@ def reference_evolve(grid, theta, q, *, beta, R, t0, dt, n_steps, record_every, 
     return records, theta, q
 
 
-@pytest.mark.parametrize("profile", ["couette", "bump"])
-def test_evolve_matches_per_step_loop_bit_for_bit(grid256, bump_spectrum, profile):
-    # more than two blocks, and records that fall at every offset in a block
-    spec = bump_spectrum[1] if profile == "bump" else None
+@pytest.mark.parametrize("profile", ["couette", "bump", "bump-N512"])
+def test_evolve_matches_per_step_loop_bit_for_bit(grid256, bump_spectrum, bump_spectrum512,
+                                                  profile):
+    # more than two blocks, and records that fall at every offset in a block;
+    # at N = 512 the convolutions sum over the kernels directly
+    spec = {"couette": None, "bump": bump_spectrum[1], "bump-N512": bump_spectrum512}[profile]
+    grid = grid256 if spec is None else spec.grid
     t0, dt, n_steps, every = 1.3, 0.01, 2 * STEP_BLOCK + 7, 5
-    theta0, q0 = make_state(grid256)
-    records, theta, q = reference_evolve(grid256, theta0, q0, beta=1.0, R=1.0, t0=t0, dt=dt,
+    theta0, q0 = make_state(grid)
+    records, theta, q = reference_evolve(grid, theta0, q0, beta=1.0, R=1.0, t0=t0, dt=dt,
                                          n_steps=n_steps, record_every=every, spec=spec)
-    report, th, qq = evolve(grid256, theta0, q0, beta=1.0, R=1.0, t_max=n_steps * dt, dt=dt,
+    report, th, qq = evolve(grid, theta0, q0, beta=1.0, R=1.0, t_max=n_steps * dt, dt=dt,
                             t0=t0, spec=spec, record_every=every)
     assert th.tobytes() == theta.tobytes() and qq.tobytes() == q.tobytes()
     got = list(zip(report.times.tolist(), report.energy.tolist(), report.q_norm.tolist(),
                    report.vy_norm.tolist()))
     assert got == records
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_perturbed_evolve_holds_dense_operators_only_below_the_crossover(n):
+    # From DIRECT_CONVOLUTION_N up a perturbed run caches the three weighted
+    # kernels, 2N - 1 values each, and allocates no N x N array while it
+    # steps; below it the three dense operators show in the traced peak
+    grid = FrequencyGrid(k=1, eta_max=16.0, n=n)
+    spec = sample_spectrum(build_profile("perturbed", a=0.05, sigma=2.0, y0=0.4), grid)
+    theta0, q0 = make_state(grid)
+    tracemalloc.start()
+    try:
+        evolve(grid, theta0, q0, beta=1.0, R=1.0, t_max=0.05, dt=0.01, spec=spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    shapes = {name: op.shape for name, op in spec._conv_cache.items()}
+    operator_bytes = 16 * n * n
+    if n >= DIRECT_CONVOLUTION_N:
+        assert shapes == dict.fromkeys(("g1", "g2", "b"), (2 * n - 1,))
+        assert peak < operator_bytes
+    else:
+        assert shapes == dict.fromkeys(("g1", "g2", "b"), (n, n))
+        assert peak >= 3 * operator_bytes
 
 
 def test_evolve_evaluates_bl_once_per_distinct_time(grid256, monkeypatch):

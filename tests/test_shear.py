@@ -125,6 +125,8 @@ def test_sample_spectrum_resolution_guards():
         sample_spectrum(prof, FrequencyGrid(k=1, eta_max=20.0, n=128))  # deta too big
     with pytest.raises(GridResolutionError, match="eta_max"):
         sample_spectrum(prof, FrequencyGrid(k=1, eta_max=8.0, n=256))  # grid too short
+    with pytest.raises(GridResolutionError, match="N = 4730 above 4728"):
+        sample_spectrum(prof, FrequencyGrid(k=1, eta_max=20.0, n=4730))  # O(N^2) per convolution
 
 
 def test_build_profile_rejects_unaffordable_transform_window():

