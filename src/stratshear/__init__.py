@@ -13,17 +13,16 @@ from .evolution import (
     full_rhs,
     pointwise_energy,
 )
-from .multipliers import FrameSymbols, eval_bl, eval_p
+from .multipliers import FrameSymbols, eval_bl
 from .observables import fit_power_law
 from .shear import (
     GridResolutionError,
-    ProfileSpectrum,
     ShearProfile,
     build_profile,
     sample_spectrum,
     sobolev_norm,
 )
-from .spectral_ops import FrequencyGrid, NonConvergence, solve_vorticity
+from .spectral_ops import FrequencyGrid, NonConvergence, ProfileSpectrum, solve_vorticity
 from .weights import WeightSet, c_beta_constant, eval_w
 
 __version__ = "0.1.0"

@@ -408,7 +408,10 @@ def run(cfg: RunConfig, out_dir=None, enable_asserts=False, jobs=1) -> int:
         profile, FrequencyGrid(k=cfg.k_list[0], eta_max=cfg.grid_eta_max, n=cfg.grid_n))
 
     if jobs > 1 and len(cfg.k_list) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # no more workers than wavenumbers: a pool started by fork forks
+        # every worker at its first submit, whether it gets work or not
+        workers = min(jobs, len(cfg.k_list))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_run_single_k,
                                    *zip(*[(cfg, spectrum, weights, k, out) for k in cfg.k_list])))
     else:

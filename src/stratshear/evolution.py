@@ -318,7 +318,7 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
         lo_series.append(lo_const * quad_total)
         hi_series.append(hi_const * quad_total)
         if weights is not None:
-            minv = weights.energy_weight_inv(t, k, sym.eta)
+            minv = weights.energy_weight_inv(sym)
             es_series.append(float(grid.integrate(sob * minv**2 * e_eta)))
         else:
             es_series.append(math.nan)

@@ -3,13 +3,12 @@
 Everything here is a closed-form function of (t; k, eta) at a fixed nonzero
 x-wavenumber k:
 
-* ``eval_p``        -- symbol p = k^2 + (eta - k t)^2 of the negative sheared
-                       Laplacian,
 * ``eval_bl``       -- the stratification multiplier, reciprocal of
-                       1 + i beta (eta - k t) / p,
+                       1 + i beta (eta - k t) / p, with p = k^2 + (eta - k t)^2
+                       the symbol of the negative sheared Laplacian,
 * ``FrameSymbols``  -- the symbols at one time t, or at a column of times,
-                       that the right-hand sides, the resolvent sweeps and
-                       the records share.
+                       that the right-hand sides, the resolvent sweeps, the
+                       records and the energy weights share.
 
 Functions broadcast over numpy arrays in ``eta`` (and ``t``); they are pure
 and safe for concurrent use.
@@ -22,23 +21,12 @@ import numpy as np
 __all__ = [
     "FrameSymbols",
     "eval_bl",
-    "eval_p",
 ]
 
 
 def _require_nonzero_k(k):
     if k == 0:
         raise ValueError("x-wavenumber k must be nonzero (the k = 0 mode is conserved)")
-
-
-def eval_p(t, k, eta):
-    """Symbol of the negative moving-frame Laplacian: k^2 + (eta - k t)^2.
-
-    Always >= k^2 > 0, with equality exactly at t = eta/k.
-    """
-    _require_nonzero_k(k)
-    d = np.asarray(eta, dtype=float) - k * t
-    return k * k + d * d
 
 
 def eval_bl(t, k, eta, beta):

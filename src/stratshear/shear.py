@@ -11,21 +11,21 @@ and the smallness of the profile is measured as
     epsilon = ||g - 1||_{s+5} + ||b||_{s+4}
 
 in the frequency-side Sobolev norms below.  Monotonicity of U (needed for the
-inverse) is guaranteed by |a| * sup|phi'| / sigma = |a|/sigma < 1.
+inverse) is guaranteed by |a| * sup|phi'| / sigma = |a|/sigma < 1.  The linear
+(Couette) profile is the bump of amplitude a = 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral_ops import FrequencyGrid
+from .spectral_ops import FrequencyGrid, ProfileSpectrum
 
 __all__ = [
     "GridResolutionError",
-    "ProfileSpectrum",
     "ShearProfile",
     "build_profile",
     "fourier_transform_samples",
@@ -72,38 +72,31 @@ class ShearProfile:
 
     ``epsilon`` is the measured g/b smallness at Sobolev offset orders
     (s+5, s+4); ``epsilon_velocity`` the companion H^6/H^5 measurement of
-    (U'-1, U'').  Both are 0 for the plain linear profile.  Instances are
-    immutable and safe to share across workers.
+    (U'-1, U'').  Amplitude 0 is the linear (Couette) profile, whose
+    smallness is 0.  Instances are immutable and safe to share across
+    workers.
     """
 
-    kind: str
     amplitude: float = 0.0
     width: float = 1.0
     center: float = 0.0
-    sobolev_order: float = 0.0
     epsilon: float = 0.0
     epsilon_velocity: float = 0.0
 
     @property
     def is_couette(self) -> bool:
-        return self.kind == "couette" or self.amplitude == 0.0
+        return self.amplitude == 0.0
 
     def u(self, y):
         y = np.asarray(y, dtype=float)
-        if self.is_couette:
-            return y
         return y + self.amplitude * _bump_primitive((y - self.center) / self.width)
 
     def u_prime(self, y):
         y = np.asarray(y, dtype=float)
-        if self.is_couette:
-            return np.ones_like(y)
         return 1.0 + (self.amplitude / self.width) * _bump((y - self.center) / self.width)
 
     def u_second(self, y):
         y = np.asarray(y, dtype=float)
-        if self.is_couette:
-            return np.zeros_like(y)
         z = (y - self.center) / self.width
         return (self.amplitude / self.width**2) * (-2.0 * z) * _bump(z)
 
@@ -114,8 +107,6 @@ class ShearProfile:
         lies within |a| sqrt(pi)/2 of Y.
         """
         Y = np.asarray(Y, dtype=float)
-        if self.is_couette:
-            return Y.copy()
         span = abs(self.amplitude) * (0.5 * _SQRT_PI) + 1e-9
         lo, hi = Y - span, Y + span
         y = Y.copy()
@@ -185,9 +176,6 @@ def _frame_samples(profile: ShearProfile, etas):
 def profile_transforms(profile: ShearProfile, etas):
     """Transforms of (g - 1, g^2 - 1, b) sampled at the given frequencies."""
     etas = np.asarray(etas, dtype=float)
-    if profile.is_couette:
-        z = np.zeros(etas.shape, dtype=complex)
-        return z, z.copy(), z.copy()
     Y, gm1, bb = _frame_samples(profile, etas)
     g1, g2, b = fourier_transform_samples(
         Y, np.stack([gm1, gm1 * (gm1 + 2.0), bb], axis=1), etas).T
@@ -271,7 +259,8 @@ def _measure_smallness(profile: ShearProfile, s: float):
 def build_profile(kind, a=0.0, sigma=1.0, y0=0.0, s=0.0) -> ShearProfile:
     """Construct a shear profile and measure its smallness.
 
-    ``kind`` is "couette" (ignores the bump parameters) or "perturbed".
+    ``kind`` is "couette", the bump of amplitude 0 (the bump parameters are
+    ignored), or "perturbed".
     Rejects non-monotone parameter choices: monotonicity of U requires
     |a| * sup|phi'| / sigma = |a|/sigma < 1.  Raises ``GridResolutionError``
     when the transform window would be unaffordable, or when the rounding
@@ -280,41 +269,19 @@ def build_profile(kind, a=0.0, sigma=1.0, y0=0.0, s=0.0) -> ShearProfile:
     if kind not in ("couette", "perturbed"):
         raise ValueError(f"unknown profile kind {kind!r}")
     if kind == "couette":
-        return ShearProfile(kind="couette", sobolev_order=s)
+        return ShearProfile()
     if sigma <= 0:
         raise ValueError("bump width sigma must be positive")
     if abs(a) / sigma >= 1.0:
         raise ValueError(
             f"non-monotone shear: |a| * sup|phi'| / sigma = {abs(a) / sigma:.3g} >= 1"
         )
-    base = ShearProfile(kind="perturbed", amplitude=a, width=sigma, center=y0,
-                        sobolev_order=s)
+    base = ShearProfile(amplitude=a, width=sigma, center=y0)
     if a == 0.0:
         return base
     eps, eps_vel = _measure_smallness(base, s)
-    return ShearProfile(kind="perturbed", amplitude=a, width=sigma, center=y0,
-                        sobolev_order=s, epsilon=eps, epsilon_velocity=eps_vel)
-
-
-@dataclass
-class ProfileSpectrum:
-    """Profile transforms sampled for one frequency grid.
-
-    ``kern_g1``, ``kern_g2`` and ``kern_b`` hold the transforms of g-1, g^2-1
-    and b on the (2N-1)-point difference lattice that the linear convolution
-    needs (Hermitian-symmetric since the profiles are real).  Each kernel is
-    weighted by deta/(2 pi) on first use and cached: as its dense N x N
-    Toeplitz matrix below ``spectral_ops.DIRECT_CONVOLUTION_N``, as the
-    (2N-1)-point kernel itself from there up.  The lattice and the cached
-    operators depend on N and eta_max only (read from ``grid``), not on k,
-    so one sampled spectrum serves every wavenumber of a run as it is.
-    """
-
-    grid: FrequencyGrid
-    kern_g1: np.ndarray
-    kern_g2: np.ndarray
-    kern_b: np.ndarray
-    _conv_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    return ShearProfile(amplitude=a, width=sigma, center=y0, epsilon=eps,
+                        epsilon_velocity=eps_vel)
 
 
 def sample_spectrum(profile: ShearProfile, grid: FrequencyGrid) -> ProfileSpectrum:
@@ -326,8 +293,8 @@ def sample_spectrum(profile: ShearProfile, grid: FrequencyGrid) -> ProfileSpectr
     N must also stay at or below _MAX_PERTURBED_N, since every convolution
     costs O(N^2) work; each check raises ``GridResolutionError`` before
     anything is transformed.
-    A Couette profile gives zero kernels; the operators take ``spec=None``
-    for Couette instead.
+    A Couette profile (a = 0) gives zero kernels without a transform; the
+    operators take ``spec=None`` for Couette instead.
     """
     n = grid.n
     lattice = np.arange(-(n - 1), n) * grid.deta

@@ -19,7 +19,7 @@ outside the perturbative regime or an under-resolved grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -27,6 +27,7 @@ import numpy as np
 __all__ = [
     "FrequencyGrid",
     "NonConvergence",
+    "ProfileSpectrum",
     "SolveStats",
     "apply_profile_convolution",
     "solve_vorticity",
@@ -87,6 +88,28 @@ class FrequencyGrid:
 # at which a perturbed evolve, at beta = 0 and at beta = 1, took no longer
 # with the direct sum (median wall time of fresh processes on 2 cores)
 DIRECT_CONVOLUTION_N = 512
+
+
+@dataclass
+class ProfileSpectrum:
+    """Profile transforms sampled for one frequency grid, built by
+    ``shear.sample_spectrum``.
+
+    ``kern_g1``, ``kern_g2`` and ``kern_b`` hold the transforms of g-1, g^2-1
+    and b on the (2N-1)-point difference lattice that the linear convolution
+    needs (Hermitian-symmetric since the profiles are real).  Each kernel is
+    weighted by deta/(2 pi) on first use and cached: as its dense N x N
+    Toeplitz matrix below DIRECT_CONVOLUTION_N, as the (2N-1)-point kernel
+    itself from there up.  The lattice and the cached operators depend on N
+    and eta_max only (read from ``grid``), not on k, so one sampled spectrum
+    serves every wavenumber of a run as it is.
+    """
+
+    grid: FrequencyGrid
+    kern_g1: np.ndarray
+    kern_g2: np.ndarray
+    kern_b: np.ndarray
+    _conv_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _conv_operator(spec, name):
@@ -153,8 +176,10 @@ def _neumann_solve(sweep, x0, tol, max_iter, what, stats=None):
     The update delta_n = ||x_{n+1} - x_n|| equals ||K (x_n - x_{n-1})|| for
     the linear part K of the sweep, so once the iteration contracts,
     delta_n <= tol ||x0|| implies the residual ||x - sweep(x)|| <= ratio *
-    tol * ||x0|| < tol ||x0||.
+    tol * ||x0|| < tol ||x0||.  Raises ``ValueError`` when max_iter is below 1.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     fnorm = float(np.linalg.norm(x0))
     if fnorm == 0.0:
         return x0
@@ -204,7 +229,8 @@ def solve_vorticity(sym, spec, theta, tol=1e-10, max_iter=50, stats=None):
     Omega = BL Theta and the second line is skipped, its iterates and update
     norms are exactly those of the plain T_L iteration u <- BL Theta + T_eps u.
     For Couette both results are BL Theta; zero kernels give the same after
-    one sweep whose update is zero.  ``NonConvergence`` names k and t.
+    one sweep whose update is zero.  ``NonConvergence`` names k and t;
+    a max_iter below 1 raises ``ValueError``.
     Returns (Omega, u).
     """
     src = sym.bl * theta

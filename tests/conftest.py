@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from stratshear.multipliers import FrameSymbols, eval_bl, eval_p
+from lemmas import eval_p
+from stratshear.multipliers import FrameSymbols, eval_bl
 from stratshear.shear import build_profile, sample_spectrum
 from stratshear.spectral_ops import FrequencyGrid
 

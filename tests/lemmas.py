@@ -13,12 +13,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from stratshear.multipliers import eval_bl, eval_p
-from stratshear.weights import energy_weight_inv
+from stratshear.multipliers import FrameSymbols, eval_bl
+from stratshear.weights import WeightSet
 
 # Bound predicates are exact in real arithmetic; the slack absorbs double
 # precision rounding so they never fail spuriously.
 BOUND_SLACK = 1.0 + 1e-12
+
+
+def eval_p(t, k, eta):
+    """Symbol of the negative moving-frame Laplacian: k^2 + (eta - k t)^2.
+
+    Always >= k^2 > 0, with equality exactly at t = eta/k.  The dense test
+    references build p from it rather than from ``FrameSymbols``.
+    """
+    if k == 0:
+        raise ValueError("x-wavenumber k must be nonzero (the k = 0 mode is conserved)")
+    d = np.asarray(eta, dtype=float) - k * t
+    return k * k + d * d
 
 
 def eval_p_prime(t, k, eta):
@@ -112,8 +124,9 @@ def check_exchange(t, k, eta, xi, delta, c_beta=1.0):
     rhs_pp = jap**2 * 2.0 * abs(k) * np.abs(d_xi) / p_xi + abs(k) * jap**3 / p_xi
     ratio_pp = lhs_pp / rhs_pp
 
-    minv_eta = energy_weight_inv(t, k, eta, delta, c_beta)
-    minv_xi = energy_weight_inv(t, k, xi, delta, c_beta)
+    weights = WeightSet(delta=delta, c_beta=c_beta)
+    minv_eta = weights.energy_weight_inv(FrameSymbols(t, k, eta, 0.0))
+    minv_xi = weights.energy_weight_inv(FrameSymbols(t, k, xi, 0.0))
     ratio_m = minv_eta / (jap**delta * minv_xi)
 
     return ExchangeRatios(ratio_p=ratio_p, ratio_p_prime=ratio_pp, ratio_m=ratio_m)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_t_eps, dense_vorticity, frame, kernel_matrix
-from lemmas import bl_bound_report, check_exchange
+from lemmas import bl_bound_report, check_exchange, eval_p
 from test_cli import read_summary
 from stratshear.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from stratshear.evolution import (
@@ -23,7 +23,7 @@ from stratshear.evolution import (
     pointwise_energy,
     rk4_integrate,
 )
-from stratshear.multipliers import FrameSymbols, eval_bl, eval_p
+from stratshear.multipliers import FrameSymbols, eval_bl
 from stratshear.observables import fit_modulated_power_law, fit_power_law
 from stratshear.shear import build_profile, sample_spectrum
 from stratshear.spectral_ops import FrequencyGrid, SolveStats, solve_vorticity

@@ -226,6 +226,32 @@ def test_jobs_below_one_exit_2_with_one_line(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+def test_jobs_start_no_more_workers_than_wavenumbers(tmp_path, monkeypatch):
+    # a pool started by fork forks all max_workers processes at its first
+    # submit; this pool records max_workers and maps serially, so no process
+    # is started
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(stratshear.cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = write_config(tmp_path, PARALLEL_INPUTS["couette"].replace("time.t_max = 5.0",
+                                                                    "time.t_max = 0.05"))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "64"]) == EXIT_OK
+    assert requested == [2]
+
+
 def test_spectrum_is_sampled_once_per_run(tmp_path, monkeypatch):
     calls = []
     real = stratshear.cli.sample_spectrum

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_vorticity, frame, gaussian_field, kernel_matrix, l2
-from lemmas import eval_p_prime
+from lemmas import eval_p, eval_p_prime
 from stratshear.evolution import (
     STEP_BLOCK,
     StepUnstable,
@@ -18,7 +18,7 @@ from stratshear.evolution import (
     pointwise_energy,
     rk4_integrate,
 )
-from stratshear.multipliers import FrameSymbols, eval_bl, eval_p
+from stratshear.multipliers import FrameSymbols, eval_bl
 from stratshear.shear import build_profile, sample_spectrum
 from stratshear.spectral_ops import (
     DIRECT_CONVOLUTION_N,
@@ -259,7 +259,7 @@ def test_pointwise_energy_sobolev_factor(grid256):
     theta, q = make_state(grid256)
     report, _, _ = evolve(grid256, theta, q, beta=1.0, R=R, t_max=0.01, dt=0.01, t0=t,
                           weights=ws, s=s, record_every=1)
-    minv = ws.energy_weight_inv(t, k, etas)
+    minv = ws.energy_weight_inv(frame(grid256, t))
     z1, z2 = (minv * z for z in z_map(grid256, t, theta, q, R))
     p = eval_p(t, k, etas)
     mixed = (eval_p_prime(t, k, etas) / np.sqrt(p)) * (z1 * np.conj(z2)).real \
@@ -379,10 +379,13 @@ def test_frame_blocks_times_are_the_step_times():
     assert any(whole[i] != (t0 + i * dt) + dt for i in range(n_steps))
 
 
-def reference_evolve(grid, theta, q, *, beta, R, t0, dt, n_steps, record_every, spec=None):
+def reference_evolve(grid, theta, q, *, beta, R, t0, dt, n_steps, record_every, spec=None,
+                     weights=None, s=0.0):
     """A per-step RK4 loop on the pair (theta, q) with one scalar frame per
-    evaluation; returns the records (t, E, ||q||, ||vy||) and the final pair."""
+    evaluation; returns the records (t, E, ||q||, ||vy||) and the final pair.
+    With weights, each record also carries the damped functional Es."""
     k = grid.k
+    sob = (1.0 + k * k + grid.etas**2) ** s
 
     def rhs(t, th, qq):
         sym = frame(grid, t, beta)
@@ -402,8 +405,11 @@ def reference_evolve(grid, theta, q, *, beta, R, t0, dt, n_steps, record_every, 
             sym = frame(grid, t, beta)
             e_eta, _ = pointwise_energy(sym, th, qq, R)
             _, u = solve_vorticity(sym, spec, th)
-            records.append((t, float(grid.integrate(e_eta)), l2(grid, qq),
-                            l2(grid, -1j * k * u / sym.p)))
+            row = (t, float(grid.integrate(e_eta)), l2(grid, qq), l2(grid, -1j * k * u / sym.p))
+            if weights is not None:
+                minv = weights.energy_weight_inv(sym)
+                row += (float(grid.integrate(sob * minv**2 * e_eta)),)
+            records.append(row)
 
     record(0, t0, theta, q)
     for i in range(n_steps):
@@ -420,23 +426,31 @@ def reference_evolve(grid, theta, q, *, beta, R, t0, dt, n_steps, record_every, 
     return records, theta, q
 
 
-@pytest.mark.parametrize("profile", ["couette", "bump", "bump-N512"])
+@pytest.mark.parametrize("profile", ["couette", "bump", "bump-N512", "bump-weighted"])
 def test_evolve_matches_per_step_loop_bit_for_bit(grid256, bump_spectrum, bump_spectrum512,
                                                   profile):
     # more than two blocks, and records that fall at every offset in a block;
-    # at N = 512 the convolutions sum over the kernels directly
-    spec = {"couette": None, "bump": bump_spectrum[1], "bump-N512": bump_spectrum512}[profile]
+    # at N = 512 the convolutions sum over the kernels directly.  With
+    # weights, Es reads the weights at the row frames of the batches
+    spec = {"couette": None, "bump": bump_spectrum[1], "bump-N512": bump_spectrum512,
+            "bump-weighted": bump_spectrum[1]}[profile]
+    weights, s = None, 0.0
+    if profile == "bump-weighted":
+        weights, s = WeightSet.for_run(1.0, 1.0, bump_spectrum[0].epsilon), 1.5
     grid = grid256 if spec is None else spec.grid
     t0, dt, n_steps, every = 1.3, 0.01, 2 * STEP_BLOCK + 7, 5
     theta0, q0 = make_state(grid)
     records, theta, q = reference_evolve(grid, theta0, q0, beta=1.0, R=1.0, t0=t0, dt=dt,
-                                         n_steps=n_steps, record_every=every, spec=spec)
+                                         n_steps=n_steps, record_every=every, spec=spec,
+                                         weights=weights, s=s)
     report, th, qq = evolve(grid, theta0, q0, beta=1.0, R=1.0, t_max=n_steps * dt, dt=dt,
-                            t0=t0, spec=spec, record_every=every)
+                            t0=t0, spec=spec, weights=weights, s=s, record_every=every)
     assert th.tobytes() == theta.tobytes() and qq.tobytes() == q.tobytes()
-    got = list(zip(report.times.tolist(), report.energy.tolist(), report.q_norm.tolist(),
-                   report.vy_norm.tolist()))
-    assert got == records
+    columns = [report.times, report.energy, report.q_norm, report.vy_norm]
+    if weights is not None:
+        columns.append(report.energy_weighted)
+        assert all(row[4] > 0.0 for row in records)
+    assert list(zip(*(c.tolist() for c in columns))) == records
 
 
 @pytest.mark.parametrize("n", [256, 512])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lemmas import bl_bound_report, eval_p_prime
-from stratshear.multipliers import FrameSymbols, eval_bl, eval_p
+from lemmas import bl_bound_report, eval_p, eval_p_prime
+from stratshear.multipliers import FrameSymbols, eval_bl
 
 
 def test_p_direct_values():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import dense_resolvent, frame, gaussian_field, l2
+from lemmas import eval_p
 from stratshear.evolution import evolve
-from stratshear.multipliers import eval_bl, eval_p
+from stratshear.multipliers import eval_bl
 from stratshear.observables import (
     InsufficientWindow,
     fit_modulated_power_law,

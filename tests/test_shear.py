@@ -167,8 +167,8 @@ def test_sample_spectrum_grid_values_and_decay(grid256, bump_spectrum):
 def test_spectrum_tail_decay_power(grid256, bump_spectrum):
     # |ghat(eta)| <eta>^{s+5} stays bounded by its low-frequency scale on the
     # sampled tail (the transforms decay faster than any polynomial)
-    profile, spec = bump_spectrum
-    order = profile.sobolev_order + 5.0
+    _, spec = bump_spectrum
+    order = 5.0  # s + 5 at the fixture's s = 0
     lattice = np.arange(-(grid256.n - 1), grid256.n) * grid256.deta
     bracket = (1.0 + lattice**2) ** (order / 2.0)
     weighted = np.abs(spec.kern_g1) * bracket
@@ -213,8 +213,8 @@ def test_reports_both_smallness_measurements():
 def test_smallness_measurements_mirror_full_transforms():
     # the measurement lattice is exactly symmetric, so transforming eta >= 0
     # and mirroring gives both smallness measurements bit for bit
-    prof = build_profile("perturbed", a=0.0018, sigma=1.6, y0=-0.05, s=1.5)
-    s = prof.sobolev_order
+    s = 1.5
+    prof = build_profile("perturbed", a=0.0018, sigma=1.6, y0=-0.05, s=s)
     etas, Y, samples = shear._measurement_samples(prof, s)
     assert np.array_equal(etas[::-1], -etas)
     g_hat, b_hat, up_hat, us_hat = fourier_transform_samples(Y, samples, etas).T
@@ -260,7 +260,7 @@ def test_smallness_matches_two_fine_lattices(sigma):
              else [(a, y0) for a in amplitudes for y0 in centres])
     for a, y0 in pairs:
         eps, velocity = _two_lattice_smallness(
-            shear.ShearProfile("perturbed", amplitude=a, width=sigma, center=y0), (5.0, 6.0))
+            shear.ShearProfile(amplitude=a, width=sigma, center=y0), (5.0, 6.0))
         for s in (0.0, 1.0):
             prof = build_profile("perturbed", a=a, sigma=sigma, y0=y0, s=s)
             assert prof.epsilon == pytest.approx(eps[s + 5.0], rel=1e-11, abs=0)

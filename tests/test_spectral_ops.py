@@ -10,8 +10,9 @@ from conftest import (
     kernel_matrix,
     l2,
 )
-from stratshear.evolution import full_rhs
-from stratshear.multipliers import eval_bl, eval_p
+from lemmas import eval_p
+from stratshear.evolution import evolve, full_rhs
+from stratshear.multipliers import FrameSymbols, eval_bl
 from stratshear.shear import build_profile, sample_spectrum
 from stratshear.spectral_ops import (
     DIRECT_CONVOLUTION_N,
@@ -22,7 +23,7 @@ from stratshear.spectral_ops import (
     apply_profile_convolution,
     solve_vorticity,
 )
-from stratshear.weights import energy_weight_inv
+from stratshear.weights import WeightSet
 
 
 def forward_delta_t(t, spec, u):
@@ -189,6 +190,20 @@ def test_solve_tl_nonconvergence_for_large_profile(grid256):
     assert err.value.iterations > 0
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_max_iter_below_one_is_rejected(grid256, bump_spectrum, max_iter):
+    # max_iter = 0 used to end in a TypeError while formatting the
+    # NonConvergence message, since no update norm had been taken
+    _, spec = bump_spectrum
+    f = gaussian_field(grid256)
+    message = f"max_iter must be at least 1, got {max_iter}$"
+    with pytest.raises(ValueError, match=message):
+        solve_vorticity(frame(grid256, 1.0), spec, f, max_iter=max_iter)
+    with pytest.raises(ValueError, match=message):
+        evolve(grid256, f, f, beta=1.0, R=1.0, t_max=0.01, dt=0.01, spec=spec,
+               max_iter=max_iter)
+
+
 def test_b_eps_zero_cases(grid256, bump_spectrum, couette_spectrum):
     # the vorticity correction vanishes: Omega = BL Theta exactly
     _, spec = bump_spectrum
@@ -316,13 +331,14 @@ def test_weighted_commutation_bounds(grid256):
     # with the perturbative parts it costs a stable multiple of epsilon
     t_samples = (0.0, 1.0, 5.0, 25.0)
     delta, c_beta = 0.5, 1.0
+    weights = WeightSet(delta=delta, c_beta=c_beta)
     u = gaussian_field(grid256, center=0.3, alpha=0.7)
 
     def weighted_norm(vals, t):
         g = grid256
         p = eval_p(t, g.k, g.etas)
         wgt = (np.sqrt(c_beta) * abs(g.k) / np.sqrt(p)) * p ** -0.25
-        wgt = wgt * energy_weight_inv(t, g.k, g.etas, delta, c_beta)
+        wgt = wgt * weights.energy_weight_inv(FrameSymbols(t, g.k, g.etas, 0.0))
         return np.sqrt(g.integrate(np.abs(wgt * vals) ** 2))
 
     eps_consts = []

@@ -3,9 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from lemmas import check_exchange, eval_m1, eval_p_prime
-from stratshear.multipliers import eval_p
-from stratshear.weights import WeightSet, c_beta_constant, energy_weight_inv, eval_w
+from lemmas import check_exchange, eval_m1, eval_p, eval_p_prime
+from stratshear.multipliers import FrameSymbols
+from stratshear.weights import WeightSet, c_beta_constant, eval_w
+
+
+def w_at(t, k, eta):
+    """The weight w at (t; k, eta), through the frame of that time."""
+    return eval_w(FrameSymbols(t, k, eta, 0.0))
+
+
+def minv_at(t, k, eta, delta, c_beta):
+    """The inverse energy weight at (t; k, eta), through the frame of that time."""
+    return WeightSet(delta=delta, c_beta=c_beta).energy_weight_inv(FrameSymbols(t, k, eta, 0.0))
 
 
 def test_c_beta_formula():
@@ -20,14 +30,14 @@ def test_c_beta_formula():
 def test_w_is_one_at_time_zero():
     etas = np.array([-7.0, -0.5, 0.0, 0.5, 7.0])
     for k in (1, 2, -3):
-        assert np.allclose(eval_w(0.0, k, etas), 1.0, rtol=0, atol=1e-14)
+        assert np.allclose(w_at(0.0, k, etas), 1.0, rtol=0, atol=1e-14)
 
 
 def test_w_continuous_at_critical_time():
     for k, eta in [(1, 3.0), (2, 5.0)]:
         tc = eta / k
-        left = eval_w(tc - 1e-9, k, eta)
-        right = eval_w(tc + 1e-9, k, eta)
+        left = w_at(tc - 1e-9, k, eta)
+        right = w_at(tc + 1e-9, k, eta)
         expected = ((k * k + eta * eta) / k**2) ** 0.25
         assert left == pytest.approx(expected, rel=1e-6)
         assert right == pytest.approx(expected, rel=1e-6)
@@ -43,7 +53,7 @@ def test_w_log_derivative_matches_rate():
         t = rng.uniform(2 * h, 10.0)
         if abs(t - eta / k) < 0.05:
             continue  # rate jumps across the critical time
-        fd = (math.log(eval_w(t + h, k, eta)) - math.log(eval_w(t - h, k, eta))) / (2 * h)
+        fd = (math.log(w_at(t + h, k, eta)) - math.log(w_at(t - h, k, eta))) / (2 * h)
         rate = abs(eval_p_prime(t, k, eta)) / (4.0 * eval_p(t, k, eta))
         assert abs(fd - rate) <= 1e-5
         checked += 1
@@ -53,7 +63,7 @@ def test_w_nondecreasing_in_time():
     # the rate |p'|/(4p) is nonnegative, so w never decreases
     for k, eta in [(1, 6.0), (2, -5.0), (1, 0.0)]:
         ts = np.linspace(0, 30.0, 601)
-        w = eval_w(ts, k, eta)
+        w = w_at(ts, k, eta)
         assert np.all(np.diff(w) >= -1e-12)
         assert w[0] == pytest.approx(1.0)
 
@@ -64,7 +74,7 @@ def test_w_lower_bound_identity():
     t = rng.uniform(0, 40, 5000)
     eta = rng.uniform(-15, 15, 5000)
     for k in (1, 3):
-        w = eval_w(t, k, eta)
+        w = w_at(t, k, eta)
         floor = ((k * k + eta**2) / eval_p(t, k, eta)) ** 0.25
         assert np.all(w >= floor * (1 - 1e-12))
         decay = (eta / k > 0) & (t < eta / k)
@@ -77,7 +87,7 @@ def test_w_growth_ceiling():
     t = rng.uniform(0, 100, 20000)
     eta = rng.uniform(-20, 20, 20000)
     for k in (1, 2, 5):
-        w = eval_w(t, k, eta)
+        w = w_at(t, k, eta)
         cap = 2.0 * (1 + t**2) ** 0.25 * np.sqrt(1 + k * k + eta**2)
         assert np.all(w <= cap)
 
@@ -114,8 +124,8 @@ def test_m_log_derivative_additivity():
         t = rng.uniform(2 * h, 10.0)
         if abs(t - eta / k) < 0.05:
             continue
-        fd = (math.log(energy_weight_inv(t + h, k, eta, delta, c))
-              - math.log(energy_weight_inv(t - h, k, eta, delta, c))) / (2 * h)
+        fd = (math.log(minv_at(t + h, k, eta, delta, c))
+              - math.log(minv_at(t - h, k, eta, delta, c))) / (2 * h)
         p = eval_p(t, k, eta)
         rate = -(delta * abs(eval_p_prime(t, k, eta)) / (4 * p) + c * k * k / p)
         assert abs(fd - rate) <= 1e-5
@@ -125,11 +135,11 @@ def test_m_log_derivative_additivity():
 def test_energy_weight_inverse_initial_and_cap():
     etas = np.linspace(-10, 10, 81)
     ws = WeightSet.for_run(1.0, 1.0, 0.01, 64.0)
-    assert np.allclose(ws.energy_weight_inv(0.0, 1, etas), 1.0, atol=1e-12)
+    assert np.allclose(ws.energy_weight_inv(FrameSymbols(0.0, 1, etas, 0.0)), 1.0, atol=1e-12)
     rng = np.random.default_rng(26)
     t = rng.uniform(0, 200, 2000)
     eta = rng.uniform(-20, 20, 2000)
-    vals = energy_weight_inv(t, 1, eta, ws.delta, ws.c_beta)
+    vals = ws.energy_weight_inv(FrameSymbols(t, 1, eta, 0.0))
     assert np.all(vals <= 1.0 + 1e-15)
     assert np.all(vals >= 0.0)
 
