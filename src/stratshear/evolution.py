@@ -51,9 +51,13 @@ __all__ = [
 
 ENERGY_MASK_SHARE = 1e-8  # minimum share of the initial energy a cell must carry
 BLOWUP_FACTOR = 1e6
-# RK4 steps whose frames are evaluated as one batch; at N = 512, 32 rows add
-# about 2 MB of peak memory and no speed
+# most RK4 steps whose frames are evaluated as one batch; at N = 512, 32 rows
+# added about 2 MB of peak memory and no speed
 STEP_BLOCK = 16
+# most bytes of one complex symbol of a batch: STEP_BLOCK rows up to N = 256,
+# 8 at N = 512, 4 at N = 1024.  A 16 x 512 symbol is 128 KiB, glibc's mmap
+# threshold, and every block then mapped and unmapped its symbols afresh
+BATCH_SYMBOL_BYTES = 64 * 1024
 
 
 class StepUnstable(RuntimeError):
@@ -116,17 +120,25 @@ def full_rhs(sym, y, spec, R, tol=1e-10, max_iter=50, stats=None):
     return dy
 
 
+def _block_steps(n):
+    """Steps per block of ``frame_blocks`` on n frequencies: at most
+    STEP_BLOCK, and at least 1, with a complex batch symbol of at most
+    BATCH_SYMBOL_BYTES."""
+    return max(1, min(STEP_BLOCK, BATCH_SYMBOL_BYTES // (16 * n)))
+
+
 def frame_blocks(t0, dt, n_steps, k, etas, beta):
-    """The frames of n_steps RK4 steps from t0, one block of STEP_BLOCK
-    steps at a time.
+    """The frames of n_steps RK4 steps from t0, one block of
+    ``_block_steps(etas.size)`` steps at a time.
 
     Yields per block a pair (half, whole) of batched ``FrameSymbols``: for
     the steps i of the block, ``half`` is at the times (t0 + i dt) + dt/2 of
     stages 2 and 3 and ``whole`` at t0 + (i+1) dt, the time of stage 4, of
     the step's record and of the next step's stage 1.
     """
-    for start in range(0, n_steps, STEP_BLOCK):
-        i = np.arange(start, min(start + STEP_BLOCK, n_steps))[:, None]
+    block = _block_steps(np.size(etas))
+    for start in range(0, n_steps, block):
+        i = np.arange(start, min(start + block, n_steps))[:, None]
         yield (FrameSymbols((t0 + i * dt) + 0.5 * dt, k, etas, beta),
                FrameSymbols(t0 + (i + 1) * dt, k, etas, beta))
 
@@ -243,7 +255,7 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
     factor g = 1 + (g-1) for a perturbed profile.  The right-hand sides, the
     resolvent sweeps and the records read the time-dependent symbols from
     the row frames of ``frame_blocks``, which evaluates them once per block
-    of STEP_BLOCK steps; the state (Theta, Q) is stepped as one (2, N)
+    of steps; the state (Theta, Q) is stepped as one (2, N)
     array.  Raises ``StepUnstable`` (naming k and t) if a field turns
     non-finite or its amplitude exceeds BLOWUP_FACTOR times its initial
     value, and ``ValueError`` when either initial array is not of shape

@@ -35,10 +35,17 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 _INVERSION_TOL = 1e-13
-# quadrature samples per transform window; one 64-frequency chunk of the
-# transform then holds a 64 x 2^15 real and a 64 x 2^15 complex buffer
-# (about 50 MB together)
+# quadrature samples per transform window; a chunk of the transform at 2^15
+# samples holds 4 frequencies, 4 x 2^15 real and complex values (3 MiB)
 _MAX_WINDOW_SAMPLES = 2**15
+# bytes of the real and complex phase buffers of one transform chunk, 24 per
+# frequency and sample: 12 frequencies at 3,133 samples, 4 at 2^15
+_TRANSFORM_CHUNK_BYTES = 2**20
+# the frequencies of a chunk are a multiple of this, so that a BLAS whose
+# matrix-vector kernel takes rows four at a time groups them as one product
+# over every row would (OpenBLAS 0.3.31, Haswell kernels, sums each row of a
+# product of 2 or more rows alike whatever the grouping)
+_TRANSFORM_CHUNK_ROWS = 4
 # share of either smallness measurement that the rounding floor of its
 # transforms may make up (estimated) before build_profile refuses it
 _FLOOR_SHARE_BOUND = 1e-3
@@ -125,10 +132,14 @@ def fourier_transform_samples(y, values, etas):
     shape (M, c); the result has shape (len(etas),) or (len(etas), c).
     ``y`` must be uniformly spaced and wide enough that every sampled
     function is negligible at the window ends.  Evaluation is chunked over
-    ``etas`` to bound memory: each chunk of 64 frequencies fills one phase
-    matrix exp(-i eta y), in buffers reused across chunks, and every column
-    of the stack shares it through its own matrix-vector product, so a
-    stacked column equals the transform of that column alone.
+    ``etas`` to bound memory: each chunk fills one phase matrix
+    exp(-i eta y), in buffers sized from _TRANSFORM_CHUNK_BYTES and reused
+    across chunks, and every column of the stack shares it through its own
+    matrix-vector product, so a stacked column equals the transform of that
+    column alone.  A chunk holds a multiple of _TRANSFORM_CHUNK_ROWS
+    frequencies, and a lone last frequency joins the chunk before it: numpy
+    takes a one-row product as a dot product, which sums in another order.
+    The chunking then does not change the result.
     """
     y = np.asarray(y, dtype=float)
     values = np.asarray(values)
@@ -138,19 +149,22 @@ def fourier_transform_samples(y, values, etas):
     wts[0] = wts[-1] = 0.5 * h
     weighted = np.ascontiguousarray(np.atleast_2d(values.T) * wts)  # one row per column
     out = np.empty((weighted.shape[0], etas.size), dtype=complex)
-    chunk = 64
-    rows = min(chunk, etas.size)
+    chunk = _TRANSFORM_CHUNK_BYTES // (24 * y.size) // _TRANSFORM_CHUNK_ROWS
+    chunk = max(chunk, 1) * _TRANSFORM_CHUNK_ROWS
+    bounds = list(range(0, etas.size, chunk)) + [etas.size]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    rows = max((hi - lo for lo, hi in zip(bounds, bounds[1:])), default=0)
     arg = np.empty((rows, y.size))
     phase = np.empty((rows, y.size), dtype=complex)
-    for i in range(0, etas.size, chunk):
-        block = etas[i : i + chunk]
-        nb = block.size
+    for lo, hi in zip(bounds, bounds[1:]):
+        nb = hi - lo
         # exp(-i eta y) = cos(-eta y) + i sin(-eta y), and -eta * y == -(eta * y) exactly
-        np.multiply.outer(-block, y, out=arg[:nb])
+        np.multiply.outer(-etas[lo:hi], y, out=arg[:nb])
         np.cos(arg[:nb], out=phase[:nb].real)
         np.sin(arg[:nb], out=phase[:nb].imag)
         for row, w in zip(out, weighted):
-            row[i : i + nb] = phase[:nb] @ w
+            row[lo:hi] = phase[:nb] @ w
     return out[0] if values.ndim == 1 else out.T
 
 

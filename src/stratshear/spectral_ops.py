@@ -173,6 +173,8 @@ class SolveStats:
 def _neumann_solve(sweep, x0, tol, max_iter, what, stats=None):
     """Fixed point of an affine sweep x <- sweep(x), started at x0.
 
+    ``what()`` names the solve in a ``NonConvergence``, built only then.
+
     The update delta_n = ||x_{n+1} - x_n|| equals ||K (x_n - x_{n-1})|| for
     the linear part K of the sweep, so once the iteration contracts,
     delta_n <= tol ||x0|| implies the residual ||x - sweep(x)|| <= ratio *
@@ -201,13 +203,13 @@ def _neumann_solve(sweep, x0, tol, max_iter, what, stats=None):
             grew = grew + 1 if ratio >= 1.0 else 0
             if grew >= 3:
                 raise NonConvergence(
-                    f"{what}: update norm grew for 3 straight iterations "
+                    f"{what()}: update norm grew for 3 straight iterations "
                     f"(ratio {ratio:.3g}); perturbation outside the contractive regime",
                     iterations=it, residual=delta / fnorm,
                 )
         prev_delta = delta
     raise NonConvergence(
-        f"{what}: residual {prev_delta / fnorm:.3g} above tol {tol:.3g} "
+        f"{what()}: residual {prev_delta / fnorm:.3g} above tol {tol:.3g} "
         f"after {max_iter} iterations",
         iterations=max_iter, residual=prev_delta / fnorm,
     )
@@ -250,5 +252,5 @@ def solve_vorticity(sym, spec, theta, tol=1e-10, max_iter=50, stats=None):
         return np.concatenate([corr, (src + corr) + c])
 
     x = _neumann_solve(sweep, np.concatenate([np.zeros_like(src), src]), tol, max_iter,
-                       f"solve_vorticity at k = {sym.k}, t = {sym.t:.6g}", stats)
+                       lambda: f"solve_vorticity at k = {sym.k}, t = {sym.t:.6g}", stats)
     return src + x[:n], x[n:]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -245,7 +246,7 @@ def test_jobs_start_no_more_workers_than_wavenumbers(tmp_path, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(stratshear.cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cfg = write_config(tmp_path, PARALLEL_INPUTS["couette"].replace("time.t_max = 5.0",
                                                                     "time.t_max = 0.05"))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "64"]) == EXIT_OK
@@ -270,6 +271,17 @@ def test_spectrum_is_sampled_once_per_run(tmp_path, monkeypatch):
         assert (out / f"series_k{k}.csv").exists()
 
 
+def run_python(code):
+    """Standard output, stripped, of a fresh interpreter running code with
+    this package on its path."""
+    src = str(Path(stratshear.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    return done.stdout.strip()
+
+
 def test_perturbed_run_loads_no_scipy(tmp_path):
     # numpy is the only runtime dependency: a perturbed profile, its spectrum
     # and a perturbed CLI run import no scipy module
@@ -284,12 +296,12 @@ def test_perturbed_run_loads_no_scipy(tmp_path):
         f"assert main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     ])
-    src = str(Path(stratshear.cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert done.stdout.strip() == "[]"
+    assert run_python(code) == "[]"
+
+
+def test_cli_loads_concurrent_futures_only_for_a_pool():
+    assert run_python("import sys, stratshear.cli\n"
+                      "print('concurrent.futures' in sys.modules)") == "False"
 
 
 # configs that once crashed, ran a silent one-row "success", or were

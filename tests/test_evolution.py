@@ -8,8 +8,8 @@ import pytest
 from conftest import dense_vorticity, frame, gaussian_field, kernel_matrix, l2
 from lemmas import eval_p, eval_p_prime
 from stratshear.evolution import (
-    STEP_BLOCK,
     StepUnstable,
+    _block_steps,
     coercivity_constants,
     couette_rhs,
     evolve,
@@ -368,15 +368,30 @@ def count_bl(monkeypatch, counts):
 def test_frame_blocks_times_are_the_step_times():
     # the whole and half times are the floats t0 + i dt and (t0 + i dt) + dt/2
     # of a per-step loop, across two block boundaries
-    t0, dt, n_steps = 1.3, 0.01, 2 * STEP_BLOCK + 5
-    blocks = list(frame_blocks(t0, dt, n_steps, 1, np.zeros(1), 0.0))
-    assert [half.t.shape for half, _ in blocks] == [(STEP_BLOCK, 1), (STEP_BLOCK, 1), (5, 1)]
-    half = [sym.t for batch, _ in blocks for sym in batch.rows()]
-    whole = [sym.t for _, batch in blocks for sym in batch.rows()]
-    assert half == [(t0 + i * dt) + 0.5 * dt for i in range(n_steps)]
-    assert whole == [t0 + i * dt for i in range(1, n_steps + 1)]
-    # the stage-4 sum (t0 + i dt) + dt would miss some of them by an ulp
-    assert any(whole[i] != (t0 + i * dt) + dt for i in range(n_steps))
+    for n in (256, 512):
+        block = _block_steps(n)
+        t0, dt, n_steps = 1.3, 0.01, 2 * block + 5
+        blocks = list(frame_blocks(t0, dt, n_steps, 1, np.zeros(n), 0.0))
+        assert [half.t.shape for half, _ in blocks] == [(block, 1), (block, 1), (5, 1)]
+        half = [sym.t for batch, _ in blocks for sym in batch.rows()]
+        whole = [sym.t for _, batch in blocks for sym in batch.rows()]
+        assert half == [(t0 + i * dt) + 0.5 * dt for i in range(n_steps)]
+        assert whole == [t0 + i * dt for i in range(1, n_steps + 1)]
+        # the stage-4 sum (t0 + i dt) + dt would miss some of them by an ulp
+        assert any(whole[i] != (t0 + i * dt) + dt for i in range(n_steps))
+
+
+@pytest.mark.parametrize("n, rows", [(256, 16), (512, 8), (1024, 4)])
+def test_frame_blocks_keep_each_batch_symbol_within_64_kib(n, rows):
+    # a 16 x 512 complex symbol is 128 KiB, at glibc's mmap threshold
+    grid = FrequencyGrid(k=1, eta_max=20.0, n=n)
+    blocks = list(frame_blocks(0.0, 0.01, 3 * rows, grid.k, grid.etas, 1.0))
+    assert [half.t.shape for half, _ in blocks] == [(rows, 1)] * 3
+    for half, whole in blocks:
+        for batch in (half, whole):
+            for name in ("d", "p", "bl", "couette_q", "couette_theta", "resolvent_d",
+                         "t_eps_g2", "t_eps_b"):
+                assert getattr(batch, name).nbytes <= 64 * 1024
 
 
 def reference_evolve(grid, theta, q, *, beta, R, t0, dt, n_steps, record_every, spec=None,
@@ -429,8 +444,8 @@ def reference_evolve(grid, theta, q, *, beta, R, t0, dt, n_steps, record_every, 
 @pytest.mark.parametrize("profile", ["couette", "bump", "bump-N512", "bump-weighted"])
 def test_evolve_matches_per_step_loop_bit_for_bit(grid256, bump_spectrum, bump_spectrum512,
                                                   profile):
-    # more than two blocks, and records that fall at every offset in a block;
-    # at N = 512 the convolutions sum over the kernels directly.  With
+    # more than two blocks, and records that fall at several offsets in a
+    # block; at N = 512 the convolutions sum over the kernels directly.  With
     # weights, Es reads the weights at the row frames of the batches
     spec = {"couette": None, "bump": bump_spectrum[1], "bump-N512": bump_spectrum512,
             "bump-weighted": bump_spectrum[1]}[profile]
@@ -438,7 +453,7 @@ def test_evolve_matches_per_step_loop_bit_for_bit(grid256, bump_spectrum, bump_s
     if profile == "bump-weighted":
         weights, s = WeightSet.for_run(1.0, 1.0, bump_spectrum[0].epsilon), 1.5
     grid = grid256 if spec is None else spec.grid
-    t0, dt, n_steps, every = 1.3, 0.01, 2 * STEP_BLOCK + 7, 5
+    t0, dt, n_steps, every = 1.3, 0.01, 2 * _block_steps(grid.n) + 7, 5
     theta0, q0 = make_state(grid)
     records, theta, q = reference_evolve(grid, theta0, q0, beta=1.0, R=1.0, t0=t0, dt=dt,
                                          n_steps=n_steps, record_every=every, spec=spec,
@@ -487,7 +502,7 @@ def test_evolve_evaluates_bl_once_per_distinct_time(grid256, monkeypatch):
     evolve(grid256, *make_state(grid256), beta=1.0, R=1.0, t_max=n_steps * 0.01, dt=0.01,
            record_every=10)
     assert counts["eval_bl rows"] == 2 * n_steps + 1
-    assert counts["eval_bl"] == 1 + 2 * math.ceil(n_steps / STEP_BLOCK)
+    assert counts["eval_bl"] == 1 + 2 * math.ceil(n_steps / _block_steps(grid256.n))
 
 
 def test_perturbed_evolve_evaluates_bl_once_per_distinct_time(grid256, bump_spectrum,
@@ -499,7 +514,7 @@ def test_perturbed_evolve_evaluates_bl_once_per_distinct_time(grid256, bump_spec
     evolve(grid256, *make_state(grid256), beta=1.0, R=1.0, t_max=n_steps * 0.01, dt=0.01,
            record_every=5, spec=spec)
     assert counts["eval_bl rows"] == 2 * n_steps + 1
-    assert counts["eval_bl"] == 1 + 2 * math.ceil(n_steps / STEP_BLOCK)
+    assert counts["eval_bl"] == 1 + 2 * math.ceil(n_steps / _block_steps(grid256.n))
 
 
 def test_solve_vorticity_builds_symbols_once_per_solve(grid256, bump_spectrum, monkeypatch):

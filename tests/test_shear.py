@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,11 +101,46 @@ def test_stacked_transform_equals_single_columns(n_etas):
     y = np.linspace(-9.0, 9.0, 1201)
     bump = np.exp(-y**2)
     stack = np.stack([bump, y * np.exp(-(y - 0.3) ** 2), bump**2 - 0.5 * bump], axis=1)
-    etas = np.linspace(-15.0, 15.0, n_etas)  # not a multiple of the 64-row chunk
+    etas = np.linspace(-15.0, 15.0, n_etas)  # not a multiple of the chunk's rows
     got = fourier_transform_samples(y, stack, etas)
     assert got.shape == (n_etas, 3)
     for j in range(stack.shape[1]):
         assert np.array_equal(got[:, j], fourier_transform_samples(y, stack[:, j], etas))
+
+
+@pytest.mark.parametrize("rows", [4, 8, None])
+@pytest.mark.parametrize("n_etas", [257, 259])
+def test_chunking_does_not_change_a_transform(monkeypatch, rows, n_etas):
+    # chunks of 4 rows, 8 rows and every row (None) against one product over
+    # the whole phase matrix; 257 leaves a lone last frequency, 259 three
+    y = np.linspace(-9.0, 9.0, 1201)
+    bump = np.exp(-y**2)
+    stack = np.stack([bump, y * np.exp(-(y - 0.3) ** 2), bump**2 - 0.5 * bump], axis=1)
+    etas = np.linspace(-15.0, 15.0, n_etas)
+    wts = np.full(y.size, y[1] - y[0])
+    wts[0] = wts[-1] = 0.5 * (y[1] - y[0])
+    arg = np.multiply.outer(-etas, y)
+    phase = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=phase.real)
+    np.sin(arg, out=phase.imag)
+    monkeypatch.setattr(shear, "_TRANSFORM_CHUNK_BYTES", 24 * y.size * (rows or n_etas))
+    got = fourier_transform_samples(y, stack, etas)
+    for j in range(stack.shape[1]):
+        want = phase @ (stack[:, j] * wts)
+        assert np.array_equal(got[:, j], want)
+        assert np.array_equal(fourier_transform_samples(y, stack[:, j], etas), want)
+
+
+def test_wide_bump_smallness_stays_small_in_memory():
+    # sigma = 30 takes about 30,000 quadrature samples; one chunk of 64
+    # frequencies made build_profile peak at about 50 MB
+    tracemalloc.start()
+    try:
+        build_profile("perturbed", a=0.05, sigma=30.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_single_transform_is_one_dimensional():

@@ -185,9 +185,12 @@ def test_solve_tl_nonconvergence_for_large_profile(grid256):
     prof = build_profile("perturbed", a=1.9, sigma=2.0)
     spec = sample_spectrum(prof, grid256)
     f = gaussian_field(grid256)
-    with pytest.raises(NonConvergence, match=r"k = 1, t = 1\b") as err:
+    with pytest.raises(NonConvergence, match=r"^solve_vorticity at k = 1, t = 1: ") as err:
         solve_vorticity(frame(grid256, 1.0), spec, f, tol=1e-10, max_iter=50)
     assert err.value.iterations > 0
+    # the label is built only on failure, on either path: here max_iter runs out
+    with pytest.raises(NonConvergence, match=r"^solve_vorticity at k = 1, t = 1: residual"):
+        solve_vorticity(frame(grid256, 1.0), spec, f, tol=1e-10, max_iter=1)
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])
