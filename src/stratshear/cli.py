@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -51,62 +51,96 @@ class ConfigError(ValueError):
         self.line = line
 
 
-@dataclass
-class GaussianInit:
-    amplitude: float = 1.0
-    center: float = 0.0
-    alpha: float = 1.0
+def _parse_bool(raw):
+    low = raw.strip().lower()
+    if low in ("true", "yes", "1", "on"):
+        return True
+    if low in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
 
-    def sample(self, etas):
-        with np.errstate(over="ignore"):  # an exponent overflowing to -inf gives exp = 0
-            return self.amplitude * np.exp(-self.alpha * (etas - self.center) ** 2)
+
+def _parse_int_list(raw):
+    return [int(tok) for tok in raw.replace(",", " ").split()]
+
+
+def _parse_float(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
+def _key(key, parse, default):
+    """A RunConfig field set by the config key ``key``, whose raw text
+    ``parse`` converts."""
+    meta = {"key": key, "parse": parse}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
 
 
 @dataclass
 class RunConfig:
-    mode: str = ""
-    R: float = 1.0
-    beta: float = 0.0
-    k_list: list = field(default_factory=lambda: [1])
-    s: float = 0.0
-    exploratory: bool = False
+    mode: str = _key("mode", str, "")
+    R: float = _key("R", _parse_float, 1.0)
+    beta: float = _key("beta", _parse_float, 0.0)
+    k_list: list = _key("k_list", _parse_int_list, [1])
+    s: float = _key("s", _parse_float, 0.0)
+    exploratory: bool = _key("exploratory", _parse_bool, False)
 
-    grid_eta_max: float = 20.0
-    grid_n: int = 256
+    grid_eta_max: float = _key("grid.eta_max", _parse_float, 20.0)
+    grid_n: int = _key("grid.N", int, 256)
 
-    profile_kind: str = "couette"
-    profile_a: float = 0.0
-    profile_sigma: float = 1.0
-    profile_y0: float = 0.0
+    profile_kind: str = _key("profile.kind", str, "couette")
+    profile_a: float = _key("profile.a", _parse_float, 0.0)
+    profile_sigma: float = _key("profile.sigma", _parse_float, 1.0)
+    profile_y0: float = _key("profile.y0", _parse_float, 0.0)
 
-    time_t_max: float = 100.0
-    time_dt: float = 0.01
-    time_record_every: int = 10
+    time_t_max: float = _key("time.t_max", _parse_float, 100.0)
+    time_dt: float = _key("time.dt", _parse_float, 0.01)
+    time_record_every: int = _key("time.record_every", int, 10)
 
-    weights_c0: float = 64.0
+    weights_c0: float = _key("weights.C0", _parse_float, 64.0)
 
-    solver_tol: float = 1e-10
-    solver_max_iter: int = 50
+    solver_tol: float = _key("solver.tol", _parse_float, 1e-10)
+    solver_max_iter: int = _key("solver.max_iter", int, 50)
 
-    init_theta: GaussianInit = field(default_factory=lambda: GaussianInit(1.0, 0.0, 1.0))
-    init_q: GaussianInit = field(default_factory=lambda: GaussianInit(1.0, 1.0, 0.5))
+    # Gaussian initial data amplitude * exp(-alpha (eta - center)^2)
+    init_theta_amplitude: float = _key("init.theta.amplitude", _parse_float, 1.0)
+    init_theta_center: float = _key("init.theta.center", _parse_float, 0.0)
+    init_theta_alpha: float = _key("init.theta.alpha", _parse_float, 1.0)
+    init_q_amplitude: float = _key("init.q.amplitude", _parse_float, 1.0)
+    init_q_center: float = _key("init.q.center", _parse_float, 1.0)
+    init_q_alpha: float = _key("init.q.alpha", _parse_float, 0.5)
 
-    output_dir: str = "out"
+    output_dir: str = _key("output.dir", str, "out")
 
-    fit_t_lo: Optional[float] = None  # unset: t_max / 10
-    fit_t_hi: Optional[float] = None  # unset: t_max
+    fit_t_lo: Optional[float] = _key("fit.t_lo", _parse_float, None)  # unset: t_max / 10
+    fit_t_hi: Optional[float] = _key("fit.t_hi", _parse_float, None)  # unset: t_max
 
     # acceptance assertions; evaluated only when --assert is passed
-    assert_energy_ratio: bool = False
-    assert_es_monotone: bool = False
-    assert_exponent_q_min: float = math.nan
-    assert_exponent_q_max: float = math.nan
-    assert_exponent_vx_min: float = math.nan
-    assert_exponent_vx_max: float = math.nan
-    assert_exponent_vy_min: float = math.nan
-    assert_exponent_vy_max: float = math.nan
-    assert_exponent_growth_min: float = math.nan
-    assert_exponent_growth_max: float = math.nan
+    assert_energy_ratio: bool = _key("assert.energy_ratio", _parse_bool, False)
+    assert_es_monotone: bool = _key("assert.es_monotone", _parse_bool, False)
+    assert_exponent_q_min: float = _key("assert.exponent_q.min", _parse_float, math.nan)
+    assert_exponent_q_max: float = _key("assert.exponent_q.max", _parse_float, math.nan)
+    assert_exponent_vx_min: float = _key("assert.exponent_vx.min", _parse_float, math.nan)
+    assert_exponent_vx_max: float = _key("assert.exponent_vx.max", _parse_float, math.nan)
+    assert_exponent_vy_min: float = _key("assert.exponent_vy.min", _parse_float, math.nan)
+    assert_exponent_vy_max: float = _key("assert.exponent_vy.max", _parse_float, math.nan)
+    assert_exponent_growth_min: float = _key("assert.exponent_growth.min", _parse_float,
+                                             math.nan)
+    assert_exponent_growth_max: float = _key("assert.exponent_growth.max", _parse_float,
+                                             math.nan)
+
+    def initial_data(self, etas):
+        """The Gaussian initial data (Theta, Q) sampled at ``etas``, as complex
+        arrays: the dtype ``evolve`` steps, which then takes them without a copy."""
+        gaussians = ((self.init_theta_amplitude, self.init_theta_center, self.init_theta_alpha),
+                     (self.init_q_amplitude, self.init_q_center, self.init_q_alpha))
+        with np.errstate(over="ignore"):  # an exponent overflowing to -inf gives exp = 0
+            return tuple((amplitude * np.exp(-alpha * (etas - center) ** 2)).astype(complex)
+                         for amplitude, center, alpha in gaussians)
 
     def fit_window(self):
         lo = self.time_t_max / 10.0 if self.fit_t_lo is None else self.fit_t_lo
@@ -139,6 +173,11 @@ class RunConfig:
             )
         if self.mode == "couette" and self.profile_kind != "couette":
             raise ConfigError("mode = couette requires profile.kind = couette")
+        if self.profile_kind == "couette" and self.profile_a != 0:
+            raise ConfigError(
+                f"profile.a = {self.profile_a} sets a bump, which profile.kind = couette "
+                "ignores; set profile.kind = perturbed"
+            )
         if self.beta < 0:
             raise ConfigError("beta must be nonnegative")
         if not self.s >= 0:
@@ -166,16 +205,18 @@ class RunConfig:
             raise ConfigError(f"solver.tol must lie in (0, 1), got {self.solver_tol}")
         if self.solver_max_iter < 1:
             raise ConfigError(f"solver.max_iter must be at least 1, got {self.solver_max_iter}")
-        for name, init in (("theta", self.init_theta), ("q", self.init_q)):
-            if init.alpha <= 0:
-                raise ConfigError(f"init alpha must be positive, got {init.alpha}")
-            if abs(init.amplitude) > MAX_INIT_AMPLITUDE:
+        for name in ("theta", "q"):
+            alpha = getattr(self, f"init_{name}_alpha")
+            amplitude = getattr(self, f"init_{name}_amplitude")
+            if alpha <= 0:
+                raise ConfigError(f"init alpha must be positive, got {alpha}")
+            if abs(amplitude) > MAX_INIT_AMPLITUDE:
                 raise ConfigError(
-                    f"|init.{name}.amplitude| = {abs(init.amplitude):g} is above "
+                    f"|init.{name}.amplitude| = {abs(amplitude):g} is above "
                     f"{MAX_INIT_AMPLITUDE:g}; the problem is linear, so scale the data down"
                 )
         etas = FrequencyGrid(k=self.k_list[0], eta_max=self.grid_eta_max, n=self.grid_n).etas
-        if not (np.any(self.init_theta.sample(etas)) or np.any(self.init_q.sample(etas))):
+        if not any(np.any(x) for x in self.initial_data(etas)):
             raise ConfigError("initial data are identically zero on the grid")
         lo, hi = self.fit_window()
         if self.fit_t_lo is not None and lo < 1:
@@ -185,66 +226,8 @@ class RunConfig:
         return self
 
 
-def _parse_bool(raw):
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
-def _parse_int_list(raw):
-    return [int(tok) for tok in raw.replace(",", " ").split()]
-
-
-def _parse_float(raw):
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {raw!r}")
-    return value
-
-
-# dotted config key -> (RunConfig attribute path, converter)
-_SCHEMA = {
-    "mode": ("mode", str),
-    "R": ("R", _parse_float),
-    "beta": ("beta", _parse_float),
-    "k_list": ("k_list", _parse_int_list),
-    "s": ("s", _parse_float),
-    "exploratory": ("exploratory", _parse_bool),
-    "grid.eta_max": ("grid_eta_max", _parse_float),
-    "grid.N": ("grid_n", int),
-    "profile.kind": ("profile_kind", str),
-    "profile.a": ("profile_a", _parse_float),
-    "profile.sigma": ("profile_sigma", _parse_float),
-    "profile.y0": ("profile_y0", _parse_float),
-    "time.t_max": ("time_t_max", _parse_float),
-    "time.dt": ("time_dt", _parse_float),
-    "time.record_every": ("time_record_every", int),
-    "weights.C0": ("weights_c0", _parse_float),
-    "solver.tol": ("solver_tol", _parse_float),
-    "solver.max_iter": ("solver_max_iter", int),
-    "init.theta.amplitude": ("init_theta.amplitude", _parse_float),
-    "init.theta.center": ("init_theta.center", _parse_float),
-    "init.theta.alpha": ("init_theta.alpha", _parse_float),
-    "init.q.amplitude": ("init_q.amplitude", _parse_float),
-    "init.q.center": ("init_q.center", _parse_float),
-    "init.q.alpha": ("init_q.alpha", _parse_float),
-    "output.dir": ("output_dir", str),
-    "fit.t_lo": ("fit_t_lo", _parse_float),
-    "fit.t_hi": ("fit_t_hi", _parse_float),
-    "assert.energy_ratio": ("assert_energy_ratio", _parse_bool),
-    "assert.es_monotone": ("assert_es_monotone", _parse_bool),
-    "assert.exponent_q.min": ("assert_exponent_q_min", _parse_float),
-    "assert.exponent_q.max": ("assert_exponent_q_max", _parse_float),
-    "assert.exponent_vx.min": ("assert_exponent_vx_min", _parse_float),
-    "assert.exponent_vx.max": ("assert_exponent_vx_max", _parse_float),
-    "assert.exponent_vy.min": ("assert_exponent_vy_min", _parse_float),
-    "assert.exponent_vy.max": ("assert_exponent_vy_max", _parse_float),
-    "assert.exponent_growth.min": ("assert_exponent_growth_min", _parse_float),
-    "assert.exponent_growth.max": ("assert_exponent_growth_max", _parse_float),
-}
+# config key -> (RunConfig attribute, parser)
+_SCHEMA = {f.metadata["key"]: (f.name, f.metadata["parse"]) for f in fields(RunConfig)}
 
 
 def parse_config(text) -> RunConfig:
@@ -262,16 +245,12 @@ def parse_config(text) -> RunConfig:
         raw = raw.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"unknown key {key!r}", lineno)
-        attr, conv = _SCHEMA[key]
+        attr, parse = _SCHEMA[key]
         try:
-            value = conv(raw)
+            value = parse(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}", lineno) from None
-        target = cfg
-        parts = attr.split(".")
-        for part in parts[:-1]:
-            target = getattr(target, part)
-        setattr(target, parts[-1], value)
+        setattr(cfg, attr, value)
         if key == "mode":
             seen_mode = True
     if not seen_mode:
@@ -315,7 +294,7 @@ def _run_single_k(cfg: RunConfig, spectrum, weights, k, out_dir: Path):
     stats = SolveStats()
 
     report, _, _ = evolve(
-        grid, cfg.init_theta.sample(grid.etas), cfg.init_q.sample(grid.etas),
+        grid, *cfg.initial_data(grid.etas),
         beta=cfg.beta, R=cfg.R, t_max=cfg.time_t_max, dt=cfg.time_dt,
         spec=spectrum, weights=weights, s=cfg.s,
         record_every=cfg.time_record_every,

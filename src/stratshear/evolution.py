@@ -51,11 +51,8 @@ __all__ = [
 
 ENERGY_MASK_SHARE = 1e-8  # minimum share of the initial energy a cell must carry
 BLOWUP_FACTOR = 1e6
-# most RK4 steps whose frames are evaluated as one batch; at N = 512, 32 rows
-# added about 2 MB of peak memory and no speed
-STEP_BLOCK = 16
-# most bytes of one complex symbol of a batch: STEP_BLOCK rows up to N = 256,
-# 8 at N = 512, 4 at N = 1024.  A 16 x 512 symbol is 128 KiB, glibc's mmap
+# most bytes of one complex symbol of a batch: 16 rows at N = 256, 8 at
+# N = 512, 4 at N = 1024.  A 16 x 512 symbol is 128 KiB, glibc's mmap
 # threshold, and every block then mapped and unmapped its symbols afresh
 BATCH_SYMBOL_BYTES = 64 * 1024
 
@@ -121,10 +118,9 @@ def full_rhs(sym, y, spec, R, tol=1e-10, max_iter=50, stats=None):
 
 
 def _block_steps(n):
-    """Steps per block of ``frame_blocks`` on n frequencies: at most
-    STEP_BLOCK, and at least 1, with a complex batch symbol of at most
-    BATCH_SYMBOL_BYTES."""
-    return max(1, min(STEP_BLOCK, BATCH_SYMBOL_BYTES // (16 * n)))
+    """Steps per block of ``frame_blocks`` on n frequencies: at least 1, and
+    as many as keep a complex batch symbol within BATCH_SYMBOL_BYTES."""
+    return max(1, BATCH_SYMBOL_BYTES // (16 * n))
 
 
 def frame_blocks(t0, dt, n_steps, k, etas, beta):
@@ -259,7 +255,8 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
     array.  Raises ``StepUnstable`` (naming k and t) if a field turns
     non-finite or its amplitude exceeds BLOWUP_FACTOR times its initial
     value, and ``ValueError`` when either initial array is not of shape
-    (grid.n,) or holds a non-finite value, R is not positive, record_every
+    (grid.n,) or holds a non-finite value, ``spec`` was sampled on a grid of
+    another N or eta_max (its k may differ), R is not positive, record_every
     is below 1, dt fails ``dt_is_stable`` or, with weights, the Sobolev
     factor <(k, eta)>^{2s} is not finite on the grid.
 
@@ -273,6 +270,11 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
             raise ValueError(f"{name}: expected {grid.n} values, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise ValueError(f"{name} contains non-finite entries")
+    if spec is not None and (spec.grid.n, spec.grid.eta_max) != (grid.n, grid.eta_max):
+        raise ValueError(
+            f"spec was sampled on (N, eta_max) = ({spec.grid.n}, {spec.grid.eta_max}), "
+            f"not on the grid's ({grid.n}, {grid.eta_max})"
+        )
     k = grid.k
     lo_const, hi_const = coercivity_constants(R)
     if record_every < 1:

@@ -139,15 +139,11 @@ class FrameSymbols:
 
     @_symbol
     def resolvent_d(self):
-        """-i (eta - k t)/p, the symbol of (d_Y - t d_X) Delta_L^{-1}."""
+        """-i (eta - k t)/p, the symbol of (d_Y - t d_X) Delta_L^{-1}, and the
+        negated inner multiplier of the b part of T_eps."""
         return -1j * self.d / self.p
 
     @_symbol
     def t_eps_g2(self):
         """-(eta - k t)^2/p, the inner multiplier of the g^2-1 part of T_eps."""
         return -(self.d * self.d) / self.p
-
-    @_symbol
-    def t_eps_b(self):
-        """i (eta - k t)/p, the inner multiplier of the b part of T_eps."""
-        return 1j * self.d / self.p

@@ -76,19 +76,19 @@ def _r_squared(y, fitted):
     return 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
 
-def fit_power_law(times, values, t_lo, t_hi, envelope_width=ENVELOPE_WIDTH) -> PowerLawFit:
+def fit_power_law(times, values, t_lo, t_hi) -> PowerLawFit:
     """Least-squares slope of log(value) against log(t) over [t_lo, t_hi].
 
     The series is first reduced to its running maximum over windows of
-    ``envelope_width`` time units, keeping each maximum at its own abscissa;
+    ENVELOPE_WIDTH time units, keeping each maximum at its own abscissa;
     oscillatory prefactors then perturb the fit only through the envelope.
     The slope is invariant under rescaling of the values.
     """
     tt, vv = _fit_window(times, values, t_lo, t_hi)
 
     pts_t, pts_v = [], []
-    n_win = int(math.ceil((t_hi - t_lo) / envelope_width))
-    edges = t_lo + envelope_width * np.arange(n_win + 1)
+    n_win = int(math.ceil((t_hi - t_lo) / ENVELOPE_WIDTH))
+    edges = t_lo + ENVELOPE_WIDTH * np.arange(n_win + 1)
     edges[-1] = t_hi + 1e-9 * max(1.0, t_hi)  # keep the right endpoint inside
     for lo, hi in zip(edges[:-1], edges[1:]):
         inside = (tt >= lo) & (tt < hi)

@@ -196,18 +196,17 @@ def profile_transforms(profile: ShearProfile, etas):
     return g1, g2, b
 
 
-def sobolev_norm(etas, fhat, order, k=None):
-    """Frequency-side Sobolev norm sqrt( int <.>^{2 order} |fhat|^2 d eta ).
+def sobolev_norm(etas, fhat, order):
+    """Frequency-side Sobolev norm sqrt( int <eta>^{2 order} |fhat|^2 d eta )
+    of a pure Y-profile.
 
-    Uses the one-dimensional bracket <eta> for pure Y-profiles and the full
-    bracket <(k, eta)> when the x-wavenumber is supplied.  Trapezoid rule on
-    the sampled points; at order 0 this is the plain L^2 norm of the transform
-    (a factor sqrt(2 pi) above the physical-space L^2 norm).
+    Trapezoid rule on the sampled points; at order 0 this is the plain L^2
+    norm of the transform (a factor sqrt(2 pi) above the physical-space L^2
+    norm).
     """
     etas = np.asarray(etas, dtype=float)
     fhat = np.asarray(fhat)
-    base = 1.0 + etas**2 + (0.0 if k is None else float(k) ** 2)
-    density = base**order * np.abs(fhat) ** 2
+    density = (1.0 + etas**2) ** order * np.abs(fhat) ** 2
     return float(np.sqrt(np.trapezoid(density, etas)))
 
 

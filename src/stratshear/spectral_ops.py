@@ -146,12 +146,13 @@ def _t_eps_values(sym, spec, values):
     """Perturbative part T_eps of the sheared Laplacian, (I - T_eps) Delta_L form.
 
     Convolution of the g^2-1 transform against -(eta-kt)^2/p times the values
-    plus convolution of the b transform against i (eta-kt)/p times them; both
-    inner multipliers are bounded by 1 and are read from the frame ``sym``.
+    plus convolution of the b transform against i (eta-kt)/p times them, which
+    is minus that against the resolvent's D = -i (eta-kt)/p; both inner
+    multipliers are bounded by 1 and are read from the frame ``sym``.
     """
     part_g = apply_profile_convolution(spec, "g2", sym.t_eps_g2 * values)
-    part_b = apply_profile_convolution(spec, "b", sym.t_eps_b * values)
-    return part_g + part_b
+    part_b = apply_profile_convolution(spec, "b", sym.resolvent_d * values)
+    return part_g - part_b
 
 
 @dataclass

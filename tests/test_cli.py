@@ -1,9 +1,11 @@
 import concurrent.futures
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,9 @@ from stratshear.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SOLVER,
+    _SCHEMA,
     ConfigError,
+    RunConfig,
     main,
     parse_config,
 )
@@ -74,6 +78,9 @@ def test_parse_rejects_low_r_without_exploratory():
 def test_parse_rejects_couette_mode_with_bump():
     with pytest.raises(ConfigError, match="profile.kind"):
         parse_config("mode = couette\nprofile.kind = perturbed\n")
+    # profile.kind defaults to couette, which ran Couette and ignored the bump
+    with pytest.raises(ConfigError, match="profile.kind"):
+        parse_config("mode = near_couette\nprofile.a = 0.0018\n")
 
 
 def test_parse_rejects_unstable_dt():
@@ -97,10 +104,84 @@ def test_parse_init_overrides():
     import numpy as np
 
     etas = np.array([-1.0, 0.0])
-    vals = cfg.init_theta.sample(etas)
-    assert vals[0] == pytest.approx(2.0)
-    assert vals[1] == pytest.approx(2.0 * np.exp(-0.25))
-    assert not np.any(cfg.init_q.sample(etas))
+    theta0, q0 = cfg.initial_data(etas)
+    assert theta0[0] == pytest.approx(2.0)
+    assert theta0[1] == pytest.approx(2.0 * np.exp(-0.25))
+    assert not np.any(q0)
+
+
+# a valid, non-default value of every key: raw text and the value it parses to
+NON_DEFAULT = {
+    "mode": ("near_couette", "near_couette"),
+    "R": ("2.0", 2.0),
+    "beta": ("0.5", 0.5),
+    "k_list": ("2, 3", [2, 3]),
+    "s": ("0.5", 0.5),
+    "exploratory": ("true", True),
+    "grid.eta_max": ("18.0", 18.0),
+    "grid.N": ("192", 192),
+    "profile.kind": ("perturbed", "perturbed"),
+    "profile.a": ("0.001", 0.001),
+    "profile.sigma": ("1.5", 1.5),
+    "profile.y0": ("0.25", 0.25),
+    "time.t_max": ("50.0", 50.0),
+    "time.dt": ("0.005", 0.005),
+    "time.record_every": ("5", 5),
+    "weights.C0": ("32.0", 32.0),
+    "solver.tol": ("1e-9", 1e-9),
+    "solver.max_iter": ("40", 40),
+    "init.theta.amplitude": ("2.0", 2.0),
+    "init.theta.center": ("0.5", 0.5),
+    "init.theta.alpha": ("1.5", 1.5),
+    "init.q.amplitude": ("0.5", 0.5),
+    "init.q.center": ("-1.0", -1.0),
+    "init.q.alpha": ("0.75", 0.75),
+    "output.dir": ("elsewhere", "elsewhere"),
+    "fit.t_lo": ("5.0", 5.0),
+    "fit.t_hi": ("40.0", 40.0),
+    "assert.energy_ratio": ("true", True),
+    "assert.es_monotone": ("true", True),
+    **{f"assert.exponent_{name}.{end}": (raw, float(raw))
+       for name in ("q", "vx", "vy", "growth") for end, raw in (("min", "-3.0"), ("max", "2.0"))},
+}
+
+
+def test_every_key_round_trips():
+    assert sorted(attr for attr, _ in _SCHEMA.values()) == sorted(f.name for f in fields(RunConfig))
+    assert set(NON_DEFAULT) == set(_SCHEMA)
+    cfg = parse_config("".join(f"{key} = {raw}\n" for key, (raw, _) in NON_DEFAULT.items()))
+    default = RunConfig()
+    for key, (_, value) in NON_DEFAULT.items():
+        attr = _SCHEMA[key][0]
+        got = getattr(cfg, attr)
+        assert type(got) is type(value) and got == value, key
+        assert got != getattr(default, attr), key
+
+
+def _expand_key_group(pattern):
+    """The keys a README table entry names: ``{a,b}`` alternatives expanded,
+    and a trailing ``.*`` matched against the schema (at least one key)."""
+    brace = re.search(r"\{([^}]*)\}", pattern)
+    if brace is not None:
+        return [key for alt in brace.group(1).split(",")
+                for key in _expand_key_group(pattern[:brace.start()] + alt + pattern[brace.end():])]
+    if pattern.endswith(".*"):
+        keys = [key for key in _SCHEMA if key.startswith(pattern[:-1])]
+        assert keys, pattern
+        return keys
+    return [pattern]
+
+
+def test_readme_configuration_table_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration format", 1)[1].split("\n### ", 1)[0]
+    named = []
+    for line in section.splitlines():
+        cells = line.split("|")
+        if len(cells) > 2 and "`" in cells[1]:
+            for pattern in re.findall(r"`([^`]+)`", cells[1]):
+                named += _expand_key_group(pattern)
+    assert sorted(named) == sorted(_SCHEMA)
 
 
 def test_smoke_run_under_ten_seconds(tmp_path):
@@ -339,8 +420,11 @@ CONFIG_ERRORS = {
     "zero_initial_data": "init.theta.amplitude = 0.0\ninit.q.amplitude = 0.0\n",
     "huge_init_amplitude": "init.theta.amplitude = 1e300\n",  # every CSV value inf
     "overflowing_init_alpha": "init.theta.alpha = 1e306\ninit.q.alpha = 1e306\n",
+    # the bump was ignored: a Couette run with epsilon_measured 0 and no solves
+    "bump_under_couette_kind": "profile.kind = couette\n",
     # (1 + k^2 + eta_max^2)^s = 402^120 overflows: every Es value inf, or a traceback
-    "overflowing_sobolev_factor": "mode = couette\nprofile.kind = couette\ns = 120.0\n",
+    "overflowing_sobolev_factor": "mode = couette\nprofile.kind = couette\nprofile.a = 0\n"
+                                  "s = 120.0\n",
 }
 
 

@@ -180,6 +180,21 @@ def test_evolve_rejects_bad_initial_data(grid256):
         evolve(grid256, 1.0, q, **args)
 
 
+@pytest.mark.parametrize("eta_max, n", [(20.0, 256), (16.0, 512)], ids=["eta_max", "N"])
+def test_evolve_rejects_a_spectrum_sampled_on_another_grid(bump_spectrum, eta_max, n):
+    # eta_max 20 against 16 ran to the end with vx off by 5.9e-5 relative;
+    # another N ended in a bare numpy shape error
+    _, spec = bump_spectrum
+    grid = FrequencyGrid(k=1, eta_max=eta_max, n=n)
+    with pytest.raises(ValueError, match=rf"\(256, 16.0\), not on the grid's \({n}, {eta_max}\)"):
+        evolve(grid, *make_state(grid), beta=1.0, R=1.0, t_max=0.02, dt=0.01, spec=spec)
+    # k may differ: one spectrum serves every wavenumber of a run
+    grid = FrequencyGrid(k=2, eta_max=16.0, n=256)
+    report, _, _ = evolve(grid, *make_state(grid), beta=1.0, R=1.0, t_max=0.02, dt=0.01,
+                          spec=spec)
+    assert report.times.size == 2
+
+
 def test_evolve_rejects_unstable_dt(grid256):
     with pytest.raises(ValueError, match="stability"):
         evolve(grid256, *make_state(grid256), beta=0.0, R=4.0, t_max=1.0, dt=0.05)
@@ -390,7 +405,7 @@ def test_frame_blocks_keep_each_batch_symbol_within_64_kib(n, rows):
     for half, whole in blocks:
         for batch in (half, whole):
             for name in ("d", "p", "bl", "couette_q", "couette_theta", "resolvent_d",
-                         "t_eps_g2", "t_eps_b"):
+                         "t_eps_g2"):
                 assert getattr(batch, name).nbytes <= 64 * 1024
 
 
