@@ -301,15 +301,15 @@ def _run_single_k(cfg: RunConfig, spectrum, weights, k, out_dir: Path):
         tol=cfg.solver_tol, max_iter=cfg.solver_max_iter, stats=stats,
     )
 
-    lines = [CSV_HEADER]
-    for i in range(report.times.size):
-        lines.append(",".join(_fmt(v) for v in (
-            report.times[i], report.energy[i], report.energy_lower[i],
-            report.energy_upper[i], report.q_norm[i], report.vx_norm[i],
-            report.vy_norm[i], report.growth_norm[i], report.energy_weighted[i],
-        )))
     csv_path = out_dir / f"series_k{k}.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
+    with open(csv_path, "w") as f:  # row by row: no string of the whole file
+        f.write(CSV_HEADER + "\n")
+        for i in range(report.times.size):
+            f.write(",".join(_fmt(v) for v in (
+                report.times[i], report.energy[i], report.energy_lower[i],
+                report.energy_upper[i], report.q_norm[i], report.vx_norm[i],
+                report.vy_norm[i], report.growth_norm[i], report.energy_weighted[i],
+            )) + "\n")
 
     lo, hi = cfg.fit_window()
     fits = {

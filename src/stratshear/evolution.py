@@ -204,8 +204,8 @@ def pointwise_energy(sym, theta, q, R):
 
 
 def _l2(grid, x):
-    """sqrt of the trapezoid integral of |x|^2 over the grid."""
-    return float(np.sqrt(grid.integrate(np.abs(x) ** 2)))
+    """sqrt of the trapezoid integral of |x|^2 over the grid, per row of x."""
+    return np.sqrt(grid.integrate(np.abs(x) ** 2))
 
 
 @dataclass
@@ -244,21 +244,26 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
 
     Uses the pointwise right-hand side when ``spec`` is None and the
     resolvent-based one otherwise.  Records every ``record_every`` steps
-    (first and last steps always included); each record evaluates the energy
-    density once, scaling it for the damped functional, and solves for the
+    (first and last steps always included).  Each step only checks the
+    fields and copies a record's state into a buffer of m =
+    ``_block_steps(N)`` records; when it is full, and after the last step,
+    one pass evaluates the buffered records as (m, N) arrays on one batched
+    ``FrameSymbols`` of their times.  It evaluates the energy density once
+    per record, scaling it for the damped functional, and solves for the
     vorticity once, reading the velocity from it: vx = i (eta - k t) u / p,
     vy = -i k u / p with u = T_L Omega, and vx picks up the shear-rate
-    factor g = 1 + (g-1) for a perturbed profile.  The right-hand sides, the
-    resolvent sweeps and the records read the time-dependent symbols from
-    the row frames of ``frame_blocks``, which evaluates them once per block
-    of steps; the state (Theta, Q) is stepped as one (2, N)
-    array.  Raises ``StepUnstable`` (naming k and t) if a field turns
-    non-finite or its amplitude exceeds BLOWUP_FACTOR times its initial
-    value, and ``ValueError`` when either initial array is not of shape
-    (grid.n,) or holds a non-finite value, ``spec`` was sampled on a grid of
-    another N or eta_max (its k may differ), R is not positive, record_every
-    is below 1, dt fails ``dt_is_stable`` or, with weights, the Sobolev
-    factor <(k, eta)>^{2s} is not finite on the grid.
+    factor g = 1 + (g-1) for a perturbed profile, whose solves, velocities
+    and norms are taken one record at a time.  The right-hand sides and the
+    resolvent sweeps read the time-dependent symbols from the row frames of
+    ``frame_blocks``, which evaluates them once per block of steps; the
+    state (Theta, Q) is stepped as one (2, N) array.  Raises
+    ``StepUnstable`` (naming k and t) if a field turns non-finite or its
+    amplitude exceeds BLOWUP_FACTOR times its initial value, and
+    ``ValueError`` when either initial array is not of shape (grid.n,) or
+    holds a non-finite value, ``spec`` was sampled on a grid of another N or
+    eta_max (its k may differ), R is not positive, record_every is below 1,
+    dt fails ``dt_is_stable`` or, with weights, the Sobolev factor
+    <(k, eta)>^{2s} is not finite on the grid.
 
     Returns (EnergyReport, theta, q) with the fields at the final time
     ``report.times[-1]``.
@@ -305,12 +310,49 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
     y0 = np.stack([theta0, q0])
     amp0 = np.abs(y0).max()
 
-    times, e_series, lo_series, hi_series, es_series = [], [], [], [], []
-    qn, vxn, vyn, gn = [], [], [], []
+    # the states of up to m records wait in these buffers, each no larger
+    # than a batch symbol, until one pass evaluates them as (m, N) arrays
+    m = _block_steps(grid.n)
+    theta_buf, q_buf = np.empty((m, grid.n), complex), np.empty((m, grid.n), complex)
+    pending = []  # the times of the buffered records
+    batches = []  # per pass, the columns of the report it recorded
     ratio_max, ratio_min = -math.inf, math.inf
 
-    def record(step, sym, y):
+    def norms(sym, theta, q):
+        # the norms of q, vx, vy and the growing functional of one record, or
+        # of a batch of records on their batch frame
+        omega, u = solve_vorticity(sym, spec, theta, tol, max_iter, stats)
+        p = sym.p
+        vx = 1j * sym.d * u / p
+        if spec is not None:
+            vx = vx + apply_profile_convolution(spec, "g1", vx)
+        return (_l2(grid, q), _l2(grid, vx), _l2(grid, -1j * k * u / p),
+                _l2(grid, omega) + _l2(grid, np.sqrt(p) * q))
+
+    def flush():
         nonlocal ratio_max, ratio_min
+        sym = FrameSymbols(np.array(pending)[:, None], k, grid.etas, beta)
+        theta, q = theta_buf[:len(pending)], q_buf[:len(pending)]
+        pending.clear()
+        e_eta, quad = pointwise_energy(sym, theta, q, R)
+        energy, quad_total = grid.integrate(e_eta), grid.integrate(quad)
+        if weights is not None:
+            es = grid.integrate(sob * weights.energy_weight_inv(sym) ** 2 * e_eta)
+        else:
+            es = np.full(len(theta), math.nan)
+        if np.any(mask):
+            ratio = e_eta[:, mask] / e0_eta[mask]
+            ratio_max = max(ratio_max, float(ratio.max()))
+            ratio_min = min(ratio_min, float(ratio.min()))
+        del e_eta, quad  # freed before the norms allocate theirs
+        if spec is None:  # BL Theta, for the whole batch at once
+            columns = norms(sym, theta, q)
+        else:  # the Neumann iteration and the convolutions take one field at a time
+            columns = np.array([norms(row, th, qq) for row, th, qq in zip(sym.rows(), theta, q)]).T
+        batches.append((sym.t[:, 0], energy, lo_const * quad_total, hi_const * quad_total, es,
+                        *columns))
+
+    def record(step, sym, y):
         # the guard runs after the step, so it cannot name the RK stage; the
         # max of |y| is NaN when any entry is
         amp = np.abs(y).max()
@@ -324,51 +366,19 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
             )
         if step % record_every != 0 and step != n_steps:
             return
-        theta, q = y
-        e_eta, quad = pointwise_energy(sym, theta, q, R)
-        quad_total = float(grid.integrate(quad))
-        times.append(t)
-        e_series.append(float(grid.integrate(e_eta)))
-        lo_series.append(lo_const * quad_total)
-        hi_series.append(hi_const * quad_total)
-        if weights is not None:
-            minv = weights.energy_weight_inv(sym)
-            es_series.append(float(grid.integrate(sob * minv**2 * e_eta)))
-        else:
-            es_series.append(math.nan)
-        if np.any(mask):
-            ratio = e_eta[mask] / e0_eta[mask]
-            ratio_max = max(ratio_max, float(ratio.max()))
-            ratio_min = min(ratio_min, float(ratio.min()))
-
-        omega, u = solve_vorticity(sym, spec, theta, tol, max_iter, stats)
-        d = sym.d
-        p = sym.p
-        vx = 1j * d * u / p
-        vy = -1j * k * u / p
-        if spec is not None:
-            vx = vx + apply_profile_convolution(spec, "g1", vx)
-        qn.append(_l2(grid, q))
-        vxn.append(_l2(grid, vx))
-        vyn.append(_l2(grid, vy))
-        gn.append(_l2(grid, omega) + _l2(grid, np.sqrt(p) * q))
+        theta_buf[len(pending)] = y[0]
+        q_buf[len(pending)] = y[1]
+        pending.append(t)
+        if len(pending) == m:
+            flush()
 
     blocks = frame_blocks(t0, dt, n_steps, k, grid.etas, beta)
     theta, q = rk4_integrate(rhs, y0, frame0, blocks, dt, callback=record)
+    if pending:
+        flush()
     if not np.any(mask):
         ratio_max = ratio_min = math.nan
 
-    report = EnergyReport(
-        times=np.asarray(times),
-        energy=np.asarray(e_series),
-        energy_lower=np.asarray(lo_series),
-        energy_upper=np.asarray(hi_series),
-        energy_weighted=np.asarray(es_series),
-        q_norm=np.asarray(qn),
-        vx_norm=np.asarray(vxn),
-        vy_norm=np.asarray(vyn),
-        growth_norm=np.asarray(gn),
-        ratio_max=ratio_max,
-        ratio_min=ratio_min,
-    )
+    report = EnergyReport(*(np.concatenate(c) for c in zip(*batches)),
+                          ratio_max=ratio_max, ratio_min=ratio_min)
     return report, theta, q

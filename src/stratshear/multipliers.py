@@ -128,8 +128,18 @@ class FrameSymbols:
 
     @_symbol
     def couette_q(self):
-        """-i k BL/p, the Theta coefficient of dQ/dt for Couette."""
-        return -1j * self.k * self.bl / self.p
+        """-i k BL/p, the Theta coefficient of dQ/dt for Couette, in closed form
+
+            -k (beta d + i p) / (p^2 + beta^2 d^2),      d = eta - k t,
+
+        with both parts computed in real arithmetic from d and p, so the
+        Couette right-hand side builds neither BL nor a complex quotient."""
+        d, p = self.d, self.p
+        den = p * p + (self.beta * d) ** 2
+        value = np.empty(np.shape(den), dtype=complex)
+        np.divide(-self.k * self.beta * d, den, out=value.real)
+        np.divide(-self.k * p, den, out=value.imag)
+        return value[()]
 
     @_symbol
     def couette_theta(self):

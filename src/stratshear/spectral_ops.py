@@ -76,10 +76,10 @@ class FrequencyGrid:
         return d
 
     def integrate(self, density):
-        """Trapezoid quadrature of a sampled density over the grid: the
-        arithmetic of ``np.trapezoid(density, self.etas)``, with the grid's
-        steps computed once."""
-        return (self._steps * (density[1:] + density[:-1]) / 2.0).sum()
+        """Trapezoid quadrature of a sampled density over the grid, along its
+        last axis: the arithmetic of ``np.trapezoid(density, self.etas)``,
+        with the grid's steps computed once."""
+        return (self._steps * (density[..., 1:] + density[..., :-1]) / 2.0).sum(axis=-1)
 
 
 # grid size from which a profile convolution sums directly over its

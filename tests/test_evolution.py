@@ -409,13 +409,42 @@ def test_frame_blocks_keep_each_batch_symbol_within_64_kib(n, rows):
                 assert getattr(batch, name).nbytes <= 64 * 1024
 
 
+@pytest.mark.parametrize("n, rows", [(256, 16), (512, 8), (1024, 4)])
+def test_record_passes_keep_buffer_and_batch_symbols_within_64_kib(monkeypatch, n, rows):
+    # the records wait in one buffer per field and are evaluated together on
+    # the batch frame of their times, _block_steps(N) records at a time
+    from stratshear import evolution as ev
+
+    passes = []
+
+    def spy(sym, theta, q, R):
+        passes.append((sym, theta, q))
+        return pointwise_energy(sym, theta, q, R)
+
+    monkeypatch.setattr(ev, "pointwise_energy", spy)
+    grid = FrequencyGrid(k=1, eta_max=20.0, n=n)
+    weights = WeightSet.for_run(1.0, 1.0, 0.02)
+    evolve(grid, *make_state(grid), beta=1.0, R=1.0, t_max=3 * rows * 0.01, dt=0.01,
+           weights=weights, s=1.0, record_every=1)
+    frame0, *passes = passes
+    assert np.ndim(frame0[0].t) == 0
+    assert [theta.shape for _, theta, _ in passes] == [(rows, n)] * 3 + [(1, n)]
+    for sym, theta, q in passes:
+        assert theta.base.nbytes <= 64 * 1024 and q.base.nbytes <= 64 * 1024
+        for name in ("d", "p", "bl"):
+            assert getattr(sym, name).nbytes <= 64 * 1024
+
+
 def reference_evolve(grid, theta, q, *, beta, R, t0, dt, n_steps, record_every, spec=None,
                      weights=None, s=0.0):
     """A per-step RK4 loop on the pair (theta, q) with one scalar frame per
-    evaluation; returns the records (t, E, ||q||, ||vy||) and the final pair.
-    With weights, each record also carries the damped functional Es."""
+    evaluation, and each record evaluated on its own.  Returns the records
+    (t, E, E_lower, E_upper, ||q||, ||vx||, ||vy||, growth), the ratio bounds
+    (max, min) and the final pair.  With weights, each record also carries
+    the damped functional Es."""
     k = grid.k
     sob = (1.0 + k * k + grid.etas**2) ** s
+    lo_const, hi_const = coercivity_constants(R)
 
     def rhs(t, th, qq):
         sym = frame(grid, t, beta)
@@ -428,18 +457,27 @@ def reference_evolve(grid, theta, q, *, beta, R, t0, dt, n_steps, record_every, 
             coupling = coupling - beta * apply_profile_convolution(spec, "g1", phi)
         return -1j * k * R * qq + 1j * k * (coupling - beta * phi), 1j * k * phi
 
-    records = []
+    records, ratios = [], []
+    e0, _ = pointwise_energy(frame(grid, t0, beta), theta, q, R)
+    mask = e0 * grid.deta >= 1e-8 * np.sum(e0 * grid.deta)
 
     def record(step, t, th, qq):
         if step % record_every == 0 or step == n_steps:
             sym = frame(grid, t, beta)
-            e_eta, _ = pointwise_energy(sym, th, qq, R)
-            _, u = solve_vorticity(sym, spec, th)
-            row = (t, float(grid.integrate(e_eta)), l2(grid, qq), l2(grid, -1j * k * u / sym.p))
+            e_eta, quad = pointwise_energy(sym, th, qq, R)
+            omega, u = solve_vorticity(sym, spec, th)
+            vx = 1j * sym.d * u / sym.p
+            if spec is not None:
+                vx = vx + apply_profile_convolution(spec, "g1", vx)
+            quad_total = grid.integrate(quad)
+            row = (t, float(grid.integrate(e_eta)), lo_const * quad_total, hi_const * quad_total,
+                   l2(grid, qq), l2(grid, vx), l2(grid, -1j * k * u / sym.p),
+                   l2(grid, omega) + l2(grid, np.sqrt(sym.p) * qq))
             if weights is not None:
                 minv = weights.energy_weight_inv(sym)
                 row += (float(grid.integrate(sob * minv**2 * e_eta)),)
             records.append(row)
+            ratios.extend(e_eta[mask] / e0[mask])
 
     record(0, t0, theta, q)
     for i in range(n_steps):
@@ -453,34 +491,45 @@ def reference_evolve(grid, theta, q, *, beta, R, t0, dt, n_steps, record_every, 
         theta = theta + (dt / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
         q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
         record(i + 1, t_next, theta, q)
-    return records, theta, q
+    return records, (max(ratios), min(ratios)), theta, q
 
 
-@pytest.mark.parametrize("profile", ["couette", "bump", "bump-N512", "bump-weighted"])
+@pytest.mark.parametrize("profile", ["couette", "couette-weighted", "bump", "bump-N512",
+                                     "bump-weighted"])
 def test_evolve_matches_per_step_loop_bit_for_bit(grid256, bump_spectrum, bump_spectrum512,
                                                   profile):
-    # more than two blocks, and records that fall at several offsets in a
-    # block; at N = 512 the convolutions sum over the kernels directly.  With
-    # weights, Es reads the weights at the row frames of the batches
-    spec = {"couette": None, "bump": bump_spectrum[1], "bump-N512": bump_spectrum512,
-            "bump-weighted": bump_spectrum[1]}[profile]
+    # more than three blocks of steps, one step past a multiple of the block,
+    # and more records than one pass takes, the last of them off the record
+    # grid at every = 3; at N = 512 the convolutions sum over the kernels
+    # directly.  With weights, Es reads the weights at the batch frame of the
+    # records
+    spec = {"bump": bump_spectrum[1], "bump-N512": bump_spectrum512,
+            "bump-weighted": bump_spectrum[1]}.get(profile)
     weights, s = None, 0.0
-    if profile == "bump-weighted":
+    if profile.endswith("weighted"):
         weights, s = WeightSet.for_run(1.0, 1.0, bump_spectrum[0].epsilon), 1.5
     grid = grid256 if spec is None else spec.grid
-    t0, dt, n_steps, every = 1.3, 0.01, 2 * _block_steps(grid.n) + 7, 5
+    m = _block_steps(grid.n)
+    t0, dt, n_steps = 1.3, 0.01, 3 * m + 1
     theta0, q0 = make_state(grid)
-    records, theta, q = reference_evolve(grid, theta0, q0, beta=1.0, R=1.0, t0=t0, dt=dt,
-                                         n_steps=n_steps, record_every=every, spec=spec,
-                                         weights=weights, s=s)
-    report, th, qq = evolve(grid, theta0, q0, beta=1.0, R=1.0, t_max=n_steps * dt, dt=dt,
-                            t0=t0, spec=spec, weights=weights, s=s, record_every=every)
-    assert th.tobytes() == theta.tobytes() and qq.tobytes() == q.tobytes()
-    columns = [report.times, report.energy, report.q_norm, report.vy_norm]
-    if weights is not None:
-        columns.append(report.energy_weighted)
-        assert all(row[4] > 0.0 for row in records)
-    assert list(zip(*(c.tolist() for c in columns))) == records
+    for every in (1, 3):
+        records, ratios, theta, q = reference_evolve(
+            grid, theta0, q0, beta=1.0, R=1.0, t0=t0, dt=dt, n_steps=n_steps,
+            record_every=every, spec=spec, weights=weights, s=s)
+        assert len(records) > m and len(records) % m != 0
+        report, th, qq = evolve(grid, theta0, q0, beta=1.0, R=1.0, t_max=n_steps * dt, dt=dt,
+                                t0=t0, spec=spec, weights=weights, s=s, record_every=every)
+        assert th.tobytes() == theta.tobytes() and qq.tobytes() == q.tobytes()
+        columns = [report.times, report.energy, report.energy_lower, report.energy_upper,
+                   report.q_norm, report.vx_norm, report.vy_norm, report.growth_norm]
+        if weights is not None:
+            columns.append(report.energy_weighted)
+            assert all(row[-1] > 0.0 for row in records)
+        else:
+            assert np.isnan(report.energy_weighted).all()
+        assert list(zip(*(c.tolist() for c in columns))) == records
+        assert (report.ratio_max, report.ratio_min) == ratios
+    assert n_steps % 3 != 0  # so the last record of every = 3 is off its grid
 
 
 @pytest.mark.parametrize("n", [256, 512])
@@ -508,28 +557,34 @@ def test_perturbed_evolve_holds_dense_operators_only_below_the_crossover(n):
 
 
 def test_evolve_evaluates_bl_once_per_distinct_time(grid256, monkeypatch):
-    # n steps have 2n + 1 distinct times: t0, and per step t + dt/2 and t + dt.
-    # Each is one row of one eval_bl call per block; stage 1 and the records
-    # read the rows of the step before, so records add none
+    # Couette steps with closed-form coefficients that need no BL; the
+    # records evaluate it once per recorded time, one eval_bl call per pass
+    # of up to _block_steps(N) records
     counts = Counter()
     count_bl(monkeypatch, counts)
-    n_steps = 200
+    n_steps, every = 200, 10
+    records = n_steps // every + 1
     evolve(grid256, *make_state(grid256), beta=1.0, R=1.0, t_max=n_steps * 0.01, dt=0.01,
-           record_every=10)
-    assert counts["eval_bl rows"] == 2 * n_steps + 1
-    assert counts["eval_bl"] == 1 + 2 * math.ceil(n_steps / _block_steps(grid256.n))
+           record_every=every)
+    assert counts["eval_bl rows"] == records
+    assert counts["eval_bl"] == math.ceil(records / _block_steps(grid256.n))
 
 
 def test_perturbed_evolve_evaluates_bl_once_per_distinct_time(grid256, bump_spectrum,
                                                               monkeypatch):
+    # n steps have 2n + 1 distinct times: t0, and per step t + dt/2 and t + dt.
+    # Each is one row of one eval_bl call per block of steps; the records
+    # evaluate BL again, once per recorded time in batches of their own
     _, spec = bump_spectrum
     counts = Counter()
     count_bl(monkeypatch, counts)
-    n_steps = 20
+    n_steps, every = 20, 5
+    records = n_steps // every + 1
+    block = _block_steps(grid256.n)
     evolve(grid256, *make_state(grid256), beta=1.0, R=1.0, t_max=n_steps * 0.01, dt=0.01,
-           record_every=5, spec=spec)
-    assert counts["eval_bl rows"] == 2 * n_steps + 1
-    assert counts["eval_bl"] == 1 + 2 * math.ceil(n_steps / _block_steps(grid256.n))
+           record_every=every, spec=spec)
+    assert counts["eval_bl rows"] == 2 * n_steps + 1 + records
+    assert counts["eval_bl"] == 1 + 2 * math.ceil(n_steps / block) + math.ceil(records / block)
 
 
 def test_solve_vorticity_builds_symbols_once_per_solve(grid256, bump_spectrum, monkeypatch):
@@ -591,3 +646,36 @@ def test_step_guard_catches_nan_in_either_field(monkeypatch, field):
     with pytest.raises(StepUnstable, match=r"non-finite field at k = 2, t = 0\.06$"):
         ev.evolve(grid, *make_state(grid), beta=1.0, R=1.0, t_max=2.0, dt=0.01,
                   record_every=10)
+
+
+@pytest.mark.parametrize("every", [1, 3])
+def test_step_guard_fires_with_records_pending(monkeypatch, every):
+    # the guard checks each step before its state joins the record buffer,
+    # so records waiting for their pass neither delay nor move it
+    from stratshear import evolution as ev
+
+    grid = FrequencyGrid(k=3, eta_max=16.0, n=512)
+    m = _block_steps(grid.n)
+    bad = 2 * m + 5  # the first step whose state is NaN
+    real = ev.couette_rhs
+
+    def poisoned(sym, y, R):
+        dy = real(sym, y, R)
+        if sym.t > (bad - 1) * 0.01:  # stages 2 to 4 of step bad
+            dy[1, 7] = np.nan
+        return dy
+
+    passes = []
+
+    def spy(sym, theta, q, R):
+        passes.append(theta.shape[0])
+        return pointwise_energy(sym, theta, q, R)
+
+    monkeypatch.setattr(ev, "couette_rhs", poisoned)
+    monkeypatch.setattr(ev, "pointwise_energy", spy)
+    with pytest.raises(StepUnstable, match=rf"non-finite field at k = 3, t = {bad / 100:g}$"):
+        ev.evolve(grid, *make_state(grid), beta=1.0, R=1.0, t_max=1.0, dt=0.01,
+                  record_every=every)
+    recorded = (bad - 1) // every + 1  # steps 0 to bad - 1 on the record grid
+    assert recorded % m != 0  # so some of them were still waiting
+    assert sum(passes[1:]) == recorded - recorded % m

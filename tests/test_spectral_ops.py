@@ -60,6 +60,9 @@ def test_grid_integrate_is_trapezoid_bit_for_bit(eta_max, n):
     for scale in (1e-300, 1.0, 1e300):
         y = scale * rng.standard_normal(n)
         assert g.integrate(y) == np.trapezoid(y, g.etas)
+        # along the last axis of a stack of densities, row by row
+        ys = scale * rng.standard_normal((8, n))
+        assert g.integrate(ys).tolist() == [g.integrate(row) for row in ys]
 
 
 def inv_laplace_via_rhs(t, spec, theta):
