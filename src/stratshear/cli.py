@@ -366,6 +366,47 @@ def _check_assertions(cfg: RunConfig, summary):
     return failures
 
 
+def _openblas_function(name):
+    """The OpenBLAS function ``name`` (such as "set_num_threads") of the
+    OpenBLAS that numpy loaded, under any of its symbol variants, or None
+    where none is found (another BLAS, or no ``/proc/self/maps``)."""
+    import ctypes  # imported here: only pool workers and tests need it
+
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}",
+                       f"openblas_{name}64_", f"openblas_{name}"):
+            function = getattr(lib, symbol, None)
+            if function is not None:
+                return function
+    return None
+
+
+def _one_blas_thread():
+    """Pool initializer: one OpenBLAS thread per worker.
+
+    Each forked worker inherits OpenBLAS's thread count, one per core, and
+    below DIRECT_CONVOLUTION_N its dense matvecs keep every thread spinning,
+    so two workers on two cores ran slower than one and stalled.  Does
+    nothing where no OpenBLAS setter is found.
+    """
+    import ctypes
+
+    setter = _openblas_function("set_num_threads")
+    if setter is not None:
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+
+
 def run(cfg: RunConfig, out_dir=None, enable_asserts=False, jobs=1) -> int:
     """Execute a validated config; write per-k CSVs and summary.json.
 
@@ -392,7 +433,8 @@ def run(cfg: RunConfig, out_dir=None, enable_asserts=False, jobs=1) -> int:
         # imported here, so that a run without a pool does not pay its 5 ms of
         # import time and 0.2-0.4 MB of RSS
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
+                                                    initializer=_one_blas_thread) as pool:
             blocks = list(pool.map(_run_single_k,
                                    *zip(*[(cfg, spectrum, weights, k, out) for k in cfg.k_list])))
     else:

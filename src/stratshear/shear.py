@@ -36,11 +36,11 @@ __all__ = [
 _SQRT_PI = math.sqrt(math.pi)
 _INVERSION_TOL = 1e-13
 # quadrature samples per transform window; a chunk of the transform at 2^15
-# samples holds 4 frequencies, 4 x 2^15 real and complex values (3 MiB)
+# samples holds 4 frequencies, 4 x 2^15 complex values (2 MiB)
 _MAX_WINDOW_SAMPLES = 2**15
-# bytes of the real and complex phase buffers of one transform chunk, 24 per
-# frequency and sample: 12 frequencies at 3,133 samples, 4 at 2^15
-_TRANSFORM_CHUNK_BYTES = 2**20
+# bytes of the complex phase buffer of one transform chunk, 16 per frequency
+# and sample: 12 frequencies at 3,133 samples, 4 at 2^15
+_TRANSFORM_CHUNK_BYTES = 768 * 2**10
 # the frequencies of a chunk are a multiple of this, so that a BLAS whose
 # matrix-vector kernel takes rows four at a time groups them as one product
 # over every row would (OpenBLAS 0.3.31, Haswell kernels, sums each row of a
@@ -133,13 +133,16 @@ def fourier_transform_samples(y, values, etas):
     ``y`` must be uniformly spaced and wide enough that every sampled
     function is negligible at the window ends.  Evaluation is chunked over
     ``etas`` to bound memory: each chunk fills one phase matrix
-    exp(-i eta y), in buffers sized from _TRANSFORM_CHUNK_BYTES and reused
-    across chunks, and every column of the stack shares it through its own
-    matrix-vector product, so a stacked column equals the transform of that
-    column alone.  A chunk holds a multiple of _TRANSFORM_CHUNK_ROWS
-    frequencies, and a lone last frequency joins the chunk before it: numpy
-    takes a one-row product as a dot product, which sums in another order.
-    The chunking then does not change the result.
+    exp(-i eta y), in one complex buffer sized from _TRANSFORM_CHUNK_BYTES
+    and reused across chunks, and every column of the stack shares it
+    through its own matrix-vector product, so a stacked column equals the
+    transform of that column alone.  The argument -eta y is written into the
+    buffer's real part, its sine into the imaginary part and its cosine over
+    the real part in place, so no separate argument buffer exists.  A chunk
+    holds a multiple of _TRANSFORM_CHUNK_ROWS frequencies, and a lone last
+    frequency joins the chunk before it: numpy takes a one-row product as a
+    dot product, which sums in another order.  The chunking then does not
+    change the result.
     """
     y = np.asarray(y, dtype=float)
     values = np.asarray(values)
@@ -149,22 +152,21 @@ def fourier_transform_samples(y, values, etas):
     wts[0] = wts[-1] = 0.5 * h
     weighted = np.ascontiguousarray(np.atleast_2d(values.T) * wts)  # one row per column
     out = np.empty((weighted.shape[0], etas.size), dtype=complex)
-    chunk = _TRANSFORM_CHUNK_BYTES // (24 * y.size) // _TRANSFORM_CHUNK_ROWS
+    chunk = _TRANSFORM_CHUNK_BYTES // (16 * y.size) // _TRANSFORM_CHUNK_ROWS
     chunk = max(chunk, 1) * _TRANSFORM_CHUNK_ROWS
     bounds = list(range(0, etas.size, chunk)) + [etas.size]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
     rows = max((hi - lo for lo, hi in zip(bounds, bounds[1:])), default=0)
-    arg = np.empty((rows, y.size))
     phase = np.empty((rows, y.size), dtype=complex)
     for lo, hi in zip(bounds, bounds[1:]):
-        nb = hi - lo
+        ph = phase[:hi - lo]
         # exp(-i eta y) = cos(-eta y) + i sin(-eta y), and -eta * y == -(eta * y) exactly
-        np.multiply.outer(-etas[lo:hi], y, out=arg[:nb])
-        np.cos(arg[:nb], out=phase[:nb].real)
-        np.sin(arg[:nb], out=phase[:nb].imag)
+        np.multiply.outer(-etas[lo:hi], y, out=ph.real)
+        np.sin(ph.real, out=ph.imag)
+        np.cos(ph.real, out=ph.real)
         for row, w in zip(out, weighted):
-            row[lo:hi] = phase[:nb] @ w
+            row[lo:hi] = ph @ w
     return out[0] if values.ndim == 1 else out.T
 
 

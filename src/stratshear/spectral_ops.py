@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "FrequencyGrid",
@@ -99,10 +100,12 @@ class ProfileSpectrum:
     and b on the (2N-1)-point difference lattice that the linear convolution
     needs (Hermitian-symmetric since the profiles are real).  Each kernel is
     weighted by deta/(2 pi) on first use and cached: as its dense N x N
-    Toeplitz matrix below DIRECT_CONVOLUTION_N, as the (2N-1)-point kernel
-    itself from there up.  The lattice and the cached operators depend on N
-    and eta_max only (read from ``grid``), not on k, so one sampled spectrum
-    serves every wavenumber of a run as it is.
+    Toeplitz matrix below DIRECT_CONVOLUTION_N, copied from a sliding-window
+    view of the kernel so that a build needs no memory beyond the matrix,
+    and as the (2N-1)-point kernel itself from there up.  The lattice and
+    the cached operators depend on N and eta_max only (read from ``grid``),
+    not on k, so one sampled spectrum serves every wavenumber of a run as
+    it is.
     """
 
     grid: FrequencyGrid
@@ -115,15 +118,21 @@ class ProfileSpectrum:
 def _conv_operator(spec, name):
     """The deta/(2 pi)-weighted kernel, cached on first use: as its dense
     Toeplitz matrix below DIRECT_CONVOLUTION_N, as the (2N-1)-point kernel
-    itself from there up."""
+    itself from there up.
+
+    Entry (i, j) of the matrix is the weighted kernel at i - j + N - 1.  Row i
+    is the reversed kernel's window of N values starting at N - 1 - i, so the
+    matrix is a C-ordered copy of the row-reversed sliding-window view of the
+    reversed kernel: the build holds the N x N result and the kernel, and no
+    index arrays.
+    """
     op = spec._conv_cache.get(name)
     if op is None:
         kern = {"g1": spec.kern_g1, "g2": spec.kern_g2, "b": spec.kern_b}[name]
         n = spec.grid.n
         op = spec.grid.deta / (2.0 * math.pi) * kern
         if n < DIRECT_CONVOLUTION_N:
-            idx = np.arange(n)
-            op = op[idx[:, None] - idx[None, :] + n - 1]
+            op = sliding_window_view(op[::-1], n)[::-1].copy()
         spec._conv_cache[name] = op
     return op
 

@@ -315,8 +315,9 @@ def test_jobs_start_no_more_workers_than_wavenumbers(tmp_path, monkeypatch):
     requested = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             requested.append(max_workers)
+            assert initializer is stratshear.cli._one_blas_thread
 
         def __enter__(self):
             return self
@@ -332,6 +333,41 @@ def test_jobs_start_no_more_workers_than_wavenumbers(tmp_path, monkeypatch):
                                                                     "time.t_max = 0.05"))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "64"]) == EXIT_OK
     assert requested == [2]
+
+
+def openblas_threads():
+    """Thread count of the OpenBLAS that numpy loaded, in this process."""
+    import ctypes
+
+    getter = stratshear.cli._openblas_function("get_num_threads")
+    getter.restype = ctypes.c_int
+    return getter()
+
+
+def test_pool_workers_run_one_blas_thread():
+    # two workers that each drive every core's BLAS thread ran slower than
+    # one below DIRECT_CONVOLUTION_N and stalled for up to half a minute
+    if stratshear.cli._openblas_function("set_num_threads") is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread setter")
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=1, initializer=stratshear.cli._one_blas_thread) as pool:
+        assert pool.submit(openblas_threads).result(timeout=60) == 1
+
+
+def test_couette_smoke_fits_without_lapack(tmp_path, monkeypatch):
+    # the CLI fits its exponents in closed form: a first LAPACK call would
+    # page in about 1 MB of library code after the run's arrays are freed
+    import numpy as np
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK least squares called")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "couette_smoke.cfg"
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    summary = read_summary(tmp_path)
+    assert all(summary[f"exponent_{name}"] is not None for name in ("q", "vx", "vy", "growth"))
 
 
 def test_spectrum_is_sampled_once_per_run(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from lemmas import eval_p
 from stratshear.evolution import evolve
 from stratshear.multipliers import eval_bl
 from stratshear.observables import (
+    ENVELOPE_WIDTH,
     InsufficientWindow,
     fit_modulated_power_law,
     fit_power_law,
@@ -154,6 +155,48 @@ def test_fit_power_law_oscillatory_envelope():
     v = t**-0.5 * (2.0 + np.sin(t))
     fit = fit_power_law(t, v, 1.0, 199.0)
     assert fit.exponent == pytest.approx(-0.5, abs=0.05)
+
+
+def polyfit_envelope_reference(t, v, t_lo, t_hi):
+    """Slope and r^2 of ``np.polyfit`` through the envelope maxima: the
+    maximum of each ENVELOPE_WIDTH window of [t_lo, t_hi], the last window
+    closed at t_hi."""
+    sel = (t >= t_lo) & (t <= t_hi)
+    t, v = t[sel], v[sel]
+    n_win = math.ceil((t_hi - t_lo) / ENVELOPE_WIDTH)
+    x, y = [], []
+    for i in range(n_win):
+        lo = t_lo + ENVELOPE_WIDTH * i
+        inside = (t >= lo) & ((t < lo + ENVELOPE_WIDTH) if i < n_win - 1 else (t <= t_hi))
+        if inside.any():
+            j = np.argmax(v[inside])
+            x.append(math.log(t[inside][j]))
+            y.append(math.log(v[inside][j]))
+    x, y = np.array(x), np.array(y)
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    return slope, 1.0 - (resid @ resid) / np.sum((y - y.mean()) ** 2)
+
+
+ENVELOPE_SERIES = {
+    "exact": (np.arange(1.0, 120.0, 0.25), lambda t: t**-1.5),
+    "growth": (np.arange(1.0, 120.0, 0.25), lambda t: 0.003 * t**0.5),
+    "oscillatory": (np.arange(1.0, 200.0, 0.05), lambda t: t**-0.5 * (2.0 + np.sin(t))),
+    # a modulated Couette-like decay with 5 % multiplicative noise
+    "noisy": (np.arange(1.0, 200.0, 0.1), lambda t: t**-0.5
+              * (1.0 + 0.3 * np.cos(math.sqrt(3.0) * np.log(t)))
+              * np.exp(0.05 * np.random.default_rng(3).standard_normal(t.size))),
+}
+
+
+@pytest.mark.parametrize("name", ENVELOPE_SERIES)
+def test_fit_power_law_matches_polyfit_reference(name):
+    # the closed-form line agrees with a LAPACK least-squares fit to rounding
+    t, series = ENVELOPE_SERIES[name]
+    fit = fit_power_law(t, series(t), 1.0, t[-1])
+    slope, r2 = polyfit_envelope_reference(t, series(t), 1.0, t[-1])
+    assert fit.exponent == pytest.approx(slope, rel=1e-12)
+    assert fit.r_squared == pytest.approx(r2, rel=1e-12)
 
 
 def test_fit_power_law_window_guards():

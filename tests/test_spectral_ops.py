@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,9 @@ from stratshear.spectral_ops import (
     DIRECT_CONVOLUTION_N,
     FrequencyGrid,
     NonConvergence,
+    ProfileSpectrum,
     SolveStats,
+    _conv_operator,
     _t_eps_values,
     apply_profile_convolution,
     solve_vorticity,
@@ -129,6 +133,31 @@ def test_direct_convolution_matches_kernel_matrix(bump_spectrum512, name):
         got = apply_profile_convolution(spec, name, x)
         bound = 8 * np.finfo(float).eps * (np.abs(mat) @ np.abs(x))
         assert np.all(np.abs(got - mat @ x) <= bound)
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "b"])
+def test_dense_operator_is_the_kernel_matrix_bit_for_bit(bump_spectrum, name):
+    # the cached Toeplitz matrix, copied from a sliding-window view, holds
+    # the reference's entries in the same C layout
+    _, spec = bump_spectrum
+    assert spec.grid.n < DIRECT_CONVOLUTION_N
+    op = _conv_operator(spec, name)
+    assert op.flags.c_contiguous
+    assert np.array_equal(op, kernel_matrix(spec, name))
+
+
+def test_dense_operator_build_peaks_at_the_matrix(bump_spectrum):
+    # one build holds the 16 N^2-byte matrix and the (2N-1)-point weighted
+    # kernel; two N x N index arrays made it peak at 1.5 times the matrix
+    _, spec = bump_spectrum
+    fresh = ProfileSpectrum(spec.grid, spec.kern_g1, spec.kern_g2, spec.kern_b)
+    tracemalloc.start()
+    try:
+        _conv_operator(fresh, "g2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 16 * spec.grid.n**2
 
 
 def test_profile_convolution_matches_physical_product(grid256, bump_spectrum):
