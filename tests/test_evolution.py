@@ -213,6 +213,30 @@ def test_evolve_rejects_nonpositive_R_and_record_every(grid256, kwargs, message)
         evolve(grid256, *make_state(grid256), **args)
 
 
+@pytest.mark.parametrize("k, beta", [(2, 0.0), (2, 1.0), (2, 2.0), (3, 0.0), (3, 1.0)])
+def test_couette_k_rescaling(k, beta):
+    # with eta = k eta', Theta(t, eta) = Theta'(t, eta') and k Q(t, eta) =
+    # Q'(t, eta') map the Couette cell at (k, beta) onto the cell at
+    # (1, beta/k): d = k d', p = k^2 p' and each coefficient scales by a power
+    # of k.  At k = 2 every scaling is by a power of two, so the runs agree
+    # bit for bit.  (k = 3, beta = 3 fails dt_is_stable at dt = 0.01.)
+    def final(grid, b):
+        x = grid.etas / grid.k
+        theta0 = np.exp(-x**2).astype(complex)
+        q0 = np.exp(-((x - 1.0) ** 2) / 2).astype(complex) / grid.k
+        _, theta, q = evolve(grid, theta0, q0, beta=b, R=1.0, t_max=50.0, dt=0.01,
+                             record_every=5000)
+        return theta, grid.k * q
+
+    theta, kq = final(FrequencyGrid(k=k, eta_max=20.0 * k, n=512), beta)
+    theta1, q1 = final(FrequencyGrid(k=1, eta_max=20.0, n=512), beta / k)
+    if k == 2:
+        assert np.array_equal(theta, theta1) and np.array_equal(kq, q1)
+    else:
+        for got, ref in ((theta, theta1), (kq, q1)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_evolve_linearity(grid256):
     theta, q = make_state(grid256)
     _, th1, _ = evolve(grid256, theta, q, beta=1.0, R=1.0, t_max=2.0, dt=0.01,
