@@ -43,7 +43,6 @@ __all__ = [
     "couette_rhs",
     "dt_is_stable",
     "evolve",
-    "frame_blocks",
     "full_rhs",
     "pointwise_energy",
     "rk4_integrate",
@@ -118,20 +117,21 @@ def full_rhs(sym, y, spec, R, tol=1e-10, max_iter=50, stats=None):
 
 
 def _block_steps(n):
-    """Steps per block of ``frame_blocks`` on n frequencies: at least 1, and
+    """Steps per block of ``_frame_blocks`` on n frequencies: at least 1, and
     as many as keep a complex batch symbol within BATCH_SYMBOL_BYTES."""
     return max(1, BATCH_SYMBOL_BYTES // (16 * n))
 
 
-def frame_blocks(t0, dt, n_steps, k, etas, beta):
-    """The frames of n_steps RK4 steps from t0, one block of
-    ``_block_steps(etas.size)`` steps at a time.
+def _frame_blocks(frame0, dt, n_steps):
+    """The frames of n_steps RK4 steps from the frame0 of t0, one block of
+    ``_block_steps(N)`` steps at a time.
 
     Yields per block a pair (half, whole) of batched ``FrameSymbols``: for
     the steps i of the block, ``half`` is at the times (t0 + i dt) + dt/2 of
     stages 2 and 3 and ``whole`` at t0 + (i+1) dt, the time of stage 4, of
     the step's record and of the next step's stage 1.
     """
+    t0, k, etas, beta = frame0.t, frame0.k, frame0.eta, frame0.beta
     block = _block_steps(np.size(etas))
     for start in range(0, n_steps, block):
         i = np.arange(start, min(start + block, n_steps))[:, None]
@@ -139,15 +139,16 @@ def frame_blocks(t0, dt, n_steps, k, etas, beta):
                FrameSymbols(t0 + (i + 1) * dt, k, etas, beta))
 
 
-def rk4_integrate(rhs, y0, frame0, blocks, dt, callback=None):
-    """Classical 4th-order one-step integration of a stacked state y.
+def rk4_integrate(rhs, y0, frame0, dt, n_steps, callback=None):
+    """Classical 4th-order integration of a stacked state y over n_steps
+    steps of dt from the time of the frame ``frame0``.
 
     ``rhs(sym, y) -> dy/dt`` at the frame ``sym`` returns a new array, which
-    the step may overwrite.  ``frame0`` is the frame of the start time and
-    ``blocks`` yields the (half, whole) batches of ``frame_blocks``; step i
-    reads its stage-1 frame from step i - 1.  The callback, if given, is
-    invoked as callback(step_index, sym, y) after every step including step
-    0, with the frame of the step's end time.
+    the step may overwrite.  The frames of the later stages come from
+    ``_frame_blocks``, a block of steps at a time; step i reads its stage-1
+    frame from step i - 1.  The callback, if given, is invoked as
+    callback(step_index, sym, y) after every step including step 0, with the
+    frame of the step's end time.
     """
     y = np.array(y0, dtype=complex)
     sym0 = frame0
@@ -155,7 +156,7 @@ def rk4_integrate(rhs, y0, frame0, blocks, dt, callback=None):
     if callback is not None:
         callback(step, sym0, y)
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
-    for half, whole in blocks:
+    for half, whole in _frame_blocks(frame0, dt, n_steps):
         for sym_half, sym1 in zip(half.rows(), whole.rows()):
             # y + (dt/2) k1, y + (dt/2) k2, y + dt k3 and then
             # y + (dt/6) (k1 + 2 k2 + 2 k3 + k4), evaluated in place in the
@@ -254,16 +255,17 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
     vy = -i k u / p with u = T_L Omega, and vx picks up the shear-rate
     factor g = 1 + (g-1) for a perturbed profile, whose solves, velocities
     and norms are taken one record at a time.  The right-hand sides and the
-    resolvent sweeps read the time-dependent symbols from the row frames of
-    ``frame_blocks``, which evaluates them once per block of steps; the
-    state (Theta, Q) is stepped as one (2, N) array.  Raises
+    resolvent sweeps read the time-dependent symbols from the row frames
+    that ``rk4_integrate`` builds from the frame of t0, one batch per block
+    of steps; the state (Theta, Q) is stepped as one (2, N) array.  Raises
     ``StepUnstable`` (naming k and t) if a field turns non-finite or its
     amplitude exceeds BLOWUP_FACTOR times its initial value, and
     ``ValueError`` when either initial array is not of shape (grid.n,) or
     holds a non-finite value, ``spec`` was sampled on a grid of another N or
     eta_max (its k may differ), R is not positive, record_every is below 1,
-    dt fails ``dt_is_stable`` or, with weights, the Sobolev factor
-    <(k, eta)>^{2s} is not finite on the grid.
+    beta is negative, dt fails ``dt_is_stable`` or, with weights, the
+    Sobolev factor <(k, eta)>^{2s} is not finite on the grid; each before
+    any step is taken.
 
     Returns (EnergyReport, theta, q) with the fields at the final time
     ``report.times[-1]``.
@@ -284,6 +286,8 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
     lo_const, hi_const = coercivity_constants(R)
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
+    if beta < 0:
+        raise ValueError(f"stratification rate beta must be nonnegative, got {beta}")
     if not dt_is_stable(dt, k, R, beta):
         raise ValueError(
             f"dt = {dt} violates the stability margin "
@@ -372,8 +376,7 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
         if len(pending) == m:
             flush()
 
-    blocks = frame_blocks(t0, dt, n_steps, k, grid.etas, beta)
-    theta, q = rk4_integrate(rhs, y0, frame0, blocks, dt, callback=record)
+    theta, q = rk4_integrate(rhs, y0, frame0, dt, n_steps, callback=record)
     if pending:
         flush()
     if not np.any(mask):

@@ -3,15 +3,15 @@
 Everything here is a closed-form function of (t; k, eta) at a fixed nonzero
 x-wavenumber k:
 
-* ``eval_bl``       -- the stratification multiplier, reciprocal of
-                       1 + i beta (eta - k t) / p, with p = k^2 + (eta - k t)^2
-                       the symbol of the negative sheared Laplacian,
 * ``FrameSymbols``  -- the symbols at one time t, or at a column of times,
                        that the right-hand sides, the resolvent sweeps, the
-                       records and the energy weights share.
+                       records and the energy weights share,
+* ``eval_bl``       -- the stratification multiplier at a frame, reciprocal
+                       of 1 + i beta (eta - k t) / p, with p = k^2 + (eta - k t)^2
+                       the symbol of the negative sheared Laplacian.
 
-Functions broadcast over numpy arrays in ``eta`` (and ``t``); they are pure
-and safe for concurrent use.
+A time enters only through a frame.  The symbols broadcast over numpy arrays
+in ``eta`` (and ``t``); they are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -24,27 +24,24 @@ __all__ = [
 ]
 
 
-def _require_nonzero_k(k):
-    if k == 0:
-        raise ValueError("x-wavenumber k must be nonzero (the k = 0 mode is conserved)")
-
-
-def eval_bl(t, k, eta, beta):
-    """Stratification multiplier: reciprocal of 1 + i beta (eta - k t)/p.
+def eval_bl(sym):
+    """Stratification multiplier at the frame ``sym``: reciprocal of
+    1 + i beta d/p, with d = eta - k t and p read from the frame.
 
     Written with explicit real and imaginary parts,
 
-        p^2 / (p^2 + beta^2 (eta-kt)^2)  -  i beta p (eta-kt) / (p^2 + beta^2 (eta-kt)^2),
+        p^2 / (p^2 + beta^2 d^2)  -  i beta p d / (p^2 + beta^2 d^2),
 
     so the modulus obeys 1/sqrt(1 + beta^2) <= |value| <= 1.  For beta = 0 or
     t = eta/k the value is exactly 1.  Both parts are computed in real
     arithmetic and written into one complex result.
     """
-    _require_nonzero_k(k)
+    if sym.k == 0:
+        raise ValueError("x-wavenumber k must be nonzero (the k = 0 mode is conserved)")
+    beta = sym.beta
     if beta < 0:
         raise ValueError("stratification rate beta must be nonnegative")
-    d = np.asarray(eta, dtype=float) - k * t
-    p = k * k + d * d
+    d, p = sym.d, sym.p
     pp = p * p
     den = pp + (beta * d) ** 2
     bl = np.empty(np.shape(den), dtype=complex)
@@ -124,7 +121,7 @@ class FrameSymbols:
     @_symbol
     def bl(self):
         """The stratification multiplier, from ``eval_bl``."""
-        return eval_bl(self.t, self.k, self.eta, self.beta)
+        return eval_bl(self)
 
     @_symbol
     def couette_q(self):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -182,17 +183,13 @@ def _profile_window(profile: ShearProfile, eta_hi: float):
     return np.linspace(profile.center - halfwidth, profile.center + halfwidth, n)
 
 
-def _frame_samples(profile: ShearProfile, etas):
-    """Transform window Y and the samples of g - 1 and b on it."""
+def profile_transforms(profile: ShearProfile, etas):
+    """Transforms of (g - 1, g^2 - 1, b) sampled at the given frequencies,
+    from their samples at U^{-1}(Y) on the transform window Y."""
+    etas = np.asarray(etas, dtype=float)
     Y = _profile_window(profile, float(np.max(np.abs(etas))))
     yin = profile.u_inverse(Y)
-    return Y, profile.u_prime(yin) - 1.0, profile.u_second(yin)
-
-
-def profile_transforms(profile: ShearProfile, etas):
-    """Transforms of (g - 1, g^2 - 1, b) sampled at the given frequencies."""
-    etas = np.asarray(etas, dtype=float)
-    Y, gm1, bb = _frame_samples(profile, etas)
+    gm1, bb = profile.u_prime(yin) - 1.0, profile.u_second(yin)
     g1, g2, b = fourier_transform_samples(
         Y, np.stack([gm1, gm1 * (gm1 + 2.0), bb], axis=1), etas).T
     return g1, g2, b
@@ -299,7 +296,7 @@ def build_profile(kind, a=0.0, sigma=1.0, y0=0.0, s=0.0) -> ShearProfile:
                         epsilon_velocity=eps_vel)
 
 
-def sample_spectrum(profile: ShearProfile, grid: FrequencyGrid) -> ProfileSpectrum:
+def sample_spectrum(profile: ShearProfile, grid: FrequencyGrid) -> Optional[ProfileSpectrum]:
     """Sample the profile transforms on the difference lattice of a grid.
 
     For perturbed profiles the grid must resolve the bump:
@@ -308,14 +305,12 @@ def sample_spectrum(profile: ShearProfile, grid: FrequencyGrid) -> ProfileSpectr
     N must also stay at or below _MAX_PERTURBED_N, since every convolution
     costs O(N^2) work; each check raises ``GridResolutionError`` before
     anything is transformed.
-    A Couette profile (a = 0) gives zero kernels without a transform; the
-    operators take ``spec=None`` for Couette instead.
+    A Couette profile (a = 0) has no spectrum: it gives None, the ``spec``
+    that every operator takes for Couette.
     """
-    n = grid.n
-    lattice = np.arange(-(n - 1), n) * grid.deta
     if profile.is_couette:
-        zk = np.zeros(2 * n - 1, dtype=complex)
-        return ProfileSpectrum(grid, zk, zk.copy(), zk.copy())
+        return None
+    n = grid.n
     if profile.width * grid.deta > 0.25:
         raise GridResolutionError(
             f"sigma * deta = {profile.width * grid.deta:.4g} > 1/4: grid spacing "
@@ -333,5 +328,6 @@ def sample_spectrum(profile: ShearProfile, grid: FrequencyGrid) -> ProfileSpectr
         )
     # The lattice is exactly symmetric and the profiles are real: transform
     # the n points eta >= 0 and mirror them.
-    g1, g2, bb = (_conj_mirror(half) for half in profile_transforms(profile, lattice[n - 1:]))
+    halves = profile_transforms(profile, np.arange(n) * grid.deta)
+    g1, g2, bb = (_conj_mirror(half) for half in halves)
     return ProfileSpectrum(grid, kern_g1=g1, kern_g2=g2, kern_b=bb)

@@ -94,7 +94,7 @@ DIRECT_CONVOLUTION_N = 512
 @dataclass
 class ProfileSpectrum:
     """Profile transforms sampled for one frequency grid, built by
-    ``shear.sample_spectrum``.
+    ``shear.sample_spectrum`` for a perturbed profile (Couette has none).
 
     ``kern_g1``, ``kern_g2`` and ``kern_b`` hold the transforms of g-1, g^2-1
     and b on the (2N-1)-point difference lattice that the linear convolution

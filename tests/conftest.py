@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from lemmas import eval_p
-from stratshear.multipliers import FrameSymbols, eval_bl
+from lemmas import bl_reference, eval_p
+from stratshear.multipliers import FrameSymbols
 from stratshear.shear import build_profile, sample_spectrum
-from stratshear.spectral_ops import FrequencyGrid
+from stratshear.spectral_ops import FrequencyGrid, ProfileSpectrum
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +29,10 @@ def bump_spectrum512():
 
 @pytest.fixture(scope="session")
 def couette_spectrum(grid256):
-    return sample_spectrum(build_profile("couette"), grid256)
+    # zero kernels, built by hand: sample_spectrum gives None for Couette,
+    # and the operators must reduce to Couette on these too
+    z = np.zeros(2 * grid256.n - 1, dtype=complex)
+    return ProfileSpectrum(grid256, z, z.copy(), z.copy())
 
 
 def frame(grid, t, beta=0.0):
@@ -75,14 +78,15 @@ def dense_resolvent(t, spec, beta):
 
     T_L = inv(I - T_eps) with T_eps from ``dense_t_eps``, and
     B = beta diag(BL) (G1 diag(D) T_L + diag(D) (T_L - I)) with G1 the g-1
-    convolution matrix and D = -i (eta - k t)/p.
+    convolution matrix and D = -i (eta - k t)/p.  BL is ``bl_reference``,
+    so the reference shares no symbol with the solver.
     """
     grid = spec.grid
     eye = np.eye(grid.n, dtype=complex)
     t_l = np.linalg.inv(eye - dense_t_eps(t, spec))
     g1 = kernel_matrix(spec, "g1")
     dmul = (-1j * (grid.etas - grid.k * t) / eval_p(t, grid.k, grid.etas))[:, None]
-    bl = eval_bl(t, grid.k, grid.etas, beta)
+    bl = bl_reference(t, grid.k, grid.etas, beta)
     b = beta * bl[:, None] * (g1 @ (dmul * t_l) + dmul * (t_l - eye))
     return t_l, b, bl
 

@@ -3,7 +3,10 @@ as checkable functions for the tests.
 
 No run calls these: they state the multiplier bounds, the symbol derivative,
 the arctan weight and the frequency-exchange inequalities that the energy
-method rests on, so that the tests can sample them.
+method rests on, so that the tests can sample them.  ``eval_p`` and
+``bl_reference`` are also the symbols of the dense test references, written
+apart from ``FrameSymbols`` and ``eval_bl`` so that they do not share the
+code under test.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from stratshear.multipliers import FrameSymbols, eval_bl
+from stratshear.multipliers import FrameSymbols
 from stratshear.weights import WeightSet
 
 # Bound predicates are exact in real arithmetic; the slack absorbs double
@@ -31,6 +34,15 @@ def eval_p(t, k, eta):
         raise ValueError("x-wavenumber k must be nonzero (the k = 0 mode is conserved)")
     d = np.asarray(eta, dtype=float) - k * t
     return k * k + d * d
+
+
+def bl_reference(t, k, eta, beta):
+    """The stratification multiplier 1/(1 + i beta (eta - k t)/p) as one
+    complex quotient, with p from ``eval_p``: the dense test references use
+    it in place of ``eval_bl``, whose real-arithmetic parts it does not share.
+    """
+    d = np.asarray(eta, dtype=float) - k * t
+    return 1.0 / (1.0 + 1j * beta * d / eval_p(t, k, eta))
 
 
 def eval_p_prime(t, k, eta):
@@ -76,8 +88,9 @@ class BlBoundReport:
 
 
 def bl_bound_report(t, k, eta, beta) -> BlBoundReport:
-    """Evaluate the four multiplier bounds at (t; k, eta), elementwise-conjoined."""
-    bl = eval_bl(t, k, eta, beta)
+    """Evaluate the four multiplier bounds of ``FrameSymbols.bl`` at
+    (t; k, eta), elementwise-conjoined."""
+    bl = FrameSymbols(t, k, eta, beta).bl
     p = eval_p(t, k, eta)
     sp = np.sqrt(p)
     return BlBoundReport(

@@ -12,18 +12,17 @@ import numpy as np
 import pytest
 
 from conftest import dense_t_eps, dense_vorticity, frame, kernel_matrix
-from lemmas import bl_bound_report, check_exchange, eval_p
+from lemmas import bl_bound_report, bl_reference, check_exchange, eval_p
 from test_cli import read_summary
 from stratshear.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from stratshear.evolution import (
     coercivity_constants,
     couette_rhs,
     evolve,
-    frame_blocks,
     pointwise_energy,
     rk4_integrate,
 )
-from stratshear.multipliers import FrameSymbols, eval_bl
+from stratshear.multipliers import FrameSymbols
 from stratshear.observables import fit_modulated_power_law, fit_power_law
 from stratshear.shear import build_profile, sample_spectrum
 from stratshear.spectral_ops import FrequencyGrid, SolveStats, solve_vorticity
@@ -136,7 +135,7 @@ def test_near_couette_monotonicity_and_decay():
     assert ok
 
 
-def test_operator_correctness():
+def test_operator_correctness(couette_spectrum):
     """Dense-solve agreement, multiplier reduction, forward/inverse identity."""
     tol = 1e-10
     grid = FrequencyGrid(k=1, eta_max=16.0, n=256)
@@ -157,8 +156,9 @@ def test_operator_correctness():
     verdict(ok_dense, "dense-solve agreement",
             f"TL {err_tl / scale:.2e}, TB {err_tb / scale:.2e} vs {10 * tol:.0e}")
 
-    czero = sample_spectrum(build_profile("couette"), grid)
-    bl = eval_bl(t, grid.k, grid.etas, beta)
+    czero = couette_spectrum  # zero kernels on this grid
+    assert czero.grid == grid
+    bl = bl_reference(t, grid.k, grid.etas, beta)
     p = eval_p(t, grid.k, grid.etas)
     omega, u = solve_vorticity(frame(grid, t, beta), czero, f)
     red1 = np.max(np.abs(omega - bl * f))
@@ -194,7 +194,7 @@ def test_multiplier_and_weight_properties():
         t = rng.uniform(0, 50, 10_000)
         eta = rng.uniform(-20, 20, 10_000)
         k = int(rng.integers(1, 6))
-        mods = np.abs(eval_bl(t, k, eta, beta))
+        mods = np.abs(FrameSymbols(t, k, eta, beta).bl)
         ok_bl &= bool(np.all(mods >= (1 - 1e-12) / math.sqrt(1 + beta**2))
                       and np.all(mods <= 1 + 1e-12))
         ok_bl &= bl_bound_report(t, k, eta, beta).all_hold()
@@ -250,8 +250,7 @@ def test_integrator_self_convergence():
 
     def integrate(y, t_from, t_to, dt):
         frame0 = FrameSymbols(t_from, 1, etas, 0.0)
-        blocks = frame_blocks(t_from, dt, int(round((t_to - t_from) / dt)), 1, etas, 0.0)
-        return rk4_integrate(rhs, y, frame0, blocks, dt)
+        return rk4_integrate(rhs, y, frame0, dt, int(round((t_to - t_from) / dt)))
 
     y0 = np.array([[1.0 + 0j], [0.0 + 0j]])
 

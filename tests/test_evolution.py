@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 
 from conftest import dense_vorticity, frame, gaussian_field, kernel_matrix, l2
-from lemmas import eval_p, eval_p_prime
+from lemmas import bl_reference, eval_p, eval_p_prime
 from stratshear.evolution import (
     StepUnstable,
     _block_steps,
+    _frame_blocks,
     coercivity_constants,
     couette_rhs,
     evolve,
-    frame_blocks,
     full_rhs,
     pointwise_energy,
     rk4_integrate,
 )
-from stratshear.multipliers import FrameSymbols, eval_bl
+from stratshear.multipliers import FrameSymbols
 from stratshear.shear import build_profile, sample_spectrum
 from stratshear.spectral_ops import (
     DIRECT_CONVOLUTION_N,
@@ -63,7 +63,7 @@ def symmetric_rhs(t, z, k, etas, beta, R):
     z1, z2 = z
     p = eval_p(t, k, etas)
     pp = eval_p_prime(t, k, etas)
-    bl = eval_bl(t, k, etas, beta)
+    bl = bl_reference(t, k, etas, beta)
     row = k * math.sqrt(R) / np.sqrt(p)
     dz1 = -0.25 * (pp / p) * z1 - row * z2 + 1j * k * beta * bl * z1 / p
     dz2 = row * z1 + 0.25 * (pp / p) * z2 + row * (bl - 1.0) * z1
@@ -72,8 +72,7 @@ def symmetric_rhs(t, z, k, etas, beta, R):
 
 def integrate(rhs, y0, grid, t0, dt, n_steps, beta=0.0):
     """rk4_integrate over n_steps steps from t0 on the frames of a grid."""
-    return rk4_integrate(rhs, y0, frame(grid, t0, beta),
-                         frame_blocks(t0, dt, n_steps, grid.k, grid.etas, beta), dt)
+    return rk4_integrate(rhs, y0, frame(grid, t0, beta), dt, n_steps)
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
@@ -237,6 +236,23 @@ def test_couette_k_rescaling(k, beta):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("profile", ["couette", "bump"])
+def test_evolve_rejects_negative_beta_before_any_step(grid256, bump_spectrum, monkeypatch,
+                                                      profile):
+    # a Couette run used to make all of its steps before the record pass
+    # raised from eval_bl
+    from stratshear import evolution as ev
+
+    counts = Counter()
+    count_calls(monkeypatch, counts, "rhs", (ev,), "couette_rhs")
+    count_calls(monkeypatch, counts, "rhs", (ev,), "full_rhs")
+    spec = bump_spectrum[1] if profile == "bump" else None
+    with pytest.raises(ValueError, match="beta must be nonnegative, got -0.5$"):
+        ev.evolve(grid256, *make_state(grid256), beta=-0.5, R=1.0, t_max=1.0, dt=0.01,
+                  spec=spec)
+    assert counts["rhs"] == 0
+
+
 def test_evolve_linearity(grid256):
     theta, q = make_state(grid256)
     _, th1, _ = evolve(grid256, theta, q, beta=1.0, R=1.0, t_max=2.0, dt=0.01,
@@ -387,8 +403,8 @@ def count_calls(monkeypatch, counts, label, owners, name):
 
 
 def count_bl(monkeypatch, counts):
-    """Count the calls of eval_bl and the time rows they evaluate: one for a
-    scalar t, m for a column of m times."""
+    """Count the calls of eval_bl and the time rows they evaluate: one for the
+    frame of a scalar t, m for the batch frame of a column of m times."""
     from stratshear import evolution, multipliers, spectral_ops
 
     for owner in (multipliers, spectral_ops, evolution):
@@ -396,10 +412,10 @@ def count_bl(monkeypatch, counts):
         if real is None:
             continue
 
-        def counted(t, *args, _real=real, **kwargs):
+        def counted(sym, _real=real):
             counts["eval_bl"] += 1
-            counts["eval_bl rows"] += np.size(t)
-            return _real(t, *args, **kwargs)
+            counts["eval_bl rows"] += np.size(sym.t)
+            return _real(sym)
 
         monkeypatch.setattr(owner, "eval_bl", counted)
 
@@ -410,7 +426,7 @@ def test_frame_blocks_times_are_the_step_times():
     for n in (256, 512):
         block = _block_steps(n)
         t0, dt, n_steps = 1.3, 0.01, 2 * block + 5
-        blocks = list(frame_blocks(t0, dt, n_steps, 1, np.zeros(n), 0.0))
+        blocks = list(_frame_blocks(FrameSymbols(t0, 1, np.zeros(n), 0.0), dt, n_steps))
         assert [half.t.shape for half, _ in blocks] == [(block, 1), (block, 1), (5, 1)]
         half = [sym.t for batch, _ in blocks for sym in batch.rows()]
         whole = [sym.t for _, batch in blocks for sym in batch.rows()]
@@ -424,7 +440,7 @@ def test_frame_blocks_times_are_the_step_times():
 def test_frame_blocks_keep_each_batch_symbol_within_64_kib(n, rows):
     # a 16 x 512 complex symbol is 128 KiB, at glibc's mmap threshold
     grid = FrequencyGrid(k=1, eta_max=20.0, n=n)
-    blocks = list(frame_blocks(0.0, 0.01, 3 * rows, grid.k, grid.etas, 1.0))
+    blocks = list(_frame_blocks(frame(grid, 0.0, 1.0), 0.01, 3 * rows))
     assert [half.t.shape for half, _ in blocks] == [(rows, 1)] * 3
     for half, whole in blocks:
         for batch in (half, whole):

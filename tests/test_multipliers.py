@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from lemmas import bl_bound_report, eval_p, eval_p_prime
+from lemmas import bl_bound_report, bl_reference, eval_p, eval_p_prime
 from stratshear.multipliers import FrameSymbols, eval_bl
+
+
+def frame_bl(t, k, eta, beta):
+    """The multiplier under test, at the frame of (t; k, eta)."""
+    return FrameSymbols(t, k, eta, beta).bl
 
 
 def test_p_direct_values():
@@ -25,7 +30,12 @@ def test_rejects_zero_wavenumber():
     with pytest.raises(ValueError):
         eval_p_prime(0.0, 0, 1.0)
     with pytest.raises(ValueError):
-        eval_bl(0.0, 0, 1.0, 1.0)
+        eval_bl(FrameSymbols(0.0, 0, 1.0, 1.0))
+
+
+def test_bl_rejects_negative_beta():
+    with pytest.raises(ValueError, match="beta must be nonnegative"):
+        eval_bl(FrameSymbols(0.0, 1, 1.0, -0.5))
 
 
 def test_p_prime_values():
@@ -74,10 +84,10 @@ def test_time_integral_of_k2_over_p_bounded_by_pi():
 def test_bl_is_one_for_zero_beta_and_at_critical_time():
     t = np.linspace(0, 30, 64)
     for eta in (-3.0, 0.5, 8.0):
-        vals = eval_bl(t, 2, eta, 0.0)
+        vals = frame_bl(t, 2, eta, 0.0)
         assert np.all(vals == 1.0)
     # eta - k t = 0 makes the multiplier exactly one for any beta
-    assert eval_bl(3.0, 1, 3.0, 5.0) == 1.0 + 0.0j
+    assert frame_bl(3.0, 1, 3.0, 5.0) == 1.0 + 0.0j
 
 
 def test_bl_reciprocal_identity():
@@ -85,16 +95,13 @@ def test_bl_reciprocal_identity():
     t = rng.uniform(0, 10, 100)
     eta = rng.uniform(-10, 10, 100)
     for beta in (0.5, 2.0):
-        bl = eval_bl(t, 3, eta, beta)
-        d = eta - 3 * t
-        p = eval_p(t, 3, eta)
-        recon = 1.0 / (1.0 + 1j * beta * d / p)
-        assert np.max(np.abs(bl - recon)) < 1e-14
+        bl = frame_bl(t, 3, eta, beta)
+        assert np.max(np.abs(bl - bl_reference(t, 3, eta, beta))) < 1e-14
 
 
 def test_bl_explicit_value():
     # beta = 1, k = 1, eta = 1, t = 0: p = 2, so B = 4/5 - 2i/5
-    bl = eval_bl(0.0, 1, 1.0, 1.0)
+    bl = frame_bl(0.0, 1, 1.0, 1.0)
     assert bl == pytest.approx(0.8 - 0.4j)
     assert abs(bl.imag) <= 1.0 / np.sqrt(2.0)  # the beta/sqrt(p) bound
 
@@ -105,7 +112,7 @@ def test_bl_modulus_sandwich():
     eta = rng.uniform(-20, 20, 10_000)
     k = rng.integers(1, 6, 10_000)
     for beta in (0.5, 1.0, 5.0):
-        mods = np.abs([eval_bl(t[i], int(k[i]), eta[i], beta) for i in range(0, 10_000, 7)])
+        mods = np.abs([frame_bl(t[i], int(k[i]), eta[i], beta) for i in range(0, 10_000, 7)])
         lo = 1.0 / np.sqrt(1.0 + beta * beta)
         assert np.all(mods >= lo * (1 - 1e-12))
         assert np.all(mods <= 1.0 + 1e-12)
@@ -117,7 +124,7 @@ def test_bl_modulus_sandwich_vectorized_bulk():
         for k in (1, 2, 5):
             t = rng.uniform(0, 50, 10_000)
             eta = rng.uniform(-20, 20, 10_000)
-            mods = np.abs(eval_bl(t, k, eta, beta))
+            mods = np.abs(frame_bl(t, k, eta, beta))
             assert np.all(mods >= (1 - 1e-12) / np.sqrt(1 + beta * beta))
             assert np.all(mods <= 1 + 1e-12)
 
@@ -138,7 +145,7 @@ def test_bl_bound_report_random_sweep():
 
 def test_bl_continuous_in_time():
     ts = np.linspace(0, 20, 4001)
-    vals = eval_bl(ts, 1, 3.0, 2.0)
+    vals = frame_bl(ts, 1, 3.0, 2.0)
     # small steps in t produce small steps in the multiplier
     assert np.max(np.abs(np.diff(vals))) < 0.02
 
@@ -150,9 +157,9 @@ def test_frame_symbols_match_closed_forms(k, beta):
     sym = FrameSymbols(t, k, eta, beta)
     d = eta - k * t
     p = eval_p(t, k, eta)
-    bl = eval_bl(t, k, eta, beta)
+    bl = bl_reference(t, k, eta, beta)
     assert np.array_equal(sym.d, d) and np.array_equal(sym.p, p)
-    assert np.array_equal(sym.bl, bl)
+    assert np.allclose(sym.bl, bl, rtol=1e-15, atol=0)
     expected = {
         "couette_theta": 1j * k * beta * bl / p,
         "couette_q": -1j * k * bl / p,

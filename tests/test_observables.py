@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import dense_resolvent, frame, gaussian_field, l2
-from lemmas import eval_p
+from lemmas import bl_reference, eval_p
 from stratshear.evolution import evolve
-from stratshear.multipliers import eval_bl
 from stratshear.observables import (
     ENVELOPE_WIDTH,
     InsufficientWindow,
@@ -46,7 +45,7 @@ def test_vorticity_roundtrip_near_couette(grid256, bump_spectrum):
     theta = gaussian_field(grid256, center=0.2, alpha=0.8)
     omega, _ = solve_vorticity(frame(grid256, t, beta), spec, theta, tol=1e-12)
     # invert: theta = BL^{-1} (omega - B_eps omega)
-    bl = eval_bl(t, grid256.k, grid256.etas, beta)
+    bl = bl_reference(t, grid256.k, grid256.etas, beta)
     beps = dense_resolvent(t, spec, beta)[1] @ omega
     back = (omega - beps) / bl
     assert np.max(np.abs(back - theta)) <= 1e-8 * np.max(np.abs(theta))

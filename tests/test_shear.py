@@ -151,11 +151,10 @@ def test_single_transform_is_one_dimensional():
     assert got.shape == (7,)
 
 
-def test_sample_spectrum_couette_is_zero():
+def test_sample_spectrum_couette_is_none():
+    # Couette is spec=None alone: no zero kernels as a second encoding
     grid = FrequencyGrid(k=1, eta_max=16.0, n=256)
-    spec = sample_spectrum(build_profile("couette"), grid)
-    assert not np.any(spec.kern_g1) and not np.any(spec.kern_b)
-    assert not np.any(spec.kern_g2)
+    assert sample_spectrum(build_profile("couette"), grid) is None
 
 
 def test_sample_spectrum_resolution_guards():

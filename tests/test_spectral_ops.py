@@ -12,9 +12,9 @@ from conftest import (
     kernel_matrix,
     l2,
 )
-from lemmas import eval_p
+from lemmas import bl_reference, eval_p
 from stratshear.evolution import evolve, full_rhs
-from stratshear.multipliers import FrameSymbols, eval_bl
+from stratshear.multipliers import FrameSymbols
 from stratshear.shear import build_profile, sample_spectrum
 from stratshear.spectral_ops import (
     DIRECT_CONVOLUTION_N,
@@ -246,7 +246,7 @@ def test_b_eps_zero_cases(grid256, bump_spectrum, couette_spectrum):
     omega, _ = solve_vorticity(frame(grid256, 1.0), spec, u)
     assert np.array_equal(omega, u)
     omega, _ = solve_vorticity(frame(grid256, 1.0, 2.0), couette_spectrum, u)
-    assert np.array_equal(omega, eval_bl(1.0, grid256.k, grid256.etas, 2.0) * u)
+    assert np.array_equal(omega, frame(grid256, 1.0, 2.0).bl * u)
     assert not np.any(dense_resolvent(1.0, spec, 0.0)[1])
     assert not np.any(dense_resolvent(1.0, couette_spectrum, 2.0)[1])
 
@@ -271,8 +271,9 @@ def test_solve_tb_couette_and_beta_zero(grid256, bump_spectrum, couette_spectrum
     # with no vorticity correction the resolvent is the identity on BL Theta
     _, spec = bump_spectrum
     f = gaussian_field(grid256)
-    bl = eval_bl(1.0, grid256.k, grid256.etas, 2.0)
-    omega, u = solve_vorticity(frame(grid256, 1.0, 2.0), couette_spectrum, f)
+    sym = frame(grid256, 1.0, 2.0)
+    omega, u = solve_vorticity(sym, couette_spectrum, f)
+    bl = sym.bl
     assert np.array_equal(omega, bl * f) and np.array_equal(u, omega)
     assert np.array_equal(solve_vorticity(frame(grid256, 1.0), spec, f)[0], f)
 
@@ -303,7 +304,7 @@ def test_solve_tb_agrees_with_dense_solve(grid256, bump_spectrum):
 def test_bt_couette_reduces_to_multiplier(grid256, couette_spectrum):
     t, beta = 1.8, 1.5
     u = gaussian_field(grid256, center=0.2)
-    bl = eval_bl(t, grid256.k, grid256.etas, beta)
+    bl = bl_reference(t, grid256.k, grid256.etas, beta)
     for spec in (couette_spectrum, None):
         omega, _ = solve_vorticity(frame(grid256, t, beta), spec, u)
         assert np.max(np.abs(omega - bl * u)) < 1e-15
