@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -21,7 +21,7 @@ import numpy as np
 from .evolution import StepUnstable, dt_is_stable, evolve
 from .observables import InsufficientWindow, fit_power_law
 from .shear import GridResolutionError, build_profile, sample_spectrum
-from .spectral_ops import FrequencyGrid, NonConvergence, SolveStats
+from .spectral_ops import FrequencyGrid, NonConvergence
 from .weights import WeightSet
 
 __all__ = ["ConfigError", "RunConfig", "main", "parse_config", "run"]
@@ -291,14 +291,11 @@ def _run_single_k(cfg: RunConfig, spectrum, weights, k, out_dir: Path):
     None for Couette.
     """
     grid = FrequencyGrid(k=k, eta_max=cfg.grid_eta_max, n=cfg.grid_n)
-    stats = SolveStats()
-
     report, _, _ = evolve(
         grid, *cfg.initial_data(grid.etas),
         beta=cfg.beta, R=cfg.R, t_max=cfg.time_t_max, dt=cfg.time_dt,
-        spec=spectrum, weights=weights, s=cfg.s,
-        record_every=cfg.time_record_every,
-        tol=cfg.solver_tol, max_iter=cfg.solver_max_iter, stats=stats,
+        spec=spectrum, weights=weights, record_every=cfg.time_record_every,
+        tol=cfg.solver_tol, max_iter=cfg.solver_max_iter,
     )
 
     csv_path = out_dir / f"series_k{k}.csv"
@@ -324,12 +321,7 @@ def _run_single_k(cfg: RunConfig, spectrum, weights, k, out_dir: Path):
         "energy_ratio_max": report.ratio_max,
         "energy_ratio_min": report.ratio_min,
         "Es_monotone": _es_monotone(report.energy_weighted),
-        "solver": {
-            "solves": stats.solves,
-            "iterations_max": stats.iterations_max,
-            "residual_max": stats.residual_max,
-            "contraction_ratio_max": stats.ratio_max,
-        },
+        "solver": asdict(report.solver),
     }
     for name, fit in fits.items():
         block[name] = None if fit is None else fit.exponent
@@ -421,7 +413,7 @@ def run(cfg: RunConfig, out_dir=None, enable_asserts=False, jobs=1) -> int:
     out.mkdir(parents=True, exist_ok=True)
     weights = None
     if cfg.R > 0.25:
-        weights = WeightSet.for_run(cfg.R, cfg.beta, profile.epsilon, cfg.weights_c0)
+        weights = WeightSet.for_run(cfg.R, cfg.beta, profile.epsilon, cfg.weights_c0, s=cfg.s)
     # the difference-lattice kernels depend on N and eta_max, not on k
     spectrum = None if profile.is_couette else sample_spectrum(
         profile, FrequencyGrid(k=cfg.k_list[0], eta_max=cfg.grid_eta_max, n=cfg.grid_n))

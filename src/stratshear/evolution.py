@@ -16,7 +16,8 @@ constant -beta.
 
 The energies are one quadratic form in Z1 = minv p^{-1/4} Theta and
 Z2 = minv p^{1/4} i sqrt(R) Q, with minv = 1 unless a weight set is given;
-the mixed term makes it coercive exactly when R > 1/4.
+the mixed term makes it coercive exactly when R > 1/4.  The weight set
+carries the Sobolev order s of the damped functional.
 """
 
 from __future__ import annotations
@@ -222,6 +223,8 @@ class EnergyReport:
     physical-space L^2 norms.  ``ratio_max`` and ``ratio_min`` bound
     E(t; eta)/E(0; eta) over the records and over every cell carrying at
     least ENERGY_MASK_SHARE of the initial energy; NaN when no cell does.
+    ``solver`` accumulates the resolvent diagnostics of every solve of the
+    run, right-hand sides and records alike (no solve for Couette).
     """
 
     times: np.ndarray
@@ -235,11 +238,11 @@ class EnergyReport:
     growth_norm: np.ndarray
     ratio_max: float
     ratio_min: float
+    solver: SolveStats
 
 
 def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=None,
-           weights: Optional[WeightSet] = None, s=0.0, record_every=10,
-           tol=1e-10, max_iter=50, stats: Optional[SolveStats] = None):
+           weights: Optional[WeightSet] = None, record_every=10, tol=1e-10, max_iter=50):
     """Advance (theta0, q0) on ``grid`` from t0 by round(t_max / dt) steps,
     recording energies and observables.
 
@@ -263,12 +266,13 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
     ``ValueError`` when either initial array is not of shape (grid.n,) or
     holds a non-finite value, ``spec`` was sampled on a grid of another N or
     eta_max (its k may differ), R is not positive, record_every is below 1,
-    beta is negative, dt fails ``dt_is_stable`` or, with weights, the
-    Sobolev factor <(k, eta)>^{2s} is not finite on the grid; each before
-    any step is taken.
+    beta is negative, dt fails ``dt_is_stable``, tol lies outside (0, 1),
+    max_iter is below 1 or, with weights, the Sobolev factor <(k, eta)>^{2s}
+    of their order ``weights.s`` is not finite on the grid; each before any
+    step is taken, for either profile kind.
 
     Returns (EnergyReport, theta, q) with the fields at the final time
-    ``report.times[-1]``.
+    ``report.times[-1]``; ``report.solver`` counts the run's solves.
     """
     theta0 = np.asarray(theta0, dtype=complex)
     q0 = np.asarray(q0, dtype=complex)
@@ -288,12 +292,17 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
         raise ValueError(f"record_every must be at least 1, got {record_every}")
     if beta < 0:
         raise ValueError(f"stratification rate beta must be nonnegative, got {beta}")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not dt_is_stable(dt, k, R, beta):
         raise ValueError(
             f"dt = {dt} violates the stability margin "
             f"0 < dt * |k| * max(R, 1 + beta) <= 0.1 for k = {k}, R = {R}, beta = {beta}"
         )
     frame0 = FrameSymbols(t0, k, grid.etas, beta)
+    stats = SolveStats()
     if spec is not None:
         rhs = lambda sym, y: full_rhs(sym, y, spec, R, tol, max_iter, stats)
     else:
@@ -307,9 +316,10 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
     sob = None
     if weights is not None:
         with np.errstate(over="ignore"):
-            sob = (1.0 + k * k + grid.etas**2) ** s
+            sob = (1.0 + k * k + grid.etas**2) ** weights.s
         if not np.all(np.isfinite(sob)):
-            raise ValueError(f"Sobolev factor (1 + k^2 + eta^2)^s is not finite at s = {s}")
+            raise ValueError(
+                f"Sobolev factor (1 + k^2 + eta^2)^s is not finite at s = {weights.s}")
 
     y0 = np.stack([theta0, q0])
     amp0 = np.abs(y0).max()
@@ -383,5 +393,5 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
         ratio_max = ratio_min = math.nan
 
     report = EnergyReport(*(np.concatenate(c) for c in zip(*batches)),
-                          ratio_max=ratio_max, ratio_min=ratio_min)
+                          ratio_max=ratio_max, ratio_min=ratio_min, solver=stats)
     return report, theta, q

@@ -11,9 +11,11 @@ where the N x N matrices would cost more memory than they save time.
 
 The two resolvents, T_L = (I - T_eps)^{-1} of the sheared Laplacian and
 T_B = (I - B_eps)^{-1} of the vorticity correction (which contains T_L), are
-computed together by one fixed-point (Neumann) iteration with update-based
-stopping; non-contraction raises ``NonConvergence``, which signals a profile
-outside the perturbative regime or an under-resolved grid.
+computed together by one fixed-point (Neumann) iteration, whose sweep and
+update-based stopping rule ``solve_vorticity`` holds; non-contraction raises
+``NonConvergence``, which signals a profile outside the perturbative regime
+or an under-resolved grid, and ``SolveStats`` collects the solves' sweeps,
+updates and contraction ratios.
 """
 
 from __future__ import annotations
@@ -166,63 +168,19 @@ def _t_eps_values(sym, spec, values):
 
 @dataclass
 class SolveStats:
-    """Worst-case diagnostics accumulated over Neumann solves."""
+    """Worst-case diagnostics accumulated over Neumann solves; the CLI
+    writes its fields as they are to each run's ``solver`` block."""
 
     solves: int = 0
     iterations_max: int = 0
     residual_max: float = 0.0
-    ratio_max: float = 0.0
+    contraction_ratio_max: float = 0.0
 
     def update(self, iterations, residual, ratio):
         self.solves += 1
         self.iterations_max = max(self.iterations_max, iterations)
         self.residual_max = max(self.residual_max, residual)
-        self.ratio_max = max(self.ratio_max, ratio)
-
-
-def _neumann_solve(sweep, x0, tol, max_iter, what, stats=None):
-    """Fixed point of an affine sweep x <- sweep(x), started at x0.
-
-    ``what()`` names the solve in a ``NonConvergence``, built only then.
-
-    The update delta_n = ||x_{n+1} - x_n|| equals ||K (x_n - x_{n-1})|| for
-    the linear part K of the sweep, so once the iteration contracts,
-    delta_n <= tol ||x0|| implies the residual ||x - sweep(x)|| <= ratio *
-    tol * ||x0|| < tol ||x0||.  Raises ``ValueError`` when max_iter is below 1.
-    """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    fnorm = float(np.linalg.norm(x0))
-    if fnorm == 0.0:
-        return x0
-    x = x0
-    prev_delta = None
-    ratio_max = 0.0
-    grew = 0
-    for it in range(1, max_iter + 1):
-        x_next = sweep(x)
-        delta = float(np.linalg.norm(x_next - x))
-        x = x_next
-        if delta <= tol * fnorm:
-            if stats is not None:
-                stats.update(it, delta / fnorm, ratio_max)
-            return x
-        if prev_delta is not None and prev_delta > 0.0:
-            ratio = delta / prev_delta
-            ratio_max = max(ratio_max, ratio)
-            grew = grew + 1 if ratio >= 1.0 else 0
-            if grew >= 3:
-                raise NonConvergence(
-                    f"{what()}: update norm grew for 3 straight iterations "
-                    f"(ratio {ratio:.3g}); perturbation outside the contractive regime",
-                    iterations=it, residual=delta / fnorm,
-                )
-        prev_delta = delta
-    raise NonConvergence(
-        f"{what()}: residual {prev_delta / fnorm:.3g} above tol {tol:.3g} "
-        f"after {max_iter} iterations",
-        iterations=max_iter, residual=prev_delta / fnorm,
-    )
+        self.contraction_ratio_max = max(self.contraction_ratio_max, ratio)
 
 
 def solve_vorticity(sym, spec, theta, tol=1e-10, max_iter=50, stats=None):
@@ -237,30 +195,64 @@ def solve_vorticity(sym, spec, theta, tol=1e-10, max_iter=50, stats=None):
         Omega <- BL Theta + beta BL (G1 (D (Omega + c)) + D c),   D = -i (eta - k t)/p,
 
     with G1 the g-1 convolution and D the symbol of (d_Y - t d_X) Delta_L^{-1}.
-    The iteration stores (Omega - BL Theta, Omega + c), so at beta = 0, where
-    Omega = BL Theta and the second line is skipped, its iterates and update
-    norms are exactly those of the plain T_L iteration u <- BL Theta + T_eps u.
-    For Couette both results are BL Theta; zero kernels give the same after
-    one sweep whose update is zero.  ``NonConvergence`` names k and t;
-    a max_iter below 1 raises ``ValueError``.
+    The iteration stores x = (Omega - BL Theta, Omega + c), from x0 =
+    (0, BL Theta), so at beta = 0, where Omega = BL Theta and the second line
+    is skipped, its iterates and update norms are exactly those of the plain
+    T_L iteration u <- BL Theta + T_eps u.  For Couette both results are
+    BL Theta; zero kernels give the same after one sweep whose update is zero.
+
+    The sweep is affine, so the update delta_n = ||x_{n+1} - x_n|| equals
+    ||K (x_n - x_{n-1})|| for its linear part K; once the iteration contracts,
+    stopping at delta_n <= tol ||x0|| bounds the residual ||x - sweep(x)|| by
+    ratio * tol * ||x0|| < tol ||x0||.  ``stats``, if given, takes the solve's
+    sweeps, relative update and worst contraction ratio.  ``NonConvergence``
+    names k and t when the update grows for 3 straight sweeps or max_iter
+    sweeps miss the tolerance; a max_iter below 1 raises ``ValueError``.
     Returns (Omega, u).
     """
     src = sym.bl * theta
     if spec is None:
         return src, src
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     n = src.size
     beta = sym.beta
     dmul = sym.resolvent_d
     coef = beta * sym.bl
-
-    def sweep(x):
+    x = np.concatenate([np.zeros_like(src), src])
+    fnorm = float(np.linalg.norm(x))
+    if fnorm == 0.0:
+        return src + x[:n], x[n:]
+    prev_delta = None
+    ratio_max = 0.0
+    grew = 0
+    for it in range(1, max_iter + 1):
         corr, u = x[:n], x[n:]
         c = _t_eps_values(sym, spec, u)
         if beta != 0.0:
             corr = coef * (apply_profile_convolution(spec, "g1", dmul * ((src + corr) + c))
                            + dmul * c)
-        return np.concatenate([corr, (src + corr) + c])
-
-    x = _neumann_solve(sweep, np.concatenate([np.zeros_like(src), src]), tol, max_iter,
-                       lambda: f"solve_vorticity at k = {sym.k}, t = {sym.t:.6g}", stats)
-    return src + x[:n], x[n:]
+        x_next = np.concatenate([corr, (src + corr) + c])
+        delta = float(np.linalg.norm(x_next - x))
+        x = x_next
+        if delta <= tol * fnorm:
+            if stats is not None:
+                stats.update(it, delta / fnorm, ratio_max)
+            return src + x[:n], x[n:]
+        if prev_delta is not None and prev_delta > 0.0:
+            ratio = delta / prev_delta
+            ratio_max = max(ratio_max, ratio)
+            grew = grew + 1 if ratio >= 1.0 else 0
+            if grew >= 3:
+                raise NonConvergence(
+                    f"solve_vorticity at k = {sym.k}, t = {sym.t:.6g}: update norm grew "
+                    f"for 3 straight iterations (ratio {ratio:.3g}); perturbation "
+                    "outside the contractive regime",
+                    iterations=it, residual=delta / fnorm,
+                )
+        prev_delta = delta
+    raise NonConvergence(
+        f"solve_vorticity at k = {sym.k}, t = {sym.t:.6g}: residual {prev_delta / fnorm:.3g} "
+        f"above tol {tol:.3g} after {max_iter} iterations",
+        iterations=max_iter, residual=prev_delta / fnorm,
+    )

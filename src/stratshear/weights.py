@@ -61,16 +61,18 @@ def eval_w(sym):
 @dataclass(frozen=True)
 class WeightSet:
     """Weight parameters of one run: the decay-loss exponent delta = C0 *
-    epsilon and the damping constant c_beta."""
+    epsilon, the damping constant c_beta and the Sobolev order s of the
+    damped functional's factor <(k, eta)>^{2s}."""
 
     delta: float
     c_beta: float
+    s: float = 0.0
 
     @classmethod
-    def for_run(cls, R, beta, epsilon, C0=64.0):
+    def for_run(cls, R, beta, epsilon, C0=64.0, s=0.0):
         if epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        return cls(delta=C0 * epsilon, c_beta=c_beta_constant(R, beta))
+        return cls(delta=C0 * epsilon, c_beta=c_beta_constant(R, beta), s=s)
 
     def energy_weight_inv(self, sym):
         """Reciprocal of the increasing weight (1/m1) * w**delta scaling Z1, Z2

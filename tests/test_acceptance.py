@@ -25,7 +25,7 @@ from stratshear.evolution import (
 from stratshear.multipliers import FrameSymbols
 from stratshear.observables import fit_modulated_power_law, fit_power_law
 from stratshear.shear import build_profile, sample_spectrum
-from stratshear.spectral_ops import FrequencyGrid, SolveStats, solve_vorticity
+from stratshear.spectral_ops import FrequencyGrid, solve_vorticity
 from stratshear.weights import WeightSet
 
 ES_MONOTONE_RTOL = 1e-6
@@ -44,27 +44,33 @@ def standard_state(grid):
     return grid, theta, q
 
 
+def timed_couette_run(R, beta, k):
+    """The standard data on N = 512, eta_max = 20 to t = 200 at dt = 0.01;
+    returns the report and the wall time of the run."""
+    grid = FrequencyGrid(k=k, eta_max=20.0, n=512)
+    started = time.time()
+    report, _, _ = evolve(*standard_state(grid), beta=beta, R=R, t_max=200.0,
+                          dt=0.01, record_every=10)
+    return report, time.time() - started
+
+
 @pytest.fixture(scope="module")
 def couette_reference_run():
-    # k=1, R=1, beta=1, N=512, eta_max=20, t_max=200, dt=0.01
-    grid = FrequencyGrid(k=1, eta_max=20.0, n=512)
-    report, _, _ = evolve(*standard_state(grid), beta=1.0, R=1.0, t_max=200.0,
-                          dt=0.01, record_every=10)
-    return report
+    # k=1, R=1, beta=1: shared by the energy sweep and the exponent fits
+    return timed_couette_run(R=1.0, beta=1.0, k=1)
 
 
-def test_couette_energy_conservation():
+def test_couette_energy_conservation(couette_reference_run):
     """Per-cell energy ratio within the explicit envelope across the sweep."""
     all_ok = True
     for R in (0.5, 1.0, 4.0):
         for beta in (0.0, 1.0):
             log_env = 4.0 * math.pi * (1.0 + beta) ** 2 / (2.0 * math.sqrt(R) - 1.0)
             for k in (1, 2):
-                grid = FrequencyGrid(k=k, eta_max=20.0, n=512)
-                started = time.time()
-                report, _, _ = evolve(*standard_state(grid), beta=beta, R=R,
-                                      t_max=200.0, dt=0.01, record_every=10)
-                elapsed = time.time() - started
+                if (R, beta, k) == (1.0, 1.0, 1):
+                    report, elapsed = couette_reference_run
+                else:
+                    report, elapsed = timed_couette_run(R, beta, k)
                 ok = (
                     math.log(report.ratio_max) <= log_env
                     and math.log(report.ratio_min) >= -log_env
@@ -81,7 +87,7 @@ def test_couette_energy_conservation():
 
 def test_couette_decay_exponents(couette_reference_run):
     """Decay exponents over t in [20, 200], fitted with the R = 1 modulation."""
-    series = couette_reference_run
+    series, _ = couette_reference_run
     checks = [
         ("q_norm", series.q_norm, -0.5, 0.10),
         ("vx_norm", series.vx_norm, -0.5, 0.10),
@@ -98,7 +104,7 @@ def test_couette_decay_exponents(couette_reference_run):
 
 def test_vorticity_growth_exponent(couette_reference_run):
     """Growing functional exponent over the same run and modulated fit."""
-    series = couette_reference_run
+    series, _ = couette_reference_run
     fit = fit_modulated_power_law(series.times, series.growth_norm, 20.0, 200.0,
                                   REFERENCE_NU)
     ok = abs(fit.exponent - 0.5) <= 0.10
@@ -113,11 +119,9 @@ def test_near_couette_monotonicity_and_decay():
     assert profile.epsilon <= 0.05
     grid = FrequencyGrid(k=1, eta_max=20.0, n=256)
     spec = sample_spectrum(profile, grid)
-    weights = WeightSet.for_run(R=1.0, beta=1.0, epsilon=profile.epsilon, C0=64.0)
-    stats = SolveStats()
+    weights = WeightSet.for_run(R=1.0, beta=1.0, epsilon=profile.epsilon, C0=64.0, s=0.0)
     report, _, _ = evolve(*standard_state(grid), beta=1.0, R=1.0, t_max=100.0,
-                          dt=0.01, spec=spec, weights=weights, s=0.0,
-                          record_every=50, stats=stats)
+                          dt=0.01, spec=spec, weights=weights, record_every=50)
     elapsed = time.time() - started
 
     es = report.energy_weighted
@@ -125,13 +129,13 @@ def test_near_couette_monotonicity_and_decay():
     fit = fit_power_law(report.times, report.q_norm, 10.0, 100.0)
     lo, hi = -0.5, -0.5 + 64.0 * profile.epsilon * 1.5
     in_window = lo <= fit.exponent <= hi
-    contracting = stats.ratio_max < 0.5
+    contracting = report.solver.contraction_ratio_max < 0.5
 
     ok = monotone and in_window and contracting and elapsed <= 600.0
     verdict(ok, "near-couette monotone weighted energy",
             f"eps={profile.epsilon:.4f}, monotone={monotone}, "
             f"q exponent {fit.exponent:+.3f} in [{lo:.2f}, {hi:.2f}], "
-            f"contraction {stats.ratio_max:.3g}, {elapsed:.0f}s")
+            f"contraction {report.solver.contraction_ratio_max:.3g}, {elapsed:.0f}s")
     assert ok
 
 

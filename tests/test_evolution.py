@@ -253,6 +253,83 @@ def test_evolve_rejects_negative_beta_before_any_step(grid256, bump_spectrum, mo
     assert counts["rhs"] == 0
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_iter": 0}, r"max_iter must be at least 1, got 0$"),
+    ({"tol": 0.0}, r"tol must lie in \(0, 1\), got 0.0$"),
+    ({"tol": 1.0}, r"tol must lie in \(0, 1\), got 1.0$"),
+    ({"tol": math.nan}, r"tol must lie in \(0, 1\), got nan$"),
+], ids=["max_iter=0", "tol=0", "tol=1", "tol=nan"])
+@pytest.mark.parametrize("profile", ["couette", "bump"])
+def test_evolve_rejects_bad_solver_settings_before_any_step(grid256, bump_spectrum,
+                                                            monkeypatch, profile, kwargs,
+                                                            message):
+    # a Couette run, which makes no solve, used to accept them silently, and a
+    # bump run at tol = 0 spent max_iter sweeps before naming a residual
+    from stratshear import evolution as ev
+
+    counts = Counter()
+    count_calls(monkeypatch, counts, "rhs", (ev,), "couette_rhs")
+    count_calls(monkeypatch, counts, "rhs", (ev,), "full_rhs")
+    spec = bump_spectrum[1] if profile == "bump" else None
+    with pytest.raises(ValueError, match=message):
+        ev.evolve(grid256, *make_state(grid256), beta=1.0, R=1.0, t_max=1.0, dt=0.01,
+                  spec=spec, **kwargs)
+    assert counts["rhs"] == 0
+
+
+@pytest.mark.parametrize("profile", ["couette", "bump"])
+def test_evolve_reports_its_solver_counters(grid256, bump_spectrum, profile):
+    # one solve per right-hand side and one per record, all in report.solver;
+    # Couette makes none
+    spec = bump_spectrum[1] if profile == "bump" else None
+    n_steps, every = 20, 5
+    report, _, _ = evolve(grid256, *make_state(grid256), beta=1.0, R=1.0,
+                          t_max=n_steps * 0.01, dt=0.01, spec=spec, record_every=every)
+    stats = report.solver
+    if spec is None:
+        assert stats == SolveStats()
+    else:
+        assert stats.solves == 4 * n_steps + report.times.size
+        assert 1 <= stats.iterations_max <= 50
+        assert 0.0 < stats.residual_max <= 1e-10
+        assert 0.0 < stats.contraction_ratio_max < 0.5
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_couette_rk4_matches_an_mpmath_oracle_at_fourth_order(beta):
+    # Each Couette cell is the 2 x 2 system
+    #     dTheta/dt = -i k R Q + i k beta BL Theta / p,  dQ/dt = -i k BL Theta / p,
+    # with d = eta - k t, p = k^2 + d^2 and BL/p = 1 / (p + i beta d), written
+    # here in mpmath and integrated by its Taylor-series odefun, so the oracle
+    # shares no code with multipliers or evolution.  Two cells at eta = +-0.5,
+    # R = 1, k = 1, the standard data, to t = 5.  Measured: the largest error
+    # is 2.5e-10 (beta = 0) and 2.2e-10 (beta = 1) at dt = 0.01, and 16.01 and
+    # 16.03 times smaller at dt = 0.005.
+    mp = pytest.importorskip("mpmath")
+    grid = FrequencyGrid(k=1, eta_max=1.0, n=2)
+    assert grid.etas.tolist() == [-0.5, 0.5]
+    theta0, q0 = make_state(grid)
+    oracle = []
+    with mp.workdps(20):
+        for eta, th, qq in zip(grid.etas.tolist(), theta0, q0):
+            def cell(t, y, eta=mp.mpf(eta)):
+                d = eta - t
+                bl_over_p = 1 / (1 + d * d + mp.j * beta * d)
+                return [-mp.j * y[1] + mp.j * beta * bl_over_p * y[0],
+                        -mp.j * bl_over_p * y[0]]
+
+            solution = mp.odefun(cell, 0, [mp.mpc(th), mp.mpc(qq)])
+            oracle.append([complex(v) for v in solution(5)])
+    oracle = np.array(oracle).T
+    errors = []
+    for dt in (0.01, 0.005):
+        _, theta, q = evolve(grid, theta0, q0, beta=beta, R=1.0, t_max=5.0, dt=dt,
+                             record_every=1000)
+        errors.append(np.max(np.abs(np.stack([theta, q]) - oracle)))
+    assert 1e-10 < errors[0] < 5e-10
+    assert abs(errors[0] / errors[1] - 16.0) < 0.5
+
+
 def test_evolve_linearity(grid256):
     theta, q = make_state(grid256)
     _, th1, _ = evolve(grid256, theta, q, beta=1.0, R=1.0, t_max=2.0, dt=0.01,
@@ -310,10 +387,10 @@ def test_pointwise_energy_sobolev_factor(grid256):
     # (minv Z1, minv Z2), times the Sobolev factor <(k, eta)>^{2s}
     t, R, s = 2.7, 1.0, 1.5
     k, etas = grid256.k, grid256.etas
-    ws = WeightSet.for_run(R, 1.0, 0.02)
+    ws = WeightSet.for_run(R, 1.0, 0.02, s=s)
     theta, q = make_state(grid256)
     report, _, _ = evolve(grid256, theta, q, beta=1.0, R=R, t_max=0.01, dt=0.01, t0=t,
-                          weights=ws, s=s, record_every=1)
+                          weights=ws, record_every=1)
     minv = ws.energy_weight_inv(frame(grid256, t))
     z1, z2 = (minv * z for z in z_map(grid256, t, theta, q, R))
     p = eval_p(t, k, etas)
@@ -327,17 +404,17 @@ def test_pointwise_energy_sobolev_factor(grid256):
 
 def test_evolve_rejects_overflowing_sobolev_factor(grid256):
     # (1 + k^2 + eta^2)^s overflows on the grid: no Es series of inf
-    ws = WeightSet.for_run(1.0, 1.0, 0.02)
-    with pytest.raises(ValueError, match="Sobolev factor"):
+    ws = WeightSet.for_run(1.0, 1.0, 0.02, s=1e4)
+    with pytest.raises(ValueError, match="Sobolev factor .* not finite at s = 10000.0$"):
         evolve(grid256, *make_state(grid256), beta=1.0, R=1.0, t_max=0.01, dt=0.01,
-               weights=ws, s=1e4, record_every=1)
+               weights=ws, record_every=1)
 
 
 def test_weighted_energy_zero_state(grid256):
     zeros = np.zeros(grid256.n, complex)
-    ws = WeightSet.for_run(1.0, 1.0, 0.02)
+    ws = WeightSet.for_run(1.0, 1.0, 0.02, s=1.5)
     report, _, _ = evolve(grid256, zeros, zeros, beta=1.0, R=1.0, t_max=0.02, dt=0.01,
-                          t0=1.0, weights=ws, s=1.5, record_every=1)
+                          t0=1.0, weights=ws, record_every=1)
     assert np.all(report.energy_weighted == 0.0)
 
 
@@ -345,7 +422,7 @@ def test_weighted_energy_matches_pointwise_at_t0(grid256):
     # at t = 0 every weight is 1, so with s = 0 the functionals coincide
     ws = WeightSet.for_run(1.0, 0.0, 0.0)  # epsilon 0 -> delta 0
     report, _, _ = evolve(grid256, *make_state(grid256), beta=0.0, R=1.0, t_max=0.01,
-                          dt=0.01, weights=ws, s=0.0, record_every=1)
+                          dt=0.01, weights=ws, record_every=1)
     assert report.energy_weighted[0] == report.energy[0]
 
 
@@ -463,9 +540,9 @@ def test_record_passes_keep_buffer_and_batch_symbols_within_64_kib(monkeypatch, 
 
     monkeypatch.setattr(ev, "pointwise_energy", spy)
     grid = FrequencyGrid(k=1, eta_max=20.0, n=n)
-    weights = WeightSet.for_run(1.0, 1.0, 0.02)
+    weights = WeightSet.for_run(1.0, 1.0, 0.02, s=1.0)
     evolve(grid, *make_state(grid), beta=1.0, R=1.0, t_max=3 * rows * 0.01, dt=0.01,
-           weights=weights, s=1.0, record_every=1)
+           weights=weights, record_every=1)
     frame0, *passes = passes
     assert np.ndim(frame0[0].t) == 0
     assert [theta.shape for _, theta, _ in passes] == [(rows, n)] * 3 + [(1, n)]
@@ -476,14 +553,13 @@ def test_record_passes_keep_buffer_and_batch_symbols_within_64_kib(monkeypatch, 
 
 
 def reference_evolve(grid, theta, q, *, beta, R, t0, dt, n_steps, record_every, spec=None,
-                     weights=None, s=0.0):
+                     weights=None):
     """A per-step RK4 loop on the pair (theta, q) with one scalar frame per
     evaluation, and each record evaluated on its own.  Returns the records
     (t, E, E_lower, E_upper, ||q||, ||vx||, ||vy||, growth), the ratio bounds
     (max, min) and the final pair.  With weights, each record also carries
-    the damped functional Es."""
+    the damped functional Es, with the Sobolev factor of order weights.s."""
     k = grid.k
-    sob = (1.0 + k * k + grid.etas**2) ** s
     lo_const, hi_const = coercivity_constants(R)
 
     def rhs(t, th, qq):
@@ -515,6 +591,7 @@ def reference_evolve(grid, theta, q, *, beta, R, t0, dt, n_steps, record_every, 
                    l2(grid, omega) + l2(grid, np.sqrt(sym.p) * qq))
             if weights is not None:
                 minv = weights.energy_weight_inv(sym)
+                sob = (1.0 + k * k + grid.etas**2) ** weights.s
                 row += (float(grid.integrate(sob * minv**2 * e_eta)),)
             records.append(row)
             ratios.extend(e_eta[mask] / e0[mask])
@@ -545,9 +622,9 @@ def test_evolve_matches_per_step_loop_bit_for_bit(grid256, bump_spectrum, bump_s
     # records
     spec = {"bump": bump_spectrum[1], "bump-N512": bump_spectrum512,
             "bump-weighted": bump_spectrum[1]}.get(profile)
-    weights, s = None, 0.0
+    weights = None
     if profile.endswith("weighted"):
-        weights, s = WeightSet.for_run(1.0, 1.0, bump_spectrum[0].epsilon), 1.5
+        weights = WeightSet.for_run(1.0, 1.0, bump_spectrum[0].epsilon, s=1.5)
     grid = grid256 if spec is None else spec.grid
     m = _block_steps(grid.n)
     t0, dt, n_steps = 1.3, 0.01, 3 * m + 1
@@ -555,10 +632,10 @@ def test_evolve_matches_per_step_loop_bit_for_bit(grid256, bump_spectrum, bump_s
     for every in (1, 3):
         records, ratios, theta, q = reference_evolve(
             grid, theta0, q0, beta=1.0, R=1.0, t0=t0, dt=dt, n_steps=n_steps,
-            record_every=every, spec=spec, weights=weights, s=s)
+            record_every=every, spec=spec, weights=weights)
         assert len(records) > m and len(records) % m != 0
         report, th, qq = evolve(grid, theta0, q0, beta=1.0, R=1.0, t_max=n_steps * dt, dt=dt,
-                                t0=t0, spec=spec, weights=weights, s=s, record_every=every)
+                                t0=t0, spec=spec, weights=weights, record_every=every)
         assert th.tobytes() == theta.tobytes() and qq.tobytes() == q.tobytes()
         columns = [report.times, report.energy, report.energy_lower, report.energy_upper,
                    report.q_norm, report.vx_norm, report.vy_norm, report.growth_norm]

@@ -148,6 +148,9 @@ def test_weight_set_invariants():
     ws = WeightSet.for_run(R=1.0, beta=1.0, epsilon=0.03, C0=64.0)
     assert ws.delta == pytest.approx(64.0 * 0.03)
     assert ws.c_beta == pytest.approx(c_beta_constant(1.0, 1.0))
+    # the Sobolev order of the damped functional travels with the weights
+    assert ws.s == 0.0 and WeightSet(0.5, 1.0).s == 0.0
+    assert WeightSet.for_run(1.0, 1.0, 0.03, 64.0, s=1.5) == WeightSet(ws.delta, ws.c_beta, 1.5)
 
 
 def test_exchange_equal_frequencies():
