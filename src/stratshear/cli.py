@@ -8,6 +8,7 @@ Config format is flat ``key = value`` text with dotted section prefixes and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -263,14 +264,12 @@ def _fmt(x):
 
 
 def _safe_fit(series_times, values, lo, hi):
-    vals = np.asarray(values)
-    if np.any(~(vals > 0)):
-        return None
+    """The power-law fit of a series on [lo, hi], or None where the window
+    holds too few samples or a value that is not positive."""
     try:
-        fit = fit_power_law(series_times, vals, lo, hi)
+        return fit_power_law(series_times, values, lo, hi)
     except (InsufficientWindow, ValueError):
         return None
-    return fit
 
 
 def _es_monotone(es):
@@ -418,6 +417,7 @@ def run(cfg: RunConfig, out_dir=None, enable_asserts=False, jobs=1) -> int:
     spectrum = None if profile.is_couette else sample_spectrum(
         profile, FrequencyGrid(k=cfg.k_list[0], eta_max=cfg.grid_eta_max, n=cfg.grid_n))
 
+    run_k = functools.partial(_run_single_k, cfg, spectrum, weights, out_dir=out)
     if jobs > 1 and len(cfg.k_list) > 1:
         # no more workers than wavenumbers: a pool started by fork forks
         # every worker at its first submit, whether it gets work or not
@@ -427,10 +427,9 @@ def run(cfg: RunConfig, out_dir=None, enable_asserts=False, jobs=1) -> int:
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
                                                     initializer=_one_blas_thread) as pool:
-            blocks = list(pool.map(_run_single_k,
-                                   *zip(*[(cfg, spectrum, weights, k, out) for k in cfg.k_list])))
+            blocks = list(pool.map(run_k, cfg.k_list))
     else:
-        blocks = [_run_single_k(cfg, spectrum, weights, k, out) for k in cfg.k_list]
+        blocks = list(map(run_k, cfg.k_list))
 
     first = blocks[0]
     monotone_flags = [b["Es_monotone"] for b in blocks]

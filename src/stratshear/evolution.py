@@ -18,6 +18,10 @@ The energies are one quadratic form in Z1 = minv p^{-1/4} Theta and
 Z2 = minv p^{1/4} i sqrt(R) Q, with minv = 1 unless a weight set is given;
 the mixed term makes it coercive exactly when R > 1/4.  The weight set
 carries the Sobolev order s of the damped functional.
+
+``rk4_integrate`` yields the frame and the state after every step, and
+``evolve`` is one loop over them: it guards each state and evaluates the
+recorded ones in batches.
 """
 
 from __future__ import annotations
@@ -118,46 +122,36 @@ def full_rhs(sym, y, spec, R, tol=1e-10, max_iter=50, stats=None):
 
 
 def _block_steps(n):
-    """Steps per block of ``_frame_blocks`` on n frequencies: at least 1, and
+    """Steps per block of ``rk4_integrate`` on n frequencies: at least 1, and
     as many as keep a complex batch symbol within BATCH_SYMBOL_BYTES."""
     return max(1, BATCH_SYMBOL_BYTES // (16 * n))
 
 
-def _frame_blocks(frame0, dt, n_steps):
-    """The frames of n_steps RK4 steps from the frame0 of t0, one block of
-    ``_block_steps(N)`` steps at a time.
-
-    Yields per block a pair (half, whole) of batched ``FrameSymbols``: for
-    the steps i of the block, ``half`` is at the times (t0 + i dt) + dt/2 of
-    stages 2 and 3 and ``whole`` at t0 + (i+1) dt, the time of stage 4, of
-    the step's record and of the next step's stage 1.
-    """
-    t0, k, etas, beta = frame0.t, frame0.k, frame0.eta, frame0.beta
-    block = _block_steps(np.size(etas))
-    for start in range(0, n_steps, block):
-        i = np.arange(start, min(start + block, n_steps))[:, None]
-        yield (FrameSymbols((t0 + i * dt) + 0.5 * dt, k, etas, beta),
-               FrameSymbols(t0 + (i + 1) * dt, k, etas, beta))
-
-
-def rk4_integrate(rhs, y0, frame0, dt, n_steps, callback=None):
+def rk4_integrate(rhs, y0, frame0, dt, n_steps):
     """Classical 4th-order integration of a stacked state y over n_steps
     steps of dt from the time of the frame ``frame0``.
 
-    ``rhs(sym, y) -> dy/dt`` at the frame ``sym`` returns a new array, which
-    the step may overwrite.  The frames of the later stages come from
-    ``_frame_blocks``, a block of steps at a time; step i reads its stage-1
-    frame from step i - 1.  The callback, if given, is invoked as
-    callback(step_index, sym, y) after every step including step 0, with the
-    frame of the step's end time.
+    A generator of n_steps + 1 pairs (sym, y): first ``frame0`` with a
+    complex copy of y0, then after every step the frame of the step's end
+    time with the new state.  Each yielded y is a fresh array that the
+    integrator never writes again.  ``rhs(sym, y) -> dy/dt`` at the frame
+    ``sym`` returns a new array, which the step may overwrite.  The frames
+    of the later stages are built from frame0 a block of ``_block_steps(N)``
+    steps at a time, as two batched ``FrameSymbols``: for the steps i of the
+    block, ``half`` at the times (t0 + i dt) + dt/2 of stages 2 and 3 and
+    ``whole`` at t0 + (i+1) dt, the time of stage 4 and of the next step's
+    stage 1.
     """
     y = np.array(y0, dtype=complex)
     sym0 = frame0
-    step = 0
-    if callback is not None:
-        callback(step, sym0, y)
+    yield sym0, y
+    t0, k, etas, beta = frame0.t, frame0.k, frame0.eta, frame0.beta
+    block = _block_steps(np.size(etas))
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
-    for half, whole in _frame_blocks(frame0, dt, n_steps):
+    for start in range(0, n_steps, block):
+        i = np.arange(start, min(start + block, n_steps))[:, None]
+        half = FrameSymbols((t0 + i * dt) + half_dt, k, etas, beta)
+        whole = FrameSymbols(t0 + (i + 1) * dt, k, etas, beta)
         for sym_half, sym1 in zip(half.rows(), whole.rows()):
             # y + (dt/2) k1, y + (dt/2) k2, y + dt k3 and then
             # y + (dt/6) (k1 + 2 k2 + 2 k3 + k4), evaluated in place in the
@@ -180,11 +174,8 @@ def rk4_integrate(rhs, y0, frame0, dt, n_steps, callback=None):
             k2 *= sixth_dt
             k2 += y
             y = k2
-            step += 1
-            if callback is not None:
-                callback(step, sym1, y)
+            yield sym1, y
             sym0 = sym1
-    return y
 
 
 def pointwise_energy(sym, theta, q, R):
@@ -243,22 +234,25 @@ class EnergyReport:
 
 def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=None,
            weights: Optional[WeightSet] = None, record_every=10, tol=1e-10, max_iter=50):
-    """Advance (theta0, q0) on ``grid`` from t0 by round(t_max / dt) steps,
-    recording energies and observables.
+    """Advance (theta0, q0) on ``grid`` from t0 by round(t_max / dt) steps
+    (none when that is negative), recording energies and observables.
 
     Uses the pointwise right-hand side when ``spec`` is None and the
     resolvent-based one otherwise.  Records every ``record_every`` steps
-    (first and last steps always included).  Each step only checks the
-    fields and copies a record's state into a buffer of m =
-    ``_block_steps(N)`` records; when it is full, and after the last step,
-    one pass evaluates the buffered records as (m, N) arrays on one batched
+    (first and last steps always included).  The time loop is one pass over
+    the (frame, state) pairs that ``rk4_integrate`` yields: it checks each
+    state and copies a record's state into a buffer of m = ``_block_steps(N)``
+    records; when the buffer is full or the last step is reached, one record
+    pass evaluates the buffered records as (m, N) arrays on one batched
     ``FrameSymbols`` of their times.  It evaluates the energy density once
     per record, scaling it for the damped functional, and solves for the
     vorticity once, reading the velocity from it: vx = i (eta - k t) u / p,
     vy = -i k u / p with u = T_L Omega, and vx picks up the shear-rate
     factor g = 1 + (g-1) for a perturbed profile, whose solves, velocities
-    and norms are taken one record at a time.  The right-hand sides and the
-    resolvent sweeps read the time-dependent symbols from the row frames
+    and norms are taken one record at a time.  Each pass returns its columns
+    with the per-record extremes of the energy ratio, which are reduced to
+    ``ratio_max`` and ``ratio_min`` after the loop.  The right-hand sides and
+    the resolvent sweeps read the time-dependent symbols from the row frames
     that ``rk4_integrate`` builds from the frame of t0, one batch per block
     of steps; the state (Theta, Q) is stepped as one (2, N) array.  Raises
     ``StepUnstable`` (naming k and t) if a field turns non-finite or its
@@ -308,7 +302,7 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
     else:
         rhs = lambda sym, y: couette_rhs(sym, y, R)
 
-    n_steps = int(round(t_max / dt))
+    n_steps = max(0, int(round(t_max / dt)))
     e0_eta, _ = pointwise_energy(frame0, theta0, q0, R)
     cell_share = e0_eta * grid.deta
     total0 = float(np.sum(cell_share))
@@ -330,7 +324,6 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
     theta_buf, q_buf = np.empty((m, grid.n), complex), np.empty((m, grid.n), complex)
     pending = []  # the times of the buffered records
     batches = []  # per pass, the columns of the report it recorded
-    ratio_max, ratio_min = -math.inf, math.inf
 
     def norms(sym, theta, q):
         # the norms of q, vx, vy and the growing functional of one record, or
@@ -343,55 +336,48 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
         return (_l2(grid, q), _l2(grid, vx), _l2(grid, -1j * k * u / p),
                 _l2(grid, omega) + _l2(grid, np.sqrt(p) * q))
 
-    def flush():
-        nonlocal ratio_max, ratio_min
-        sym = FrameSymbols(np.array(pending)[:, None], k, grid.etas, beta)
-        theta, q = theta_buf[:len(pending)], q_buf[:len(pending)]
-        pending.clear()
+    def record_pass(times):
+        # the report's columns for the buffered records at these times, and
+        # per record the extremes of the energy ratio over the masked cells,
+        # NaN when the mask is empty
+        sym = FrameSymbols(np.array(times)[:, None], k, grid.etas, beta)
+        theta, q = theta_buf[:len(times)], q_buf[:len(times)]
         e_eta, quad = pointwise_energy(sym, theta, q, R)
         energy, quad_total = grid.integrate(e_eta), grid.integrate(quad)
         if weights is not None:
             es = grid.integrate(sob * weights.energy_weight_inv(sym) ** 2 * e_eta)
         else:
             es = np.full(len(theta), math.nan)
-        if np.any(mask):
-            ratio = e_eta[:, mask] / e0_eta[mask]
-            ratio_max = max(ratio_max, float(ratio.max()))
-            ratio_min = min(ratio_min, float(ratio.min()))
+        ratio = e_eta[:, mask] / e0_eta[mask]
         del e_eta, quad  # freed before the norms allocate theirs
         if spec is None:  # BL Theta, for the whole batch at once
             columns = norms(sym, theta, q)
         else:  # the Neumann iteration and the convolutions take one field at a time
             columns = np.array([norms(row, th, qq) for row, th, qq in zip(sym.rows(), theta, q)]).T
-        batches.append((sym.t[:, 0], energy, lo_const * quad_total, hi_const * quad_total, es,
-                        *columns))
+        return (sym.t[:, 0], energy, lo_const * quad_total, hi_const * quad_total, es, *columns,
+                np.fmax.reduce(ratio, 1, initial=math.nan),
+                np.fmin.reduce(ratio, 1, initial=math.nan))
 
-    def record(step, sym, y):
+    for step, (sym, y) in enumerate(rk4_integrate(rhs, y0, frame0, dt, n_steps)):
         # the guard runs after the step, so it cannot name the RK stage; the
         # max of |y| is NaN when any entry is
         amp = np.abs(y).max()
-        t = sym.t
         if not math.isfinite(amp):
-            raise StepUnstable(f"non-finite field at k = {k}, t = {t:.6g}")
+            raise StepUnstable(f"non-finite field at k = {k}, t = {sym.t:.6g}")
         if amp0 > 0 and amp > BLOWUP_FACTOR * amp0:
             raise StepUnstable(
                 f"field amplitude grew by more than {BLOWUP_FACTOR:.0e} "
-                f"at k = {k}, t = {t:.6g}"
+                f"at k = {k}, t = {sym.t:.6g}"
             )
-        if step % record_every != 0 and step != n_steps:
-            return
-        theta_buf[len(pending)] = y[0]
-        q_buf[len(pending)] = y[1]
-        pending.append(t)
-        if len(pending) == m:
-            flush()
+        if step % record_every == 0 or step == n_steps:
+            theta_buf[len(pending)] = y[0]
+            q_buf[len(pending)] = y[1]
+            pending.append(sym.t)
+            if len(pending) == m or step == n_steps:
+                batches.append(record_pass(pending))
+                pending = []
 
-    theta, q = rk4_integrate(rhs, y0, frame0, dt, n_steps, callback=record)
-    if pending:
-        flush()
-    if not np.any(mask):
-        ratio_max = ratio_min = math.nan
-
-    report = EnergyReport(*(np.concatenate(c) for c in zip(*batches)),
-                          ratio_max=ratio_max, ratio_min=ratio_min, solver=stats)
-    return report, theta, q
+    *columns, ratio_max, ratio_min = (np.concatenate(c) for c in zip(*batches))
+    report = EnergyReport(*columns, ratio_max=float(ratio_max.max()),
+                          ratio_min=float(ratio_min.min()), solver=stats)
+    return report, y[0], y[1]

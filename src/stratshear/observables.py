@@ -65,7 +65,7 @@ def _fit_window(times, values, t_lo, t_hi):
         )
     tt = times[sel]
     vv = values[sel]
-    if np.any(vv <= 0):
+    if np.any(~(vv > 0)):  # NaN too
         raise ValueError("values must be positive on the fit window")
     return tt, vv
 

@@ -207,7 +207,8 @@ def solve_vorticity(sym, spec, theta, tol=1e-10, max_iter=50, stats=None):
     ratio * tol * ||x0|| < tol ||x0||.  ``stats``, if given, takes the solve's
     sweeps, relative update and worst contraction ratio.  ``NonConvergence``
     names k and t when the update grows for 3 straight sweeps or max_iter
-    sweeps miss the tolerance; a max_iter below 1 raises ``ValueError``.
+    sweeps miss the tolerance; a max_iter below 1 or a tol outside (0, 1)
+    raises ``ValueError`` before any sweep.
     Returns (Omega, u).
     """
     src = sym.bl * theta
@@ -215,6 +216,8 @@ def solve_vorticity(sym, spec, theta, tol=1e-10, max_iter=50, stats=None):
         return src, src
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     n = src.size
     beta = sym.beta
     dmul = sym.resolvent_d

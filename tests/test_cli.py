@@ -8,6 +8,7 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stratshear.cli
@@ -22,6 +23,7 @@ from stratshear.cli import (
     main,
     parse_config,
 )
+from stratshear.observables import fit_power_law
 
 SMOKE = """
 # smoke configuration
@@ -485,3 +487,18 @@ def test_unset_fit_window_keeps_default(tmp_path):
     out = tmp_path / "o"
     assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
     assert read_summary(out)["exponent_q"] is None
+
+
+def test_fit_is_judged_on_its_window(tmp_path):
+    # Q starts at zero, so ||q|| is 0 in the first record only, outside the
+    # default window [3, 30]; the exponent is the fit of that window alone
+    text = SMOKE.replace("time.t_max = 100.0", "time.t_max = 30.0") + "init.q.amplitude = 0\n"
+    out = tmp_path / "o"
+    assert main(["--config", str(write_config(tmp_path, text)), "--out", str(out)]) == EXIT_OK
+    rows = (out / "series_k1.csv").read_text().splitlines()
+    column = rows[0].split(",").index("q_norm")
+    t, q_norm = np.array([[float(row.split(",")[i]) for i in (0, column)] for row in rows[1:]]).T
+    assert q_norm[0] == 0.0 and np.all(q_norm[1:] > 0.0)
+    exponent = read_summary(out)["exponent_q"]
+    assert exponent == fit_power_law(t, q_norm, 3.0, 30.0).exponent
+    assert -1.0 < exponent < -0.9

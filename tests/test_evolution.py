@@ -10,7 +10,6 @@ from lemmas import bl_reference, eval_p, eval_p_prime
 from stratshear.evolution import (
     StepUnstable,
     _block_steps,
-    _frame_blocks,
     coercivity_constants,
     couette_rhs,
     evolve,
@@ -71,8 +70,11 @@ def symmetric_rhs(t, z, k, etas, beta, R):
 
 
 def integrate(rhs, y0, grid, t0, dt, n_steps, beta=0.0):
-    """rk4_integrate over n_steps steps from t0 on the frames of a grid."""
-    return rk4_integrate(rhs, y0, frame(grid, t0, beta), dt, n_steps)
+    """The state after n_steps steps of rk4_integrate from t0 on the frames of
+    a grid."""
+    for _, y in rk4_integrate(rhs, y0, frame(grid, t0, beta), dt, n_steps):
+        pass
+    return y
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
@@ -497,18 +499,38 @@ def count_bl(monkeypatch, counts):
         monkeypatch.setattr(owner, "eval_bl", counted)
 
 
+def run_rk4(n, t0, dt, n_steps, beta=0.0):
+    """Step a zero state n_steps times on n frequencies with a right-hand side
+    that returns zeros.  Returns the (frame, state) pairs that rk4_integrate
+    yields and the frames it passes to the right-hand side, in call order."""
+    seen = []
+
+    def rhs(sym, y):
+        seen.append(sym)
+        return np.zeros_like(y)
+
+    frame0 = FrameSymbols(t0, 1, np.linspace(-20.0, 20.0, n), beta)
+    return list(rk4_integrate(rhs, np.zeros((2, n)), frame0, dt, n_steps)), seen
+
+
 def test_frame_blocks_times_are_the_step_times():
-    # the whole and half times are the floats t0 + i dt and (t0 + i dt) + dt/2
-    # of a per-step loop, across two block boundaries
+    # the half times (t0 + i dt) + dt/2 that stages 2 and 3 read and the whole
+    # times t0 + i dt that the steps yield are the floats of a per-step loop,
+    # across two block boundaries
     for n in (256, 512):
         block = _block_steps(n)
         t0, dt, n_steps = 1.3, 0.01, 2 * block + 5
-        blocks = list(_frame_blocks(FrameSymbols(t0, 1, np.zeros(n), 0.0), dt, n_steps))
-        assert [half.t.shape for half, _ in blocks] == [(block, 1), (block, 1), (5, 1)]
-        half = [sym.t for batch, _ in blocks for sym in batch.rows()]
-        whole = [sym.t for _, batch in blocks for sym in batch.rows()]
+        steps, seen = run_rk4(n, t0, dt, n_steps)
+        assert [sym.batch.t.shape for sym, _ in steps[1::block]] == [(block, 1), (block, 1),
+                                                                     (5, 1)]
+        assert seen[1::4] == seen[2::4]  # stages 2 and 3 share the half-time frame
+        half = [sym.t for sym in seen[1::4]]
+        whole = [sym.t for sym, _ in steps[1:]]
         assert half == [(t0 + i * dt) + 0.5 * dt for i in range(n_steps)]
         assert whole == [t0 + i * dt for i in range(1, n_steps + 1)]
+        # stage 1 of a step and stage 4 of the one before read its start frame
+        assert seen[0::4] == [steps[0][0]] + seen[3::4][:-1]
+        assert seen[3::4] == [sym for sym, _ in steps[1:]]
         # the stage-4 sum (t0 + i dt) + dt would miss some of them by an ulp
         assert any(whole[i] != (t0 + i * dt) + dt for i in range(n_steps))
 
@@ -516,14 +538,47 @@ def test_frame_blocks_times_are_the_step_times():
 @pytest.mark.parametrize("n, rows", [(256, 16), (512, 8), (1024, 4)])
 def test_frame_blocks_keep_each_batch_symbol_within_64_kib(n, rows):
     # a 16 x 512 complex symbol is 128 KiB, at glibc's mmap threshold
-    grid = FrequencyGrid(k=1, eta_max=20.0, n=n)
-    blocks = list(_frame_blocks(frame(grid, 0.0, 1.0), 0.01, 3 * rows))
-    assert [half.t.shape for half, _ in blocks] == [(rows, 1)] * 3
-    for half, whole in blocks:
-        for batch in (half, whole):
-            for name in ("d", "p", "bl", "couette_q", "couette_theta", "resolvent_d",
-                         "t_eps_g2"):
-                assert getattr(batch, name).nbytes <= 64 * 1024
+    steps, seen = run_rk4(n, 0.0, 0.01, 3 * rows, beta=1.0)
+    halves = [sym.batch for sym in seen[1::4 * rows]]
+    wholes = [sym.batch for sym, _ in steps[1::rows]]
+    assert [half.t.shape for half in halves] == [(rows, 1)] * 3
+    assert [whole.t.shape for whole in wholes] == [(rows, 1)] * 3
+    for batch in halves + wholes:
+        for name in ("d", "p", "bl", "couette_q", "couette_theta", "resolvent_d", "t_eps_g2"):
+            assert getattr(batch, name).nbytes <= 64 * 1024
+
+
+def test_rk4_integrate_yields_the_start_and_every_step():
+    # n_steps + 1 pairs: frame0 itself with a complex copy of y0, then one per
+    # step; each state is a fresh array that later steps leave as it was
+    y0 = np.ones((2, 8))
+    frame0 = FrameSymbols(0.5, 1, np.linspace(-1.0, 1.0, 8), 1.0)
+    rhs = lambda sym, y: couette_rhs(sym, y, 1.0)
+    for n_steps in (0, 1, 2 * _block_steps(8) + 3):
+        steps = [(sym, y, y.copy()) for sym, y in rk4_integrate(rhs, y0, frame0, 0.01, n_steps)]
+        assert len(steps) == n_steps + 1
+        assert steps[0][0] is frame0
+        assert steps[0][1].dtype == complex and not np.shares_memory(steps[0][1], y0)
+        assert np.array_equal(steps[0][1], y0)
+        for (_, y, copy), (_, later, _) in zip(steps, steps[1:]):
+            assert not np.shares_memory(y, later)
+            assert np.array_equal(y, copy) and not np.array_equal(y, later)
+
+
+@pytest.mark.parametrize("t_max", [0.004, -0.5])
+def test_zero_step_evolve_records_the_start(grid256, t_max):
+    # round(t_max / dt) is 0 (or negative): no step is made, and the one
+    # record is the initial data at t0
+    theta0, q0 = make_state(grid256)
+    report, theta, q = evolve(grid256, theta0, q0, beta=1.0, R=1.0, t_max=t_max, dt=0.01,
+                              t0=0.7)
+    assert report.times.tolist() == [0.7]
+    assert np.array_equal(theta, theta0) and np.array_equal(q, q0)
+    e_eta, _ = pointwise_energy(frame(grid256, 0.7, 1.0), theta0, q0, 1.0)
+    assert report.energy.tolist() == [float(grid256.integrate(e_eta))]
+    assert report.q_norm.tolist() == [l2(grid256, q0)]
+    assert report.ratio_max == report.ratio_min == 1.0
+    assert report.solver == SolveStats()
 
 
 @pytest.mark.parametrize("n, rows", [(256, 16), (512, 8), (1024, 4)])

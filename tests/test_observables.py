@@ -206,6 +206,14 @@ def test_fit_power_law_window_guards():
         fit_power_law(t, t**-1.0, 50.0, 10.0)  # inverted window
     with pytest.raises(ValueError):
         fit_power_law(np.arange(1.0, 100.0), -np.ones(99), 1.0, 99.0)  # nonpositive
+    # a NaN is refused on the window, and a value outside it is not judged
+    t = np.arange(1.0, 100.0)
+    v = t**-1.0
+    v[50] = math.nan
+    with pytest.raises(ValueError, match="positive on the fit window"):
+        fit_power_law(t, v, 1.0, 99.0)
+    v[50], v[0] = 1.0 / t[50], 0.0
+    assert fit_power_law(t, v, 2.0, 99.0).exponent == pytest.approx(-1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("a", [-1.5, -0.5, 0.5])

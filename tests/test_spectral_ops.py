@@ -239,6 +239,27 @@ def test_max_iter_below_one_is_rejected(grid256, bump_spectrum, max_iter):
                max_iter=max_iter)
 
 
+@pytest.mark.parametrize("tol", [0.0, 1.0, float("nan")], ids=["0", "1", "nan"])
+def test_tol_outside_unit_interval_is_rejected_before_any_sweep(grid256, bump_spectrum,
+                                                                 monkeypatch, tol):
+    # tol = nan used to spend all max_iter sweeps and then name a residual
+    # "above tol nan"
+    from stratshear import spectral_ops
+
+    _, spec = bump_spectrum
+    calls = []
+    real = spectral_ops.apply_profile_convolution
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(spectral_ops, "apply_profile_convolution", counted)
+    with pytest.raises(ValueError, match=rf"^tol must lie in \(0, 1\), got {tol}$"):
+        solve_vorticity(frame(grid256, 1.0, 1.0), spec, gaussian_field(grid256), tol=tol)
+    assert calls == []
+
+
 def test_b_eps_zero_cases(grid256, bump_spectrum, couette_spectrum):
     # the vorticity correction vanishes: Omega = BL Theta exactly
     _, spec = bump_spectrum
