@@ -235,7 +235,7 @@ class EnergyReport:
 def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=None,
            weights: Optional[WeightSet] = None, record_every=10, tol=1e-10, max_iter=50):
     """Advance (theta0, q0) on ``grid`` from t0 by round(t_max / dt) steps
-    (none when that is negative), recording energies and observables.
+    (none when t_max < dt / 2), recording energies and observables.
 
     Uses the pointwise right-hand side when ``spec`` is None and the
     resolvent-based one otherwise.  Records every ``record_every`` steps
@@ -259,11 +259,12 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
     amplitude exceeds BLOWUP_FACTOR times its initial value, and
     ``ValueError`` when either initial array is not of shape (grid.n,) or
     holds a non-finite value, ``spec`` was sampled on a grid of another N or
-    eta_max (its k may differ), R is not positive, record_every is below 1,
-    beta is negative, dt fails ``dt_is_stable``, tol lies outside (0, 1),
-    max_iter is below 1 or, with weights, the Sobolev factor <(k, eta)>^{2s}
-    of their order ``weights.s`` is not finite on the grid; each before any
-    step is taken, for either profile kind.
+    eta_max (its k may differ), R is not positive, record_every is not an
+    integer of at least 1, t_max is negative or not finite, beta is
+    negative, dt fails ``dt_is_stable``, tol lies outside (0, 1), max_iter
+    is below 1 or, with weights, the Sobolev factor <(k, eta)>^{2s} of their
+    order ``weights.s`` is not finite on the grid; each before any step is
+    taken, for either profile kind.
 
     Returns (EnergyReport, theta, q) with the fields at the final time
     ``report.times[-1]``; ``report.solver`` counts the run's solves.
@@ -284,6 +285,10 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
     lo_const, hi_const = coercivity_constants(R)
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
+    if not float(record_every).is_integer():
+        raise ValueError(f"record_every must be an integer, got {record_every}")
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise ValueError(f"t_max must be finite and nonnegative, got {t_max}")
     if beta < 0:
         raise ValueError(f"stratification rate beta must be nonnegative, got {beta}")
     if not 0 < tol < 1:
@@ -302,7 +307,7 @@ def evolve(grid: FrequencyGrid, theta0, q0, *, beta, R, t_max, dt, t0=0.0, spec=
     else:
         rhs = lambda sym, y: couette_rhs(sym, y, R)
 
-    n_steps = max(0, int(round(t_max / dt)))
+    n_steps = int(round(t_max / dt))
     e0_eta, _ = pointwise_energy(frame0, theta0, q0, R)
     cell_share = e0_eta * grid.deta
     total0 = float(np.sum(cell_share))

@@ -7,7 +7,8 @@ become discrete linear convolutions against the profile transform, weighted
 by deta/(2 pi); fields are extended by zero beyond the grid, so convolutions
 are linear, not circular, and cost O(N^2): a dense Toeplitz matvec on small
 grids, a direct sum over the (2N-1)-point kernel from DIRECT_CONVOLUTION_N up,
-where the N x N matrices would cost more memory than they save time.
+where the N x N matrices would cost more memory than they save time.  A
+``ProfileSpectrum`` builds its weighted operators when it is made.
 
 The two resolvents, T_L = (I - T_eps)^{-1} of the sheared Laplacian and
 T_B = (I - B_eps)^{-1} of the vorticity correction (which contains T_L), are
@@ -100,43 +101,34 @@ class ProfileSpectrum:
 
     ``kern_g1``, ``kern_g2`` and ``kern_b`` hold the transforms of g-1, g^2-1
     and b on the (2N-1)-point difference lattice that the linear convolution
-    needs (Hermitian-symmetric since the profiles are real).  Each kernel is
-    weighted by deta/(2 pi) on first use and cached: as its dense N x N
-    Toeplitz matrix below DIRECT_CONVOLUTION_N, copied from a sliding-window
-    view of the kernel so that a build needs no memory beyond the matrix,
-    and as the (2N-1)-point kernel itself from there up.  The lattice and
-    the cached operators depend on N and eta_max only (read from ``grid``),
-    not on k, so one sampled spectrum serves every wavenumber of a run as
-    it is.
+    needs (Hermitian-symmetric since the profiles are real); any other kernel
+    shape raises ``ValueError``.  A spectrum is complete once it is built:
+    ``operators`` maps each name ("g1", "g2", "b") to the deta/(2 pi)-weighted
+    kernel, as its dense Toeplitz matrix below DIRECT_CONVOLUTION_N (entry
+    (i, j) is the kernel at i - j + N - 1, copied from a sliding-window view,
+    so the build holds no index arrays) and as the kernel itself from there
+    up.  The lattice and the operators depend on N and eta_max only (read
+    from ``grid``), not on k, so one sampled spectrum serves every
+    wavenumber of a run as it is.
     """
 
     grid: FrequencyGrid
     kern_g1: np.ndarray
     kern_g2: np.ndarray
     kern_b: np.ndarray
-    _conv_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    operators: dict = field(init=False, repr=False, compare=False)
 
-
-def _conv_operator(spec, name):
-    """The deta/(2 pi)-weighted kernel, cached on first use: as its dense
-    Toeplitz matrix below DIRECT_CONVOLUTION_N, as the (2N-1)-point kernel
-    itself from there up.
-
-    Entry (i, j) of the matrix is the weighted kernel at i - j + N - 1.  Row i
-    is the reversed kernel's window of N values starting at N - 1 - i, so the
-    matrix is a C-ordered copy of the row-reversed sliding-window view of the
-    reversed kernel: the build holds the N x N result and the kernel, and no
-    index arrays.
-    """
-    op = spec._conv_cache.get(name)
-    if op is None:
-        kern = {"g1": spec.kern_g1, "g2": spec.kern_g2, "b": spec.kern_b}[name]
-        n = spec.grid.n
-        op = spec.grid.deta / (2.0 * math.pi) * kern
-        if n < DIRECT_CONVOLUTION_N:
-            op = sliding_window_view(op[::-1], n)[::-1].copy()
-        spec._conv_cache[name] = op
-    return op
+    def __post_init__(self):
+        n = self.grid.n
+        self.operators = {}
+        for name, kern in (("g1", self.kern_g1), ("g2", self.kern_g2), ("b", self.kern_b)):
+            if np.shape(kern) != (2 * n - 1,):
+                raise ValueError(f"kern_{name}: expected shape (2N-1,) = ({2 * n - 1},) "
+                                 f"for N = {n}, got {np.shape(kern)}")
+            op = self.grid.deta / (2.0 * math.pi) * kern
+            if n < DIRECT_CONVOLUTION_N:
+                op = sliding_window_view(op[::-1], n)[::-1].copy()
+            self.operators[name] = op
 
 
 def apply_profile_convolution(spec, name, values):
@@ -147,7 +139,7 @@ def apply_profile_convolution(spec, name, values):
     over the kernel from there up, which forms the same products and sums
     them in another order.  ``values`` is one field of N values.
     """
-    op = _conv_operator(spec, name)
+    op = spec.operators[name]
     if op.ndim == 1:
         return np.convolve(op, values, mode="valid")
     return op @ values

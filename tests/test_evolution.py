@@ -332,6 +332,58 @@ def test_couette_rk4_matches_an_mpmath_oracle_at_fourth_order(beta):
     assert abs(errors[0] / errors[1] - 16.0) < 0.5
 
 
+def couette_final(grid, theta0, q0, beta, dt, t_max):
+    """(Theta, Q) of a Couette run at R = 1 from t = 0 to t_max."""
+    _, theta, q = evolve(grid, theta0, q0, beta=beta, R=1.0, t_max=t_max, dt=dt,
+                         record_every=10**6)
+    return theta, q
+
+
+@pytest.mark.parametrize("beta, bound", [(0.0, 1e-11), (1.0, 1e-9), (3.0, 3e-9)],
+                         ids=["beta=0", "beta=1", "beta=3"])
+def test_couette_determinant_follows_liouville(beta, bound):
+    # Each Couette cell is y' = A y with tr A = couette_theta = i k beta / (p + i beta d),
+    # d = eta - k t.  By Liouville's formula the determinant of the states
+    # grown from (1, 0) and (0, 1) is exp of its integral, which is
+    # ln det = -(beta/s) (L(eta - k t) - L(eta)) with s = sqrt(beta^2 + 4 k^2),
+    # L(d) = log(d - r+) - log(d - r-) and r+- = i (-beta +- s)/2.  The ratio
+    # is compared with 1, not the logs, whose phase wraps at beta = 3.
+    # Measured (N = 256, eta_max = 20, k = 1, t = 50): 2.5e-12 at beta = 0;
+    # 5.0e-10 and 3.1e-11 at beta = 1, 1.5e-9 and 9.7e-11 at beta = 3, at
+    # dt = 0.01 and 0.005 (ratio 16.0 and 15.9, i.e. dt^4).  The bounds
+    # leave a margin of 2 to 4; the ratio must lie in [12, 20].
+    grid, t_max = FrequencyGrid(k=1, eta_max=20.0, n=256), 50.0
+    one, zero = np.ones(grid.n, complex), np.zeros(grid.n, complex)
+    s = math.sqrt(beta**2 + 4 * grid.k**2)
+    r_plus, r_minus = 0.5j * (-beta + s), 0.5j * (-beta - s)
+
+    def log_term(d):
+        return np.log(d - r_plus) - np.log(d - r_minus)
+
+    log_det = -(beta / s) * (log_term(grid.etas - grid.k * t_max) - log_term(grid.etas))
+    errors = []
+    for dt in (0.01,) if beta == 0.0 else (0.01, 0.005):
+        theta1, q1 = couette_final(grid, one, zero, beta, dt, t_max)
+        theta2, q2 = couette_final(grid, zero, one, beta, dt, t_max)
+        errors.append(np.max(np.abs((theta1 * q2 - theta2 * q1) / np.exp(log_det) - 1.0)))
+    assert errors[0] < bound
+    if beta != 0.0:
+        assert 12.0 <= errors[0] / errors[1] <= 20.0
+
+
+def test_couette_cross_term_is_conserved_without_stratification():
+    # At beta = 0, d/dt Re(Theta conj(Q)) = |Theta|^2 Re(couette_q) and
+    # couette_q = -i k/p is imaginary, so Re(Theta conj(Q)) is conserved in
+    # each cell.  Measured from the standard data (N = 256, eta_max = 20,
+    # k = 1, t = 50, dt = 0.01): a drift of 2.0e-12 of max |Theta0| |Q0|;
+    # the bound leaves a margin of 5.
+    grid = FrequencyGrid(k=1, eta_max=20.0, n=256)
+    theta0, q0 = make_state(grid)
+    theta, q = couette_final(grid, theta0, q0, 0.0, 0.01, 50.0)
+    drift = np.abs((theta * q.conj()).real - (theta0 * q0.conj()).real)
+    assert np.max(drift) < 1e-11 * np.max(np.abs(theta0) * np.abs(q0))
+
+
 def test_evolve_linearity(grid256):
     theta, q = make_state(grid256)
     _, th1, _ = evolve(grid256, theta, q, beta=1.0, R=1.0, t_max=2.0, dt=0.01,
@@ -565,10 +617,26 @@ def test_rk4_integrate_yields_the_start_and_every_step():
             assert np.array_equal(y, copy) and not np.array_equal(y, later)
 
 
-@pytest.mark.parametrize("t_max", [0.004, -0.5])
+@pytest.mark.parametrize("kwargs, message", [
+    ({"t_max": -0.5}, "t_max must be finite and nonnegative, got -0.5$"),
+    ({"t_max": math.inf}, "t_max must be finite and nonnegative, got inf$"),
+    ({"t_max": math.nan}, "t_max must be finite and nonnegative, got nan$"),
+    ({"record_every": 2.5}, "record_every must be an integer, got 2.5$"),
+], ids=["t_max=-0.5", "t_max=inf", "t_max=nan", "record_every=2.5"])
+def test_evolve_rejects_bad_time_inputs(grid256, bump_spectrum, kwargs, message):
+    # a negative t_max used to return the one record at t0, inf and nan to
+    # fail in int(round(t_max / dt)), and record_every = 2.5 to record every
+    # fifth step; each is now refused before any step, for either profile kind
+    args = {"beta": 1.0, "R": 1.0, "t_max": 1.0, "dt": 0.01, "record_every": 10, **kwargs}
+    for spec in (None, bump_spectrum[1]):
+        with pytest.raises(ValueError, match=message):
+            evolve(grid256, *make_state(grid256), spec=spec, **args)
+
+
+@pytest.mark.parametrize("t_max", [0.004])
 def test_zero_step_evolve_records_the_start(grid256, t_max):
-    # round(t_max / dt) is 0 (or negative): no step is made, and the one
-    # record is the initial data at t0
+    # round(t_max / dt) is 0: no step is made, and the one record is the
+    # initial data at t0
     theta0, q0 = make_state(grid256)
     report, theta, q = evolve(grid256, theta0, q0, beta=1.0, R=1.0, t_max=t_max, dt=0.01,
                               t0=0.7)
@@ -706,19 +774,21 @@ def test_evolve_matches_per_step_loop_bit_for_bit(grid256, bump_spectrum, bump_s
 
 @pytest.mark.parametrize("n", [256, 512])
 def test_perturbed_evolve_holds_dense_operators_only_below_the_crossover(n):
-    # From DIRECT_CONVOLUTION_N up a perturbed run caches the three weighted
-    # kernels, 2N - 1 values each, and allocates no N x N array while it
-    # steps; below it the three dense operators show in the traced peak
+    # From DIRECT_CONVOLUTION_N up the sampled spectrum holds the three
+    # weighted kernels, 2N - 1 values each, and a perturbed run allocates no
+    # N x N array while it samples and steps; below it the three dense
+    # operators show in the traced peak
     grid = FrequencyGrid(k=1, eta_max=16.0, n=n)
-    spec = sample_spectrum(build_profile("perturbed", a=0.05, sigma=2.0, y0=0.4), grid)
+    profile = build_profile("perturbed", a=0.05, sigma=2.0, y0=0.4)
     theta0, q0 = make_state(grid)
     tracemalloc.start()
     try:
+        spec = sample_spectrum(profile, grid)
         evolve(grid, theta0, q0, beta=1.0, R=1.0, t_max=0.05, dt=0.01, spec=spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    shapes = {name: op.shape for name, op in spec._conv_cache.items()}
+    shapes = {name: op.shape for name, op in spec.operators.items()}
     operator_bytes = 16 * n * n
     if n >= DIRECT_CONVOLUTION_N:
         assert shapes == dict.fromkeys(("g1", "g2", "b"), (2 * n - 1,))

@@ -22,7 +22,6 @@ from stratshear.spectral_ops import (
     NonConvergence,
     ProfileSpectrum,
     SolveStats,
-    _conv_operator,
     _t_eps_values,
     apply_profile_convolution,
     solve_vorticity,
@@ -137,27 +136,39 @@ def test_direct_convolution_matches_kernel_matrix(bump_spectrum512, name):
 
 @pytest.mark.parametrize("name", ["g1", "g2", "b"])
 def test_dense_operator_is_the_kernel_matrix_bit_for_bit(bump_spectrum, name):
-    # the cached Toeplitz matrix, copied from a sliding-window view, holds
-    # the reference's entries in the same C layout
+    # the spectrum's Toeplitz matrix, copied from a sliding-window view,
+    # holds the reference's entries in the same C layout
     _, spec = bump_spectrum
     assert spec.grid.n < DIRECT_CONVOLUTION_N
-    op = _conv_operator(spec, name)
+    op = spec.operators[name]
     assert op.flags.c_contiguous
     assert np.array_equal(op, kernel_matrix(spec, name))
 
 
 def test_dense_operator_build_peaks_at_the_matrix(bump_spectrum):
-    # one build holds the 16 N^2-byte matrix and the (2N-1)-point weighted
-    # kernel; two N x N index arrays made it peak at 1.5 times the matrix
+    # the constructor builds three 16 N^2-byte matrices, each build holding
+    # its matrix and the (2N-1)-point weighted kernel; two N x N index arrays
+    # per build made one of them peak at 1.5 times its matrix
     _, spec = bump_spectrum
-    fresh = ProfileSpectrum(spec.grid, spec.kern_g1, spec.kern_g2, spec.kern_b)
     tracemalloc.start()
     try:
-        _conv_operator(fresh, "g2")
+        ProfileSpectrum(spec.grid, spec.kern_g1, spec.kern_g2, spec.kern_b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.05 * 16 * spec.grid.n**2
+    assert peak <= 3 * 1.05 * 16 * spec.grid.n**2
+
+
+@pytest.mark.parametrize("length", ["N", "2N+1"])
+def test_spectrum_rejects_kernels_of_the_wrong_length(grid256, length):
+    # a kernel of N values made every convolution return one value, which
+    # numpy broadcast without an error; one of 2N + 1 failed inside full_rhs
+    n = grid256.n
+    good = np.zeros(2 * n - 1, dtype=complex)
+    bad = np.zeros(n if length == "N" else 2 * n + 1, dtype=complex)
+    for kernels in ((bad, good, good), (good, bad, good), (good, good, bad)):
+        with pytest.raises(ValueError, match=r"expected shape \(2N-1,\) = \(511,\)"):
+            ProfileSpectrum(grid256, *kernels)
 
 
 def test_profile_convolution_matches_physical_product(grid256, bump_spectrum):
