@@ -22,7 +22,7 @@ import numpy as np
 from .evolution import StepUnstable, dt_is_stable, evolve
 from .observables import InsufficientWindow, fit_power_law
 from .shear import GridResolutionError, build_profile, sample_spectrum
-from .spectral_ops import FrequencyGrid, NonConvergence
+from .spectral_ops import DIRECT_CONVOLUTION_N, FrequencyGrid, NonConvergence
 from .weights import WeightSet
 
 __all__ = ["ConfigError", "RunConfig", "main", "parse_config", "run"]
@@ -357,47 +357,6 @@ def _check_assertions(cfg: RunConfig, summary):
     return failures
 
 
-def _openblas_function(name):
-    """The OpenBLAS function ``name`` (such as "set_num_threads") of the
-    OpenBLAS that numpy loaded, under any of its symbol variants, or None
-    where none is found (another BLAS, or no ``/proc/self/maps``)."""
-    import ctypes  # imported here: only pool workers and tests need it
-
-    try:
-        with open("/proc/self/maps") as maps:
-            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}",
-                       f"openblas_{name}64_", f"openblas_{name}"):
-            function = getattr(lib, symbol, None)
-            if function is not None:
-                return function
-    return None
-
-
-def _one_blas_thread():
-    """Pool initializer: one OpenBLAS thread per worker.
-
-    Each forked worker inherits OpenBLAS's thread count, one per core, and
-    below DIRECT_CONVOLUTION_N its dense matvecs keep every thread spinning,
-    so two workers on two cores ran slower than one and stalled.  Does
-    nothing where no OpenBLAS setter is found.
-    """
-    import ctypes
-
-    setter = _openblas_function("set_num_threads")
-    if setter is not None:
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
-        setter(1)
-
-
 def run(cfg: RunConfig, out_dir=None, enable_asserts=False, jobs=1) -> int:
     """Execute a validated config; write per-k CSVs and summary.json.
 
@@ -418,15 +377,18 @@ def run(cfg: RunConfig, out_dir=None, enable_asserts=False, jobs=1) -> int:
         profile, FrequencyGrid(k=cfg.k_list[0], eta_max=cfg.grid_eta_max, n=cfg.grid_n))
 
     run_k = functools.partial(_run_single_k, cfg, spectrum, weights, out_dir=out)
-    if jobs > 1 and len(cfg.k_list) > 1:
+    # below DIRECT_CONVOLUTION_N a perturbed run's matvecs are dense BLAS
+    # products that already use every core, and workers that each drive
+    # them ran slower than one process; such a run steps in-process
+    dense = spectrum is not None and cfg.grid_n < DIRECT_CONVOLUTION_N
+    if jobs > 1 and len(cfg.k_list) > 1 and not dense:
         # no more workers than wavenumbers: a pool started by fork forks
         # every worker at its first submit, whether it gets work or not
         workers = min(jobs, len(cfg.k_list))
         # imported here, so that a run without a pool does not pay its 5 ms of
         # import time and 0.2-0.4 MB of RSS
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
-                                                    initializer=_one_blas_thread) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(run_k, cfg.k_list))
     else:
         blocks = list(map(run_k, cfg.k_list))
@@ -491,7 +453,7 @@ def main(argv=None) -> int:
     except (NonConvergence, StepUnstable) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ConfigError, GridResolutionError) as exc:
+    except (ConfigError, GridResolutionError, OSError) as exc:  # OSError: an unusable --out
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -41,11 +41,6 @@ __all__ = [
 class NonConvergence(RuntimeError):
     """Neumann iteration failed to contract below tolerance."""
 
-    def __init__(self, message, iterations, residual):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
-
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -242,12 +237,10 @@ def solve_vorticity(sym, spec, theta, tol=1e-10, max_iter=50, stats=None):
                 raise NonConvergence(
                     f"solve_vorticity at k = {sym.k}, t = {sym.t:.6g}: update norm grew "
                     f"for 3 straight iterations (ratio {ratio:.3g}); perturbation "
-                    "outside the contractive regime",
-                    iterations=it, residual=delta / fnorm,
+                    "outside the contractive regime"
                 )
         prev_delta = delta
     raise NonConvergence(
         f"solve_vorticity at k = {sym.k}, t = {sym.t:.6g}: residual {prev_delta / fnorm:.3g} "
-        f"above tol {tol:.3g} after {max_iter} iterations",
-        iterations=max_iter, residual=prev_delta / fnorm,
+        f"above tol {tol:.3g} after {max_iter} iterations"
     )

@@ -247,6 +247,28 @@ solver.max_iter = 40
     assert err.startswith("solver failure: ") and "k = 1" in err
 
 
+def test_solver_failure_in_a_pool_worker_exits_3(tmp_path, capsys):
+    # the worker's NonConvergence could not be unpickled in the parent, so
+    # the pool broke and the run ended in a traceback and exit 1
+    text = (Path(__file__).resolve().parents[1] / "configs" / "near_couette.cfg").read_text()
+    cfg = write_config(tmp_path, text + "profile.a = 0.8\nk_list = 1, 2\ngrid.N = 512\n"
+                                        "time.t_max = 1.0\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "2"]) == EXIT_SOLVER
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("solver failure: ")
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below_file"])
+def test_unusable_output_directory_exits_2_with_one_line(tmp_path, capsys, below):
+    # a regular file as --out, or as its parent, raised from mkdir: a traceback and exit 1
+    cfg = write_config(tmp_path, SMOKE.replace("time.t_max = 100.0", "time.t_max = 0.05"))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main(["--config", str(cfg), "--out", str(blocker / below)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
 def test_assertion_failure_exits_4(tmp_path):
     text = SMOKE + "assert.exponent_q.min = 5.0\nassert.exponent_q.max = 6.0\n"
     cfg = write_config(tmp_path, text)
@@ -283,9 +305,13 @@ time.record_every = 1
 PARALLEL_INPUTS = {
     "couette": SMOKE.replace("k_list = 1", "k_list = 1, 2").replace("time.t_max = 100.0",
                                                                    "time.t_max = 5.0"),
-    # the shared profile spectrum is pickled to the workers
+    # dense matvecs below DIRECT_CONVOLUTION_N: steps in-process
     "perturbed": BUMP.replace("k_list = 1", "k_list = 1, 2").replace("time.t_max = 0.05",
                                                                     "time.t_max = 0.2"),
+    # the shared profile spectrum is pickled to the workers
+    "perturbed_direct": BUMP.replace("k_list = 1", "k_list = 1, 2")
+                            .replace("grid.N = 256", "grid.N = 512")
+                            .replace("time.t_max = 0.05", "time.t_max = 0.2"),
 }
 
 
@@ -317,9 +343,8 @@ def test_jobs_start_no_more_workers_than_wavenumbers(tmp_path, monkeypatch):
     requested = []
 
     class SerialPool:
-        def __init__(self, max_workers, initializer):
+        def __init__(self, max_workers):
             requested.append(max_workers)
-            assert initializer is stratshear.cli._one_blas_thread
 
         def __enter__(self):
             return self
@@ -337,23 +362,20 @@ def test_jobs_start_no_more_workers_than_wavenumbers(tmp_path, monkeypatch):
     assert requested == [2]
 
 
-def openblas_threads():
-    """Thread count of the OpenBLAS that numpy loaded, in this process."""
-    import ctypes
+def test_dense_perturbed_run_starts_no_pool(tmp_path, monkeypatch):
+    # below DIRECT_CONVOLUTION_N the matvecs are BLAS products that use every
+    # core already; pool workers that each drove them ran slower than one process
+    cfg = write_config(tmp_path, PARALLEL_INPUTS["perturbed"])
+    out1, out2 = tmp_path / "serial", tmp_path / "par"
+    assert main(["--config", str(cfg), "--out", str(out1)]) == EXIT_OK
 
-    getter = stratshear.cli._openblas_function("get_num_threads")
-    getter.restype = ctypes.c_int
-    return getter()
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started for a dense run")
 
-
-def test_pool_workers_run_one_blas_thread():
-    # two workers that each drive every core's BLAS thread ran slower than
-    # one below DIRECT_CONVOLUTION_N and stalled for up to half a minute
-    if stratshear.cli._openblas_function("set_num_threads") is None:
-        pytest.skip("numpy's BLAS exposes no OpenBLAS thread setter")
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=1, initializer=stratshear.cli._one_blas_thread) as pool:
-        assert pool.submit(openblas_threads).result(timeout=60) == 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    assert main(["--config", str(cfg), "--out", str(out2), "--jobs", "2"]) == EXIT_OK
+    for name in ("series_k1.csv", "series_k2.csv", "summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_couette_smoke_fits_without_lapack(tmp_path, monkeypatch):
