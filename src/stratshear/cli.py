@@ -22,7 +22,7 @@ import numpy as np
 from .evolution import StepUnstable, dt_is_stable, evolve
 from .observables import InsufficientWindow, fit_power_law
 from .shear import GridResolutionError, build_profile, sample_spectrum
-from .spectral_ops import DIRECT_CONVOLUTION_N, FrequencyGrid, NonConvergence
+from .spectral_ops import FrequencyGrid, NonConvergence
 from .weights import WeightSet
 
 __all__ = ["ConfigError", "RunConfig", "main", "parse_config", "run"]
@@ -47,9 +47,7 @@ MAX_LOG_SOBOLEV_FACTOR = math.log(sys.float_info.max / MAX_INIT_AMPLITUDE**2)
 
 class ConfigError(ValueError):
     def __init__(self, message, line=None):
-        where = f"line {line}: " if line is not None else ""
-        super().__init__(where + message)
-        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 def _parse_bool(raw):
@@ -372,16 +370,13 @@ def run(cfg: RunConfig, out_dir=None, enable_asserts=False, jobs=1) -> int:
     weights = None
     if cfg.R > 0.25:
         weights = WeightSet.for_run(cfg.R, cfg.beta, profile.epsilon, cfg.weights_c0, s=cfg.s)
-    # the difference-lattice kernels depend on N and eta_max, not on k
-    spectrum = None if profile.is_couette else sample_spectrum(
+    # one spectrum serves every k (its kernels depend on N and eta_max); None for Couette
+    spectrum = sample_spectrum(
         profile, FrequencyGrid(k=cfg.k_list[0], eta_max=cfg.grid_eta_max, n=cfg.grid_n))
 
     run_k = functools.partial(_run_single_k, cfg, spectrum, weights, out_dir=out)
-    # below DIRECT_CONVOLUTION_N a perturbed run's matvecs are dense BLAS
-    # products that already use every core, and workers that each drive
-    # them ran slower than one process; such a run steps in-process
-    dense = spectrum is not None and cfg.grid_n < DIRECT_CONVOLUTION_N
-    if jobs > 1 and len(cfg.k_list) > 1 and not dense:
+    # a dense spectrum's run steps in-process: spectral_ops notes why, at the crossover
+    if jobs > 1 and len(cfg.k_list) > 1 and not (spectrum is not None and spectrum.dense):
         # no more workers than wavenumbers: a pool started by fork forks
         # every worker at its first submit, whether it gets work or not
         workers = min(jobs, len(cfg.k_list))

@@ -85,7 +85,10 @@ class FrequencyGrid:
 # (2N-1)-point kernel instead of multiplying by the dense N x N Toeplitz
 # matrix: the smallest N of a sweep over N in {256, 384, 448, 512, 768, 1024}
 # at which a perturbed evolve, at beta = 0 and at beta = 1, took no longer
-# with the direct sum (median wall time of fresh processes on 2 cores)
+# with the direct sum (median wall time of fresh processes on 2 cores).
+# Below it the matvecs are BLAS products that already use every core, and
+# pool workers that each drove them ran slower than one process, so the CLI
+# steps the wavenumbers of a ``dense`` spectrum's run in-process
 DIRECT_CONVOLUTION_N = 512
 
 
@@ -98,13 +101,13 @@ class ProfileSpectrum:
     and b on the (2N-1)-point difference lattice that the linear convolution
     needs (Hermitian-symmetric since the profiles are real); any other kernel
     shape raises ``ValueError``.  A spectrum is complete once it is built:
+    ``dense`` records whether N lies below DIRECT_CONVOLUTION_N, and
     ``operators`` maps each name ("g1", "g2", "b") to the deta/(2 pi)-weighted
-    kernel, as its dense Toeplitz matrix below DIRECT_CONVOLUTION_N (entry
-    (i, j) is the kernel at i - j + N - 1, copied from a sliding-window view,
-    so the build holds no index arrays) and as the kernel itself from there
-    up.  The lattice and the operators depend on N and eta_max only (read
-    from ``grid``), not on k, so one sampled spectrum serves every
-    wavenumber of a run as it is.
+    kernel, as its Toeplitz matrix if ``dense`` (entry (i, j) is the kernel
+    at i - j + N - 1, copied from a sliding-window view, so the build holds
+    no index arrays) and as the kernel itself if not.  The lattice and the
+    operators depend on N and eta_max only (read from ``grid``), not on k,
+    so one sampled spectrum serves every wavenumber of a run as it is.
     """
 
     grid: FrequencyGrid
@@ -112,16 +115,18 @@ class ProfileSpectrum:
     kern_g2: np.ndarray
     kern_b: np.ndarray
     operators: dict = field(init=False, repr=False, compare=False)
+    dense: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.grid.n
+        self.dense = n < DIRECT_CONVOLUTION_N
         self.operators = {}
         for name, kern in (("g1", self.kern_g1), ("g2", self.kern_g2), ("b", self.kern_b)):
             if np.shape(kern) != (2 * n - 1,):
                 raise ValueError(f"kern_{name}: expected shape (2N-1,) = ({2 * n - 1},) "
                                  f"for N = {n}, got {np.shape(kern)}")
             op = self.grid.deta / (2.0 * math.pi) * kern
-            if n < DIRECT_CONVOLUTION_N:
+            if self.dense:
                 op = sliding_window_view(op[::-1], n)[::-1].copy()
             self.operators[name] = op
 
@@ -130,14 +135,13 @@ def apply_profile_convolution(spec, name, values):
     """Convolve raw values with one of the profile kernels ("g1", "g2", "b").
 
     Entry i is the sum over j of the weighted kernel at i - j + N - 1 times
-    values[j]: a dense matvec below DIRECT_CONVOLUTION_N and ``np.convolve``
-    over the kernel from there up, which forms the same products and sums
-    them in another order.  ``values`` is one field of N values.
+    values[j]: a matvec if ``spec.dense`` and ``np.convolve`` over the kernel
+    if not, which forms the same products and sums them in another order.
+    ``values`` is one field of N values.
     """
-    op = spec.operators[name]
-    if op.ndim == 1:
-        return np.convolve(op, values, mode="valid")
-    return op @ values
+    if spec.dense:
+        return spec.operators[name] @ values
+    return np.convolve(spec.operators[name], values, mode="valid")
 
 
 def _t_eps_values(sym, spec, values):

@@ -336,10 +336,12 @@ def test_jobs_below_one_exit_2_with_one_line(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
-def test_jobs_start_no_more_workers_than_wavenumbers(tmp_path, monkeypatch):
-    # a pool started by fork forks all max_workers processes at its first
-    # submit; this pool records max_workers and maps serially, so no process
-    # is started
+@pytest.fixture
+def pool_requests(monkeypatch):
+    """The max_workers of each ProcessPoolExecutor the CLI makes.  A pool
+    started by fork forks all max_workers processes at its first submit;
+    this stand-in records max_workers and maps serially, so no process is
+    started."""
     requested = []
 
     class SerialPool:
@@ -356,26 +358,48 @@ def test_jobs_start_no_more_workers_than_wavenumbers(tmp_path, monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return requested
+
+
+def test_jobs_start_no_more_workers_than_wavenumbers(tmp_path, pool_requests):
     cfg = write_config(tmp_path, PARALLEL_INPUTS["couette"].replace("time.t_max = 5.0",
                                                                     "time.t_max = 0.05"))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "64"]) == EXIT_OK
-    assert requested == [2]
+    assert pool_requests == [2]
 
 
-def test_dense_perturbed_run_starts_no_pool(tmp_path, monkeypatch):
-    # below DIRECT_CONVOLUTION_N the matvecs are BLAS products that use every
-    # core already; pool workers that each drove them ran slower than one process
-    cfg = write_config(tmp_path, PARALLEL_INPUTS["perturbed"])
+def check_two_jobs_match_one(tmp_path, case):
+    """Run ``PARALLEL_INPUTS[case]`` at ``--jobs 1`` and ``--jobs 2`` and
+    check that both write the same bytes."""
+    cfg = write_config(tmp_path, PARALLEL_INPUTS[case])
     out1, out2 = tmp_path / "serial", tmp_path / "par"
     assert main(["--config", str(cfg), "--out", str(out1)]) == EXIT_OK
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a pool was started for a dense run")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     assert main(["--config", str(cfg), "--out", str(out2), "--jobs", "2"]) == EXIT_OK
     for name in ("series_k1.csv", "series_k2.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_dense_perturbed_run_starts_no_pool(tmp_path, pool_requests):
+    # below DIRECT_CONVOLUTION_N the matvecs are BLAS products that use every
+    # core already; pool workers that each drove them ran slower than one process
+    check_two_jobs_match_one(tmp_path, "perturbed")
+    assert pool_requests == []
+
+
+def test_direct_perturbed_run_starts_a_pool(tmp_path, pool_requests):
+    # from DIRECT_CONVOLUTION_N up the convolutions call no threaded BLAS
+    check_two_jobs_match_one(tmp_path, "perturbed_direct")
+    assert pool_requests == [2]
+
+
+def test_couette_run_samples_no_spectrum(tmp_path, monkeypatch):
+    # sample_spectrum alone decides that Couette has no spectrum
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Couette run transformed a profile")
+
+    monkeypatch.setattr(stratshear.shear, "profile_transforms", refuse)
+    cfg = write_config(tmp_path, SMOKE.replace("time.t_max = 100.0", "time.t_max = 0.05"))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
 
 
 def test_couette_smoke_fits_without_lapack(tmp_path, monkeypatch):

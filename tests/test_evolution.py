@@ -791,9 +791,11 @@ def test_perturbed_evolve_holds_dense_operators_only_below_the_crossover(n):
     shapes = {name: op.shape for name, op in spec.operators.items()}
     operator_bytes = 16 * n * n
     if n >= DIRECT_CONVOLUTION_N:
+        assert not spec.dense
         assert shapes == dict.fromkeys(("g1", "g2", "b"), (2 * n - 1,))
         assert peak < operator_bytes
     else:
+        assert spec.dense
         assert shapes == dict.fromkeys(("g1", "g2", "b"), (n, n))
         assert peak >= 3 * operator_bytes
 
